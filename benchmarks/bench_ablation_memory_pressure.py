@@ -12,7 +12,7 @@ import numpy as np
 from repro.bench import format_table, print_header
 from repro.plans import Plan
 from repro.ra import Field, Relation
-from repro.runtime import GpuRuntime
+from repro.runtime import GpuRuntime, Strategy
 
 
 def _chain_plan():
@@ -33,15 +33,15 @@ def _measure():
     rows = []
     for factor in (4.0, 1.6, 1.3, 1.1):
         limit = int(rel.nbytes * factor)
-        per = {}
-        for fuse in (False, True):
-            r = GpuRuntime(fuse=fuse, memory_limit=limit).run(plan, {"t": rel})
-            per[fuse] = r
+        unfused, fused = (
+            GpuRuntime(strategy=strategy, memory_limit=limit).run(
+                plan, {"t": rel})
+            for strategy in (Strategy.SERIAL, Strategy.FUSED))
         rows.append([
             f"{factor:.1f}x input",
-            per[False].spill_count, per[True].spill_count,
-            per[False].makespan * 1e3, per[True].makespan * 1e3,
-            per[False].makespan / per[True].makespan,
+            unfused.spill_count, fused.spill_count,
+            unfused.makespan * 1e3, fused.makespan * 1e3,
+            unfused.makespan / fused.makespan,
         ])
     return rows
 

@@ -16,19 +16,16 @@ docs/SERVING.md).
 core (``repro.simgpu.engine.SimEngine``), the loop every dispatch (and
 every worker) spends its time in: heap-ordered completions over slotted
 command records.  Reported as processed events/second and the
-simulated-time : wall-time ratio, with the pre-optimization measurements
-pinned in the payload so the speedup stays visible in the tracked JSON:
+simulated-time : wall-time ratio (best of three runs), next to an older
+single-machine reference figure kept in the payload under ``before``
+(58,562 events/s, sim/wall 8.21).
 
-==========  ============  =========
-variant     events/sec    sim/wall
-==========  ============  =========
-before      58,562        8.21
-after       86,660        12.15
-==========  ============  =========
-
-(before = per-command ``__dict__`` hierarchy, recursive DeviceSpec
-hashing, O(streams^2) head scans; after = slotted commands, cached
-device hash + memoized occupancy, counter-based head scan -- PR 8.)
+The DES loop is recorded but not gated: a wall-clock rate compared
+against a fixed constant fails on a loaded machine, whatever the code
+does.  Its throughput is tracked per layer instead, as
+``simgpu.events_per_s`` on the ``plan-sf30-4dev`` workload of the
+end-to-end benchmark (``e2ebench/``), where every wall time is scaled
+by a reference loop measured in the same run.
 """
 
 import json
@@ -50,8 +47,8 @@ SEED = 11
 DES_STREAMS = 8
 DES_COMMANDS_PER_STREAM = 600
 
-#: pre-optimization baseline, measured on this machine at the same shape
-#: (kept in the payload so the tracked JSON shows the hot-loop delta)
+#: older reference figure at the same shape, reported beside the
+#: measurement in the payload (informational, not a gate)
 DES_BEFORE = {"events_per_s": 58_562.0, "sim_wall_ratio": 8.21}
 
 
@@ -171,5 +168,3 @@ def test_worker_scaleout(benchmark, device):
     goodputs = [m.goodput_qps for _, m, _ in sweep]
     assert all(b > a for a, b in zip(goodputs, goodputs[1:])), (
         f"goodput must rise strictly with pool size, got {goodputs}")
-    # the hot loop must stay well clear of the pre-optimization plateau
-    assert des["events_per_s"] > DES_BEFORE["events_per_s"]

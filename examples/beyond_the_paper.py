@@ -4,7 +4,8 @@
 The paper sketches several directions it leaves open; this example runs
 each of them:
 
-1. **auto strategy**   -- a planner applying the paper's decision rules,
+1. **auto strategy**   -- the cost-based optimizer choosing among the
+   paper's strategies,
 2. **hybrid CPU+GPU**  -- fused kernels on both processors (the Ocelot
    future-work idea),
 3. **PCIe compression** -- the He et al. alternative, composed with fusion,
@@ -25,8 +26,8 @@ from repro.core.multifusion import SharedScanGroup, chain_for_shared_scan
 from repro.core.opmodels import chain_for_region
 from repro.plans import Plan
 from repro.ra import Field, Relation
+from repro.optimizer import Optimizer
 from repro.runtime import GpuRuntime, Strategy
-from repro.runtime.autostrategy import run_auto
 from repro.runtime.compressed import run_compressed_select_chain
 from repro.runtime.hybrid import run_hybrid_select
 from repro.runtime.select_chain import run_select_chain, select_chain_plan
@@ -42,11 +43,12 @@ def main() -> None:
     # 1. auto strategy -----------------------------------------------------
     print("1. automatic strategy selection")
     plan = select_chain_plan(2)
-    result, choice = run_auto(plan, {"input": N})
-    print(f"   chose {choice.strategy.value}: "
+    result, decision = Optimizer(device).run(plan, {"input": N},
+                                             include_cpubase=False)
+    print(f"   chose {decision.chosen.label}: "
           f"{result.throughput/1e9:.2f} GB/s")
-    for reason in choice.reasons:
-        print(f"   - {reason}")
+    for cand in decision.ranked():
+        print(f"   - {cand.label}: {cand.price_s*1e3:.1f} ms simulated")
 
     # 2. hybrid CPU+GPU -----------------------------------------------------
     print("\n2. hybrid CPU+GPU execution")
@@ -92,9 +94,10 @@ def main() -> None:
             [("k", 80, 0.8), ("v", 80, 0.8), ("k", 40, 0.5)]):
         node = plan5.select(node, Field(f) < thr, selectivity=sel, name=f"s{i}")
     tight = int(rel.nbytes * 1.3)
-    for fuse in (False, True):
-        r = GpuRuntime(fuse=fuse, memory_limit=tight).run(plan5, {"t": rel})
-        print(f"   fuse={str(fuse):5s} spills={r.spill_count} "
+    for strategy in (Strategy.SERIAL, Strategy.FUSED):
+        r = GpuRuntime(strategy=strategy, memory_limit=tight).run(
+            plan5, {"t": rel})
+        print(f"   {strategy.value:6s} spills={r.spill_count} "
               f"time={r.makespan*1e3:6.2f} ms")
 
     # 6. chrome trace ------------------------------------------------------------

@@ -30,15 +30,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ..core.fission import split_for_fission
 from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import out_row_nbytes
 from ..plans.plan import OpType, Plan, PlanNode
-from ..runtime.strategies import Strategy
+from ..runtime.strategies import CPU_BASELINE, Strategy
 from ..simgpu.device import DeviceSpec
 
 __all__ = [
     "Interval", "Envelope", "plan_envelopes", "fusion_savings",
-    "StrategyFootprint", "strategy_footprint", "split_for_fission",
+    "StrategyFootprint", "strategy_footprint",
 ]
 
 
@@ -257,64 +258,6 @@ def _driver_candidates(plan: Plan, envs: dict[str, Envelope]
     return cands
 
 
-def split_for_fission(regions: list[Region], driver: PlanNode
-                      ) -> tuple[list[Region], list[Region], list[Region]]:
-    """Static replica of ``Executor._split_for_fission``: partition the
-    lowered regions into (pipeline prefix, phase A, phase C) for a given
-    driver source.  Purely structural -- no sizes involved -- so the
-    static split is exact whenever the driver is."""
-    driver_dep: set[str] = set()
-    for region in regions:
-        dep = False
-        for node in region.nodes:
-            for inp in node.inputs:
-                if inp is driver or inp.name in driver_dep:
-                    dep = True
-        if dep:
-            driver_dep.update(n.name for n in region.nodes)
-
-    def primary(region: Region) -> PlanNode:
-        first = region.nodes[0]
-        return first.inputs[0] if first.inputs else first
-
-    def side_independent(region: Region) -> bool:
-        for node in region.nodes:
-            for inp in node.inputs[1:]:
-                if inp is driver or inp.name in driver_dep:
-                    return False
-        return True
-
-    prefix: list[Region] = []
-    phase_a: list[Region] = []
-    rest: list[Region] = []
-    expect: PlanNode | None = None
-    started = False
-    done = False
-    for region in regions:
-        if done:
-            rest.append(region)
-            continue
-        if not started:
-            if (primary(region) is driver and not region.is_barrier_op
-                    and side_independent(region)):
-                started = True
-                prefix.append(region)
-                expect = region.output_node
-            elif region.output_node.name in driver_dep:
-                rest.append(region)
-            else:
-                phase_a.append(region)
-            continue
-        if (not region.is_barrier_op and primary(region) is expect
-                and side_independent(region)):
-            prefix.append(region)
-            expect = region.output_node
-        else:
-            done = True
-            rest.append(region)
-    return prefix, phase_a, rest
-
-
 def _chunks_needed(working: Interval, side: Interval,
                    budget: float) -> Interval:
     """Chunk-count interval ``ceil(working / (budget - side))``."""
@@ -364,7 +307,7 @@ def strategy_footprint(plan: Plan, strategy: "Strategy | str",
     label = strategy if isinstance(strategy, str) else strategy.value
     budget = float(device.global_mem_bytes) * memory_safety
     zero = Interval.exact(0.0)
-    if label == "cpubase":
+    if label == CPU_BASELINE:
         return StrategyFootprint(
             strategy=label, budget_bytes=budget, side_bytes=zero,
             working_bytes=zero, peak_bytes=zero, chunks=Interval.exact(1.0),

@@ -48,7 +48,7 @@ from ..core.fusion import fuse_plan
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..plans.distribute import DistributedPlan
 from ..plans.plan import Plan
-from ..runtime.strategies import Strategy
+from ..runtime.strategies import CPU_BASELINE, Strategy
 from ..simgpu.device import DeviceSpec
 from .absint import (Interval, StrategyFootprint, fusion_savings,
                      plan_envelopes, strategy_footprint)
@@ -57,7 +57,7 @@ from .diagnostics import Diagnostic, Severity, SourceLocation
 #: strategies a single-device MemoryTarget is vetted against by default
 DEFAULT_STRATEGIES: tuple = (
     Strategy.SERIAL, Strategy.FUSED, Strategy.FISSION,
-    Strategy.FUSED_FISSION, Strategy.WITH_ROUND_TRIP, "cpubase",
+    Strategy.FUSED_FISSION, Strategy.WITH_ROUND_TRIP, CPU_BASELINE,
 )
 
 
@@ -132,7 +132,7 @@ class MemoryCheckPass:
                  else dist.local_plan())
         shard_rows = self._shard0_rows(dist, local, target.source_rows)
         envs = plan_envelopes(local, shard_rows, target.stats)
-        strategies = [s for s in target.strategies if s != "cpubase"]
+        strategies = [s for s in target.strategies if s != CPU_BASELINE]
         for strategy in strategies:
             fp = strategy_footprint(local, strategy, envs, device,
                                     target.memory_safety)

@@ -43,9 +43,8 @@ original plan, byte- and time-identical to :func:`single_device_makespan`
 Fault path: before each phase every device is probed at site
 ``device.<k>`` (and ``device.<k>.suffix``) for
 :attr:`~repro.faults.FaultKind.DEVICE_LOSS`.  A lost device's shards are
-re-executed on the least-loaded surviving device -- the top rung of the
-cluster degradation ladder (:data:`repro.faults.CLUSTER_DEGRADATION_ORDER`)
--- and marked ``recovered``.  Destinations are fixed when the exchange
+re-executed on the least-loaded surviving device -- the rung above the
+per-device :func:`repro.faults.ladder` -- and marked ``recovered``.  Destinations are fixed when the exchange
 starts, so a device lost at the suffix probe has its *slot* recovered on
 a survivor too.  Results are unaffected: the functional path below is
 loss-agnostic by construction.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..simgpu.compute import KernelLaunchSpec
 from ..simgpu.device import DeviceSpec
@@ -23,6 +23,10 @@ from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import EventKind, Timeline
 from ..streampool.pool import StreamPool
 from .stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
+
+if TYPE_CHECKING:
+    from ..plans.plan import PlanNode
+    from .fusion import Region
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,65 @@ def plan_segments(n_rows: int, in_row_nbytes: int,
         for i in range(n_seg)
         if bounds[i + 1] > bounds[i]
     ]
+
+
+def split_for_fission(regions: Sequence[Region], driver: PlanNode
+                      ) -> tuple[list[Region], list[Region], list[Region]]:
+    """Partition lowered regions into (pipeline prefix, phase A, phase C).
+
+    The prefix is the maximal chain of non-barrier regions starting at
+    the first region whose primary input is the driver source, where
+    each region's side inputs are computable *before* the driver
+    arrives (driver-independent).  Phase A holds driver-independent
+    regions that must run before the pipeline (e.g. dimension-table
+    selects feeding the prefix's build kernels); phase C everything
+    else, in order.  Purely structural -- no sizes involved -- so the
+    executor and the static memory analysis share it exactly.
+    """
+    # which regions (by node-name of output) depend on the driver
+    driver_dep: set[str] = set()
+    for region in regions:
+        if any(inp is driver or inp.name in driver_dep
+               for node in region.nodes for inp in node.inputs):
+            driver_dep.update(n.name for n in region.nodes)
+
+    def primary(region: Region) -> PlanNode:
+        first = region.nodes[0]
+        return first.inputs[0] if first.inputs else first
+
+    def side_independent(region: Region) -> bool:
+        return not any(inp is driver or inp.name in driver_dep
+                       for node in region.nodes for inp in node.inputs[1:])
+
+    prefix: list[Region] = []
+    phase_a: list[Region] = []
+    rest: list[Region] = []
+    expect: PlanNode | None = None
+    started = False
+    done = False
+    for region in regions:
+        if done:
+            rest.append(region)
+            continue
+        if not started:
+            if (primary(region) is driver and not region.is_barrier_op
+                    and side_independent(region)):
+                started = True
+                prefix.append(region)
+                expect = region.output_node
+            elif region.output_node.name in driver_dep:
+                rest.append(region)   # driver-dependent, can't run early
+            else:
+                phase_a.append(region)
+            continue
+        if (not region.is_barrier_op and primary(region) is expect
+                and side_independent(region)):
+            prefix.append(region)
+            expect = region.output_node
+        else:
+            done = True
+            rest.append(region)
+    return prefix, phase_a, rest
 
 
 #: builds the compute launches for one segment of `n_rows` elements

@@ -11,12 +11,10 @@ reproducible.
 
 from .injector import FaultInjector, InjectedFault, as_injector
 from .plan import ALL_KINDS, FaultKind, FaultPlan, RetryPolicy, parse_chaos
-from .recovery import (CLUSTER_DEGRADATION_ORDER, DEGRADATION_ORDER, LADDERS,
-                       ladder_for, spurious_oom)
+from .recovery import ladder, spurious_oom
 
 __all__ = [
     "FaultKind", "FaultPlan", "RetryPolicy", "ALL_KINDS", "parse_chaos",
     "FaultInjector", "InjectedFault", "as_injector",
-    "DEGRADATION_ORDER", "CLUSTER_DEGRADATION_ORDER", "LADDERS",
-    "ladder_for", "spurious_oom",
+    "ladder", "spurious_oom",
 ]

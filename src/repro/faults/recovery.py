@@ -1,50 +1,58 @@
-"""Degradation ladders: which execution modes to fall back through when the
-device keeps reporting OOM.
+"""The degradation ladder: which strategies to fall back through when the
+device keeps reporting OOM or retries run out.
 
 The paper's strategies assume the device cooperates; a production engine
-must keep answering when it does not.  The ladder realizes the fallback
-order *fission -> resident -> chunked -> cpubase*:
+must keep answering when it does not.  :func:`ladder` gives one fallback
+order, used by both interpreters of a plan -- the timing
+:class:`~repro.runtime.executor.Executor` and the functional
+:class:`~repro.runtime.gpu_rt.GpuRuntime`:
 
-* **fission** -- pipelined segments over pooled streams (fastest, most
-  exposed to transfer faults and stream stalls);
-* **resident** -- intermediates stay in device memory, serial stream;
-* **chunked** -- every intermediate is eagerly staged back to the host so
-  the device footprint stays minimal (the paper's forced round trip);
-* **cpubase** -- the NumPy interpreter on the host; always succeeds and is
-  functionally identical, just slow.
+* a **fission** strategy first drops fission and keeps its fusion
+  setting (FUSED_FISSION -> FUSED, FISSION -> SERIAL): pipelined segments
+  are the most exposed to transfer faults and stream stalls;
+* any device strategy then retreats to **WITH_ROUND_TRIP**, which stages
+  every intermediate back to the host so the device footprint stays
+  minimal (the paper's forced round trip);
+* the last rung is the host interpreter
+  (:data:`~repro.runtime.strategies.CPU_BASELINE`): no device command is
+  left to fault, and its answers are identical, just slow.
+
+At cluster level a device lost mid-run
+(:class:`repro.errors.DeviceLostError`) first has its shards re-executed
+on a surviving device; this ladder then applies on whichever device runs
+the shard (docs/CLUSTER.md).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..errors import DeviceOOMError
 
-#: canonical fallback order, most capable first
-DEGRADATION_ORDER = ("fission", "resident", "chunked", "cpubase")
-
-#: the cluster layer's ladder sits one rung above the per-device order: a
-#: device lost mid-run (:class:`repro.errors.DeviceLostError`) has its
-#: shards **re-executed on a surviving device**, and only then does the
-#: per-device ladder above apply on whatever device ends up running the
-#: shard (docs/CLUSTER.md)
-CLUSTER_DEGRADATION_ORDER = ("reexecute_on_survivor",) + DEGRADATION_ORDER
-
-#: per-starting-mode ladders (a mode degrades only rightward; compressed
-#: transfers are an orthogonal entry point that falls back to resident)
-LADDERS: dict[str, tuple[str, ...]] = {
-    "fission": ("fission", "resident", "chunked", "cpubase"),
-    "resident": ("resident", "chunked", "cpubase"),
-    "compressed": ("compressed", "resident", "chunked", "cpubase"),
-    "chunked": ("chunked", "cpubase"),
-    "cpubase": ("cpubase",),
-}
+if TYPE_CHECKING:
+    from ..runtime.strategies import Strategy
 
 
-def ladder_for(mode: str) -> tuple[str, ...]:
-    try:
-        return LADDERS[mode]
-    except KeyError:
+def ladder(strategy: "Strategy | str") -> "tuple[Strategy | str, ...]":
+    """Fallback order starting at ``strategy`` (a :class:`Strategy` or
+    ``CPU_BASELINE``), most capable first; raises ValueError otherwise."""
+    # imported here: the runtime package imports this module at load time
+    from ..runtime.strategies import CPU_BASELINE, Strategy
+
+    if strategy == CPU_BASELINE:
+        return (CPU_BASELINE,)
+    if not isinstance(strategy, Strategy):
         raise ValueError(
-            f"unknown execution mode {mode!r}; expected one of {sorted(LADDERS)}")
+            f"unknown execution strategy {strategy!r}; expected a Strategy "
+            f"or {CPU_BASELINE!r}")
+    steps: list = [strategy]
+    if strategy.uses_fission:
+        steps.append(Strategy.FUSED if strategy.uses_fusion
+                     else Strategy.SERIAL)
+    if strategy is not Strategy.WITH_ROUND_TRIP:
+        steps.append(Strategy.WITH_ROUND_TRIP)
+    steps.append(CPU_BASELINE)
+    return tuple(steps)
 
 
 def spurious_oom(injector, site: str, capacity: int) -> None:

@@ -17,13 +17,8 @@ from typing import Callable, Iterable, Iterator
 from ..errors import PlanError
 from ..plans.distribute import DistributedPlan, distribute_plan
 from ..plans.plan import Plan
-from ..runtime.strategies import Strategy
+from ..runtime.strategies import CPU_BASELINE, Strategy
 from .stats import DataStats
-
-#: host-baseline pseudo-strategy label (the degradation ladder's last
-#: rung, now a first-class priced option: the CPU side of the
-#: CPU-vs-GPU crossover)
-CPU_BASELINE = "cpubase"
 
 
 @dataclass(frozen=True)

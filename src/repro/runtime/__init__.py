@@ -6,11 +6,12 @@ from .executor import Executor, RunResult
 from .hybrid import HybridRunResult, balance_split, run_hybrid_select
 from .gpu_rt import DeviceBuffer, FunctionalRunResult, GpuRuntime
 from .sizes import estimate_sizes
-from .strategies import ExecutionConfig, Strategy
+from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
 
 __all__ = [
     "Executor", "RunResult", "DeviceBuffer", "FunctionalRunResult",
     "GpuRuntime", "estimate_sizes", "ExecutionConfig", "Strategy",
+    "CPU_BASELINE",
     "CompressedRunResult", "run_compressed_select_chain",
     "HybridRunResult", "balance_split", "run_hybrid_select",
     "EstimateProfile", "profile_estimates",

@@ -6,13 +6,11 @@ cardinality against the estimate, and reports the error -- the tool for
 checking that a plan's annotations (and hence its simulated results) are
 trustworthy on a given dataset.
 
-.. deprecated::
-    Stats *collection* now lives in the optimizer
-    (:class:`repro.optimizer.DataStats`, docs/OPTIMIZER.md):
-    :func:`observed_stats` delegates there and is what the cost model
-    prices against.  This module's error profiling remains the tool for
-    auditing annotations; :meth:`EstimateProfile.data_stats` bridges a
-    profile into the optimizer's input.
+Stats *collection* lives in the optimizer
+(:class:`repro.optimizer.DataStats`, docs/OPTIMIZER.md), which is what
+the cost model prices against; this module audits annotations, and
+:meth:`EstimateProfile.data_stats` bridges a profile into the
+optimizer's input.
 """
 
 from __future__ import annotations
@@ -97,16 +95,3 @@ def profile_estimates(plan: Plan, sources: dict[str, Relation]
     ]
     return EstimateProfile(records=records, inputs=(plan, dict(sources)))
 
-
-def observed_stats(plan: Plan, sources: dict[str, Relation]):
-    """Deprecated shim: the optimizer's observed data statistics
-    (:meth:`repro.optimizer.DataStats.from_relations`) -- rows, widths,
-    group cardinalities, and skew measured on the real relations."""
-    import warnings
-
-    warnings.warn(
-        "repro.runtime.estimates.observed_stats is deprecated; use "
-        "repro.optimizer.DataStats.from_relations (docs/OPTIMIZER.md)",
-        DeprecationWarning, stacklevel=2)
-    from ..optimizer import DataStats
-    return DataStats.from_relations(plan, sources)

@@ -20,20 +20,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..core.cost import FusionCostModel
-from ..core.fission import FissionConfig, Segment, run_fissioned
+from ..core.fission import (FissionConfig, Segment, run_fissioned,
+                            split_for_fission)
 from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import chain_for_node, chain_for_region, out_row_nbytes
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import cpu_select_time
 from ..errors import DeviceOOMError, FaultError, PlanError
-from ..faults import FaultInjector, FaultPlan, as_injector, spurious_oom
+from ..faults import (FaultInjector, FaultPlan, as_injector, ladder,
+                      spurious_oom)
 from ..plans.plan import OpType, Plan, PlanNode
 from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
 from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import EventKind, Timeline
 from .sizes import estimate_sizes
-from .strategies import ExecutionConfig, Strategy
+from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
 
 
 @dataclass
@@ -200,8 +202,7 @@ class Executor:
             self._memory_preflight(plan, source_rows, config)
         injector = as_injector(self.faults)
         degrade = self.degrade if self.degrade is not None else injector is not None
-        steps = (self._strategy_ladder(config.strategy) if degrade
-                 else [config.strategy])
+        steps = ladder(config.strategy) if degrade else (config.strategy,)
         last_err: Exception | None = None
         for step in steps:
             try:
@@ -249,24 +250,10 @@ class Executor:
         self._analysis_reports.append(
             self._analyzer().run(target, strict=True))
 
-    @staticmethod
-    def _strategy_ladder(strategy: Strategy) -> list:
-        """Fallback chain under repeated faults: pipelined strategies retreat
-        to serial resident execution, then to forced round trips (minimal
-        device footprint), then to the host baseline, which cannot fault."""
-        ladder: list = [strategy]
-        if strategy.uses_fission:
-            ladder.append(Strategy.FUSED if strategy.uses_fusion
-                          else Strategy.SERIAL)
-        if strategy is not Strategy.WITH_ROUND_TRIP:
-            ladder.append(Strategy.WITH_ROUND_TRIP)
-        ladder.append("cpubase")
-        return ladder
-
     def _run_once(self, plan: Plan, source_rows: dict[str, int] | None,
                   config: ExecutionConfig, step,
                   injector: FaultInjector | None) -> RunResult:
-        if step == "cpubase":
+        if step == CPU_BASELINE:
             return self._run_cpubase(plan, source_rows, config)
         config = config if step is config.strategy else replace(
             config, strategy=step)
@@ -561,7 +548,11 @@ class Executor:
                      sizes: dict[str, int], driver: PlanNode,
                      config: ExecutionConfig) -> Timeline:
         self._last_num_chunks = 1
-        prefix, phase_a, rest = self._split_for_fission(lowered, driver)
+        by_region = {id(lr.region): lr for lr in lowered}
+        prefix, phase_a, rest = (
+            [by_region[id(r)] for r in part]
+            for part in split_for_fission([lr.region for lr in lowered],
+                                          driver))
         if not prefix:
             # nothing to pipeline -- degenerate to serial with pinned memory
             serial_cfg = ExecutionConfig(
@@ -675,69 +666,3 @@ class Executor:
             stream.kernel(spec, tag=spec.name)
         if lr.region.output_node.name in sink_names and lr.out_bytes > 0:
             stream.d2h(lr.out_bytes, mem, tag=f"output.{lr.region.name}")
-
-    def _split_for_fission(self, lowered: list[_LoweredRegion],
-                           driver: PlanNode
-                           ) -> tuple[list[_LoweredRegion], list[_LoweredRegion],
-                                      list[_LoweredRegion]]:
-        """Partition regions into (pipeline prefix, phase A, phase C).
-
-        The prefix is the maximal chain of non-barrier regions starting at
-        the first region whose primary input is the driver source, where
-        each region's side inputs are computable *before* the driver
-        arrives (driver-independent).  Phase A holds driver-independent
-        regions that must run before the pipeline (e.g. dimension-table
-        selects feeding the prefix's build kernels); phase C everything
-        else, in order.
-        """
-        # which regions (by node-name of output) depend on the driver
-        driver_dep: set[str] = set()
-        produced_by: dict[str, _LoweredRegion] = {}
-        for lr in lowered:
-            for node in lr.region.nodes:
-                produced_by[node.name] = lr
-        for lr in lowered:
-            dep = False
-            for node in lr.region.nodes:
-                for inp in node.inputs:
-                    if inp is driver or inp.name in driver_dep:
-                        dep = True
-            if dep:
-                driver_dep.update(n.name for n in lr.region.nodes)
-
-        def side_inputs_independent(lr: _LoweredRegion) -> bool:
-            for node in lr.region.nodes:
-                for inp in node.inputs[1:]:
-                    if inp is driver or inp.name in driver_dep:
-                        return False
-            return True
-
-        prefix: list[_LoweredRegion] = []
-        phase_a: list[_LoweredRegion] = []
-        rest: list[_LoweredRegion] = []
-        expect: PlanNode | None = None
-        started = False
-        done = False
-        for lr in lowered:
-            if done:
-                rest.append(lr)
-                continue
-            if not started:
-                if (lr.primary_input is driver and not lr.region.is_barrier_op
-                        and side_inputs_independent(lr)):
-                    started = True
-                    prefix.append(lr)
-                    expect = lr.region.output_node
-                elif lr.region.output_node.name in driver_dep:
-                    rest.append(lr)   # driver-dependent, can't run early
-                else:
-                    phase_a.append(lr)
-                continue
-            if (not lr.region.is_barrier_op and lr.primary_input is expect
-                    and side_inputs_independent(lr)):
-                prefix.append(lr)
-                expect = lr.region.output_node
-            else:
-                done = True
-                rest.append(lr)
-        return prefix, phase_a, rest

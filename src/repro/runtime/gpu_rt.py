@@ -13,6 +13,10 @@ CPU", SS III-A).
 Because fusion eliminates intermediates, running the same plan fused under
 memory pressure causes *fewer* spills -- benefit (a)/(b) of Fig 7, which
 `benchmarks/bench_ablation_memory_pressure.py` quantifies.
+
+The runtime ("run it") and the executor ("time it") interpret the same
+:class:`~repro.runtime.strategies.Strategy` and, under faults, step down
+the same :func:`repro.faults.ladder`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from ..core.opmodels import chain_for_node, chain_for_region
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import cpu_select_time
 from ..errors import DeviceOOMError, FaultError, PlanError
-from ..faults import (FaultInjector, FaultPlan, as_injector, ladder_for,
+from ..faults import (FaultInjector, FaultPlan, as_injector, ladder,
                       spurious_oom)
 from ..plans.interp import _eval_node, evaluate
 from ..plans.plan import OpType, Plan, PlanNode
@@ -40,6 +44,7 @@ from ..simgpu.memory import DeviceMemory
 from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import EventKind, Timeline
 from ..streampool.pool import StreamPool
+from .strategies import CPU_BASELINE, Strategy
 
 #: operators whose rows are independent of one another given their side
 #: inputs, so a chain of them can stream segment-by-segment (fission)
@@ -84,9 +89,10 @@ class FunctionalRunResult:
     fusion: FusionResult
     spill_count: int
     peak_device_bytes: int
-    #: execution mode that actually produced the answers, and -- when the
-    #: fault-degradation ladder had to step down -- where it landed
-    mode: str = "resident"
+    #: strategy that actually produced the answers (a :class:`Strategy`
+    #: or ``CPU_BASELINE``), and -- when the fault ladder had to step
+    #: down -- its label, as in :attr:`RunResult.degraded_to`
+    strategy: Strategy | str = Strategy.FUSED
     degraded_to: str | None = None
     #: injector counters (zero when fault injection is off)
     faults_injected: int = 0
@@ -109,47 +115,47 @@ class GpuRuntime:
     ----------
     device:
         The simulated GPU (its ``global_mem_bytes`` bounds residency).
-    fuse:
-        Apply the fusion pass before execution.
+    strategy:
+        A :class:`Strategy` or ``CPU_BASELINE``.  SERIAL / FUSED run the
+        resident path (intermediates stay on device, spilled only under
+        pressure) unfused / fused; FISSION / FUSED_FISSION run the
+        segmented pipeline over pooled streams; WITH_ROUND_TRIP runs the
+        resident path unfused with every intermediate eagerly staged to
+        the host; ``CPU_BASELINE`` runs the host interpreter.  All
+        produce identical tuples; only the simulated schedule differs.
     memory_limit:
         Override the device-memory budget (for memory-pressure studies).
-    mode:
-        Execution mode: ``resident`` (default; intermediates stay on
-        device), ``fission`` (segmented pipeline over pooled streams),
-        ``compressed`` (sources upload compressed + decompress kernel),
-        ``chunked`` (every intermediate eagerly staged to the host) or
-        ``cpubase`` (host interpreter).  All modes produce identical
-        tuples; only the simulated schedule differs.
     faults:
         A :class:`~repro.faults.FaultPlan` (or shared injector) the
         simulated engine honors; see docs/FAULTS.md.
     degrade:
-        Fall back down the mode ladder (see
-        :data:`repro.faults.LADDERS`) when repeated OOM / exhausted
-        retries defeat the current mode.  ``None`` = degrade iff fault
-        injection is enabled.
+        Fall back down :func:`repro.faults.ladder` when repeated OOM /
+        exhausted retries defeat the current strategy.  ``None`` =
+        degrade iff fault injection is enabled.
+    compression:
+        Resident-path source uploads ship compressed and pay a
+        decompress kernel whenever this is not ``NONE``.
     """
 
-    def __init__(self, device: DeviceSpec | None = None, fuse: bool = True,
+    def __init__(self, device: DeviceSpec | None = None,
+                 strategy: Strategy | str = Strategy.FUSED,
                  costs: StageCostParams = DEFAULT_STAGE_COSTS,
                  cost_model: FusionCostModel | None = None,
                  memory_limit: int | None = None,
                  host_memory: HostMemory = HostMemory.PINNED,
-                 mode: str = "resident",
                  faults: "FaultPlan | FaultInjector | None" = None,
                  degrade: bool | None = None,
                  compression: CompressionScheme = NONE,
                  fission: FissionConfig = FissionConfig()):
         self.device = device or DeviceSpec()
-        self.fuse = fuse
+        ladder(strategy)  # validates the strategy
+        self.strategy = strategy
         self.costs = costs
         self.cost_model = cost_model
         self.memory = DeviceMemory(
             capacity=memory_limit if memory_limit is not None
             else self.device.global_mem_bytes)
         self.host_memory = host_memory
-        ladder_for(mode)  # validates the name
-        self.mode = mode
         self.faults = faults
         self.degrade = degrade
         self.compression = compression
@@ -161,17 +167,17 @@ class GpuRuntime:
         plan.validate()
         injector = as_injector(self.faults)
         degrade = self.degrade if self.degrade is not None else injector is not None
-        modes = ladder_for(self.mode) if degrade else (self.mode,)
+        steps = ladder(self.strategy) if degrade else (self.strategy,)
         last_err: Exception | None = None
-        for mode in modes:
+        for step in steps:
             try:
-                result = self._run_mode(mode, plan, sources, injector)
+                result = self._run_step(step, plan, sources, injector)
             except (DeviceOOMError, FaultError) as err:
                 last_err = err
                 continue
-            result.mode = mode
-            if mode != self.mode:
-                result.degraded_to = mode
+            result.strategy = step
+            if step != self.strategy:
+                result.degraded_to = step if isinstance(step, str) else step.value
             if injector is not None:
                 result.faults_injected = injector.faults_injected
                 result.retries = injector.retries
@@ -180,29 +186,23 @@ class GpuRuntime:
         assert last_err is not None
         raise last_err
 
-    def _run_mode(self, mode: str, plan: Plan, sources: dict[str, Relation],
+    def _run_step(self, step: Strategy | str, plan: Plan,
+                  sources: dict[str, Relation],
                   injector: FaultInjector | None) -> FunctionalRunResult:
-        if mode == "resident":
-            return self._run_resident(plan, sources, injector)
-        if mode == "chunked":
-            return self._run_resident(plan, sources, injector,
-                                      eager_spill=True)
-        if mode == "compressed":
-            return self._run_resident(plan, sources, injector,
-                                      compressed=True)
-        if mode == "fission":
-            return self._run_fission(plan, sources, injector)
-        if mode == "cpubase":
+        if step == CPU_BASELINE:
             return self._run_cpubase(plan, sources, injector)
-        raise ValueError(f"unknown execution mode {mode!r}")
+        if step.uses_fission:
+            return self._run_fission(plan, sources, injector, step.uses_fusion)
+        return self._run_resident(
+            plan, sources, injector, step.uses_fusion,
+            eager_spill=step is Strategy.WITH_ROUND_TRIP)
 
-    # -- resident / chunked / compressed -------------------------------
+    # -- resident (SERIAL / FUSED / WITH_ROUND_TRIP) ---------------------
     def _run_resident(self, plan: Plan, sources: dict[str, Relation],
-                      injector: FaultInjector | None = None,
-                      eager_spill: bool = False,
-                      compressed: bool = False) -> FunctionalRunResult:
+                      injector: FaultInjector | None, fuse: bool,
+                      eager_spill: bool = False) -> FunctionalRunResult:
         self.memory.reset()
-        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=self.fuse)
+        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=fuse)
 
         stream = SimStream(stream_id=0)
         buffers: dict[str, DeviceBuffer] = {}
@@ -225,7 +225,7 @@ class GpuRuntime:
             spills += self._make_room(buf.nbytes, buffers, stream)
             buf.handle = self.memory.alloc(buf.nbytes, src.name)
             if buf.nbytes > 0:
-                if compressed and self.compression.ratio > 1.0:
+                if self.compression.ratio > 1.0:
                     stream.h2d(self.compression.wire_bytes(buf.nbytes),
                                self.host_memory, tag=f"input.{src.name}")
                     rows = max(1, rel.num_rows)
@@ -273,7 +273,7 @@ class GpuRuntime:
             self._emit_region_kernels(region, node_results, stream)
             if (eager_spill and buf.resident
                     and out_name not in sink_names):
-                # chunked mode: intermediates never stay resident -- stage
+                # round trip: intermediates never stay resident -- stage
                 # each one straight back to the host so the device footprint
                 # is one region's inputs + output at a time
                 self.memory.free(buf.handle)
@@ -338,21 +338,22 @@ class GpuRuntime:
         return chain, driver
 
     def _run_fission(self, plan: Plan, sources: dict[str, Relation],
-                     injector: FaultInjector | None) -> FunctionalRunResult:
+                     injector: FaultInjector | None, fuse: bool
+                     ) -> FunctionalRunResult:
         chain, driver = self._streamable_chain(plan)
         if chain is None:
             # barriers / wide joins cannot stream: resident execution is
             # the in-place fallback for non-streamable shapes
-            return self._run_resident(plan, sources, injector)
+            return self._run_resident(plan, sources, injector, fuse)
         if driver.name not in sources:
             raise PlanError(f"no relation bound for source {driver.name!r}")
         driver_rel = sources[driver.name]
         n_rows = driver_rel.num_rows
         if n_rows == 0:
-            return self._run_resident(plan, sources, injector)
+            return self._run_resident(plan, sources, injector, fuse)
 
         self.memory.reset()
-        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=self.fuse)
+        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=fuse)
         sink = plan.sinks()[0]
         side_srcs: list[PlanNode] = []
         for node in chain:
@@ -370,7 +371,7 @@ class GpuRuntime:
         segments = plan_segments(n_rows, row_nbytes, self.fission)
 
         # build-side uploads and build kernels run once, before the pipeline
-        groups = [chain] if self.fuse else [[n] for n in chain]
+        groups = [chain] if fuse else [[n] for n in chain]
         kchains = [chain_for_region(g, self.costs) for g in groups]
         pre = pool.streams[0]
         for s in side_srcs:

@@ -11,6 +11,10 @@ FISSION             kernel fission applied: segmented, pipelined transfers
                     (SS IV), unfused kernels
 FUSED_FISSION       both (SS IV-C)
 ==================  ======================================================
+
+:data:`CPU_BASELINE` labels the host interpreter, the one execution path
+that is not a device strategy: the optimizer prices it as the CPU side of
+the CPU-vs-GPU crossover, and every fault ladder ends on it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from dataclasses import dataclass, field
 
 from ..core.fission import FissionConfig
 from ..simgpu.pcie import HostMemory
+
+#: the host-interpreter label (never a :class:`Strategy` member)
+CPU_BASELINE = "cpubase"
 
 
 class Strategy(enum.Enum):

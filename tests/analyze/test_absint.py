@@ -6,8 +6,9 @@ import math
 import pytest
 
 from repro.analyze.absint import (Interval, fusion_savings, plan_envelopes,
-                                  split_for_fission, strategy_footprint)
+                                  strategy_footprint)
 from repro.analyze.corpus import pattern_plans, select_chain_plan
+from repro.core.fission import split_for_fission
 from repro.core.fusion import fuse_plan
 from repro.plans.fuzz import random_plan_case
 from repro.plans.plan import Plan

@@ -1,6 +1,6 @@
 """Chaos property suite (the ISSUE's acceptance test).
 
-For 120 seeds, run a random plan through every execution mode with fault
+For 120 seeds, run a random plan through every execution strategy with fault
 injection on: the run must either return tuples identical to the clean
 NumPy interpreter or raise a typed :class:`~repro.errors.ReproError` --
 never a silent wrong answer -- and every completed timeline must pass the
@@ -13,28 +13,28 @@ from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.plans import evaluate_sinks
 from repro.plans.fuzz import random_plan_case
-from repro.runtime import GpuRuntime
+from repro.runtime import CPU_BASELINE, GpuRuntime, Strategy
 from repro.runtime.select_chain import run_select_chain
-from repro.runtime.executor import Strategy
 from repro.simgpu.compression import RLE
 from repro.validate import validate_run
 
-MODES = ("resident", "fission", "chunked", "compressed", "cpubase")
+STRATEGIES = (*Strategy, CPU_BASELINE)
 
 
 def _check_against_interpreter(case, result):
     ref = evaluate_sinks(case.plan, case.sources)
     for name, rel in ref.items():
         assert result.results[name].same_tuples(rel), (
-            f"plan={case.description} sink={name} mode={result.mode}")
+            f"plan={case.description} sink={name} "
+            f"strategy={result.strategy}")
 
 
 @pytest.mark.parametrize("seed", range(120))
 def test_chaos_never_silently_wrong(seed):
     case = random_plan_case(seed % 40)
-    mode = MODES[seed % len(MODES)]
-    rt = GpuRuntime(mode=mode, faults=FaultPlan.chaos(seed, rate=0.05),
-                    compression=RLE)
+    strategy = STRATEGIES[seed % len(STRATEGIES)]
+    rt = GpuRuntime(strategy=strategy,
+                    faults=FaultPlan.chaos(seed, rate=0.05), compression=RLE)
     try:
         result = rt.run(case.plan, case.sources)
     except ReproError:
@@ -48,7 +48,7 @@ def test_heavy_chaos_still_correct(seed):
     """At a 30% fault rate recovery does real work (retries and usually a
     degradation), yet the answers never drift."""
     case = random_plan_case(seed)
-    rt = GpuRuntime(mode="fission",
+    rt = GpuRuntime(strategy=Strategy.FUSED_FISSION,
                     faults=FaultPlan.chaos(seed, rate=0.3, budget=256))
     try:
         result = rt.run(case.plan, case.sources)
@@ -64,7 +64,7 @@ def test_chaos_runs_actually_inject():
     injected = 0
     for seed in range(30):
         case = random_plan_case(seed % 10)
-        rt = GpuRuntime(mode="fission",
+        rt = GpuRuntime(strategy=Strategy.FUSED_FISSION,
                         faults=FaultPlan.chaos(seed, rate=0.2, budget=256))
         result = rt.run(case.plan, case.sources)
         injected += result.faults_injected

@@ -14,20 +14,24 @@ def _fingerprint(timeline):
             for e in timeline.events]
 
 
-@pytest.mark.parametrize("mode", ["resident", "fission", "chunked"])
+# ids name the execution path each strategy takes inside GpuRuntime
+@pytest.mark.parametrize(
+    "strategy",
+    [Strategy.FUSED, Strategy.FUSED_FISSION, Strategy.WITH_ROUND_TRIP],
+    ids=["resident", "fission", "chunked"])
 @pytest.mark.parametrize("seed", [0, 3, 11])
-def test_same_fault_seed_reproduces_run(mode, seed):
+def test_same_fault_seed_reproduces_run(strategy, seed):
     case = random_plan_case(seed)
 
     def go():
-        rt = GpuRuntime(mode=mode,
+        rt = GpuRuntime(strategy=strategy,
                         faults=FaultPlan.chaos(seed, rate=0.15, budget=128))
         return rt.run(case.plan, case.sources)
 
     a, b = go(), go()
     assert _fingerprint(a.timeline) == _fingerprint(b.timeline)
     assert a.makespan == b.makespan
-    assert (a.mode, a.degraded_to) == (b.mode, b.degraded_to)
+    assert (a.strategy, a.degraded_to) == (b.strategy, b.degraded_to)
     assert (a.faults_injected, a.retries, a.reissues) == \
         (b.faults_injected, b.retries, b.reissues)
     for name, rel in a.results.items():
@@ -53,7 +57,7 @@ def test_different_fault_seeds_usually_differ():
     case = random_plan_case(2)
     prints = set()
     for seed in range(6):
-        rt = GpuRuntime(mode="fission",
+        rt = GpuRuntime(strategy=Strategy.FUSED_FISSION,
                         faults=FaultPlan.chaos(seed, rate=0.15, budget=128))
         prints.add(tuple(_fingerprint(rt.run(case.plan, case.sources).timeline)))
     assert len(prints) > 1

@@ -9,25 +9,15 @@ this mapping and asserts byte-identical results.
 """
 
 from repro.cluster import ClusterConfig, ClusterExecutor
-from repro.runtime import GpuRuntime, Strategy
-
-#: strategy -> GpuRuntime constructor knobs (all modes produce identical
-#: tuples by construction; only the simulated schedule differs)
-MODES = {
-    Strategy.SERIAL: dict(fuse=False, mode="resident"),
-    Strategy.FUSED: dict(fuse=True, mode="resident"),
-    Strategy.FISSION: dict(fuse=False, mode="fission"),
-    Strategy.FUSED_FISSION: dict(fuse=True, mode="fission"),
-    Strategy.WITH_ROUND_TRIP: dict(fuse=True, mode="chunked"),
-}
+from repro.runtime import CPU_BASELINE, GpuRuntime
 
 
 def run_option(option, plan, sources):
     """Execute one priced option functionally; returns {sink: Relation}."""
     if option.kind == "cpubase":
-        return GpuRuntime(mode="cpubase").run(plan, sources).results
+        return GpuRuntime(strategy=CPU_BASELINE).run(plan, sources).results
     if option.kind == "single":
-        return GpuRuntime(**MODES[option.strategy]).run(plan, sources).results
+        return GpuRuntime(strategy=option.strategy).run(plan, sources).results
     cfg = ClusterConfig(num_devices=option.devices, scheme=option.scheme,
                         preagg=option.preagg, merge=option.merge)
     return ClusterExecutor(config=cfg).functional(plan, sources)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.plans import evaluate_sinks, optimize_plan
 from repro.plans.fuzz import random_plan_case
-from repro.runtime import GpuRuntime
+from repro.runtime import GpuRuntime, Strategy
 from repro.simgpu.compression import BITPACK, DICT, RLE
 
 SEEDS = list(range(60))
@@ -24,7 +24,7 @@ def test_fused_runtime_matches_interpreter(seed):
     case = random_plan_case(seed)
     case.plan.validate()
     ref = evaluate_sinks(case.plan, case.sources)
-    res = GpuRuntime(fuse=True).run(case.plan, case.sources)
+    res = GpuRuntime(strategy=Strategy.FUSED).run(case.plan, case.sources)
     for name, rel in ref.items():
         assert res.results[name].same_tuples(rel), (
             f"seed={seed} plan={case.description} sink={name}")
@@ -34,7 +34,7 @@ def test_fused_runtime_matches_interpreter(seed):
 def test_unfused_runtime_matches_interpreter(seed):
     case = random_plan_case(seed)
     ref = evaluate_sinks(case.plan, case.sources)
-    res = GpuRuntime(fuse=False).run(case.plan, case.sources)
+    res = GpuRuntime(strategy=Strategy.SERIAL).run(case.plan, case.sources)
     for name, rel in ref.items():
         assert res.results[name].same_tuples(rel), (
             f"seed={seed} plan={case.description}")
@@ -47,7 +47,7 @@ def test_runtime_under_memory_pressure_matches(seed):
     ref = evaluate_sinks(case.plan, case.sources)
     from repro.errors import DeviceOOMError
     try:
-        res = GpuRuntime(fuse=True, memory_limit=budget).run(
+        res = GpuRuntime(strategy=Strategy.FUSED, memory_limit=budget).run(
             case.plan, case.sources)
     except DeviceOOMError:
         pytest.skip("plan legitimately needs more than the tiny budget")
@@ -75,8 +75,8 @@ def test_fused_timing_never_worse_than_unfused(seed):
     """Fusion is only applied where the lowering saves work; on these
     chains the fused simulated time must not regress."""
     case = random_plan_case(seed)
-    fused = GpuRuntime(fuse=True).run(case.plan, case.sources)
-    unfused = GpuRuntime(fuse=False).run(case.plan, case.sources)
+    fused = GpuRuntime(strategy=Strategy.FUSED).run(case.plan, case.sources)
+    unfused = GpuRuntime(strategy=Strategy.SERIAL).run(case.plan, case.sources)
     assert fused.makespan <= unfused.makespan * 1.05, (
         f"seed={seed} plan={case.description}")
 
@@ -88,7 +88,8 @@ def test_fission_runtime_matches_interpreter(seed):
     falls back to resident execution)."""
     case = random_plan_case(seed)
     ref = evaluate_sinks(case.plan, case.sources)
-    res = GpuRuntime(mode="fission").run(case.plan, case.sources)
+    res = GpuRuntime(strategy=Strategy.FUSED_FISSION).run(
+        case.plan, case.sources)
     for name, rel in ref.items():
         assert res.results[name].same_tuples(rel), (
             f"seed={seed} plan={case.description}")
@@ -100,7 +101,8 @@ def test_chunked_runtime_matches_interpreter(seed):
     trip) changes the schedule, never the tuples."""
     case = random_plan_case(seed)
     ref = evaluate_sinks(case.plan, case.sources)
-    res = GpuRuntime(mode="chunked").run(case.plan, case.sources)
+    res = GpuRuntime(strategy=Strategy.WITH_ROUND_TRIP).run(
+        case.plan, case.sources)
     for name, rel in ref.items():
         assert res.results[name].same_tuples(rel), (
             f"seed={seed} plan={case.description}")
@@ -111,8 +113,7 @@ def test_chunked_runtime_matches_interpreter(seed):
 def test_compressed_transfers_match_interpreter(seed, scheme):
     case = random_plan_case(seed)
     ref = evaluate_sinks(case.plan, case.sources)
-    res = GpuRuntime(mode="compressed", compression=scheme).run(
-        case.plan, case.sources)
+    res = GpuRuntime(compression=scheme).run(case.plan, case.sources)
     for name, rel in ref.items():
         assert res.results[name].same_tuples(rel), (
             f"seed={seed} plan={case.description} scheme={scheme.name}")
@@ -121,9 +122,8 @@ def test_compressed_transfers_match_interpreter(seed, scheme):
 def test_compressed_mode_moves_fewer_wire_bytes():
     from repro.simgpu import EventKind
     case = random_plan_case(1)
-    raw = GpuRuntime(mode="resident").run(case.plan, case.sources)
-    comp = GpuRuntime(mode="compressed", compression=RLE).run(
-        case.plan, case.sources)
+    raw = GpuRuntime().run(case.plan, case.sources)
+    comp = GpuRuntime(compression=RLE).run(case.plan, case.sources)
     bytes_up = lambda r: sum(e.nbytes for e in r.timeline.filter(EventKind.H2D)
                              if e.tag.startswith("input."))
     assert bytes_up(comp) < bytes_up(raw)

@@ -53,6 +53,14 @@ class TestProfiler:
         assert rec.actual == 0
         assert rec.ratio == float("inf")
 
+    def test_profile_bridges_into_data_stats(self):
+        from repro.optimizer import DataStats
+        from repro.plans.fuzz import random_plan_case
+        case = random_plan_case(3)
+        profile = profile_estimates(case.plan, case.sources)
+        assert profile.data_stats() == DataStats.from_relations(
+            case.plan, case.sources)
+
 
 class TestCalibratedPlans:
     def test_q1_annotations_accurate(self, tpch_small):

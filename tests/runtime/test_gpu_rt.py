@@ -6,7 +6,7 @@ import pytest
 from repro.errors import DeviceOOMError, PlanError
 from repro.plans import Plan, evaluate_sinks
 from repro.ra import AggSpec, Field, Relation
-from repro.runtime import GpuRuntime
+from repro.runtime import GpuRuntime, Strategy
 from repro.simgpu import EventKind
 from repro.tpch import build_q1_plan, q1_column_relations, build_q21_plan
 
@@ -38,13 +38,14 @@ class TestFunctionalCorrectness:
         plan = chain_plan()
         ref = evaluate_sinks(plan, {"t": rel})
         sink = next(iter(ref))
-        res = GpuRuntime(fuse=fuse).run(plan, {"t": rel})
+        strategy = Strategy.FUSED if fuse else Strategy.SERIAL
+        res = GpuRuntime(strategy=strategy).run(plan, {"t": rel})
         assert res.results[sink].same_tuples(ref[sink])
 
     def test_fused_equals_unfused(self, rel):
         plan = chain_plan()
-        a = GpuRuntime(fuse=True).run(plan, {"t": rel})
-        b = GpuRuntime(fuse=False).run(plan, {"t": rel})
+        a = GpuRuntime(strategy=Strategy.FUSED).run(plan, {"t": rel})
+        b = GpuRuntime(strategy=Strategy.SERIAL).run(plan, {"t": rel})
         sink = next(iter(a.results))
         assert a.results[sink].same_tuples(b.results[sink])
 
@@ -53,7 +54,7 @@ class TestFunctionalCorrectness:
         cols = q1_column_relations(tpch_tiny.lineitem)
         ref = evaluate_sinks(plan, cols)
         sink = next(iter(ref))
-        res = GpuRuntime(fuse=True).run(plan, cols)
+        res = GpuRuntime(strategy=Strategy.FUSED).run(plan, cols)
         assert res.results[sink].same_tuples(ref[sink])
 
     def test_q21_through_runtime(self, tpch_tiny):
@@ -62,7 +63,7 @@ class TestFunctionalCorrectness:
                    "supplier": tpch_tiny.supplier, "nation": tpch_tiny.nation}
         ref = evaluate_sinks(plan, sources)
         sink = next(iter(ref))
-        res = GpuRuntime(fuse=True).run(plan, sources)
+        res = GpuRuntime(strategy=Strategy.FUSED).run(plan, sources)
         assert res.results[sink].same_tuples(ref[sink])
 
     def test_missing_source_raises(self, rel):
@@ -73,14 +74,14 @@ class TestFunctionalCorrectness:
 class TestTiming:
     def test_fused_is_faster(self, rel):
         plan = chain_plan()
-        fused = GpuRuntime(fuse=True).run(plan, {"t": rel})
-        unfused = GpuRuntime(fuse=False).run(plan, {"t": rel})
+        fused = GpuRuntime(strategy=Strategy.FUSED).run(plan, {"t": rel})
+        unfused = GpuRuntime(strategy=Strategy.SERIAL).run(plan, {"t": rel})
         assert fused.makespan < unfused.makespan
 
     def test_kernel_counts(self, rel):
         plan = chain_plan()
-        fused = GpuRuntime(fuse=True).run(plan, {"t": rel})
-        unfused = GpuRuntime(fuse=False).run(plan, {"t": rel})
+        fused = GpuRuntime(strategy=Strategy.FUSED).run(plan, {"t": rel})
+        unfused = GpuRuntime(strategy=Strategy.SERIAL).run(plan, {"t": rel})
         assert len(fused.timeline.filter(EventKind.KERNEL)) == 2
         assert len(unfused.timeline.filter(EventKind.KERNEL)) == 6
 
@@ -100,7 +101,8 @@ class TestMemoryManagement:
 
     def test_pressure_forces_round_trips(self, rel):
         tight = int(rel.nbytes * 1.3)
-        res = GpuRuntime(fuse=False, memory_limit=tight).run(chain_plan(), {"t": rel})
+        res = GpuRuntime(strategy=Strategy.SERIAL, memory_limit=tight).run(
+            chain_plan(), {"t": rel})
         assert res.spill_count > 0
         assert res.roundtrip_time > 0
 
@@ -109,16 +111,19 @@ class TestMemoryManagement:
         ref = evaluate_sinks(plan, {"t": rel})
         sink = next(iter(ref))
         tight = int(rel.nbytes * 1.3)
-        for fuse in (False, True):
-            res = GpuRuntime(fuse=fuse, memory_limit=tight).run(plan, {"t": rel})
+        for strategy in (Strategy.SERIAL, Strategy.FUSED):
+            res = GpuRuntime(strategy=strategy, memory_limit=tight).run(
+                plan, {"t": rel})
             assert res.results[sink].same_tuples(ref[sink])
 
     def test_fusion_reduces_spills(self, rel):
         """Fig 7(a)/(b): no intermediates -> fewer forced round trips."""
         plan = chain_plan()
         tight = int(rel.nbytes * 1.3)
-        unfused = GpuRuntime(fuse=False, memory_limit=tight).run(plan, {"t": rel})
-        fused = GpuRuntime(fuse=True, memory_limit=tight).run(plan, {"t": rel})
+        unfused = GpuRuntime(strategy=Strategy.SERIAL,
+                             memory_limit=tight).run(plan, {"t": rel})
+        fused = GpuRuntime(strategy=Strategy.FUSED,
+                           memory_limit=tight).run(plan, {"t": rel})
         assert fused.spill_count < unfused.spill_count
         assert fused.makespan < unfused.makespan
 
@@ -134,7 +139,7 @@ class TestMemoryManagement:
         """With generous memory, the peak should stay below the sum of all
         intermediates (consumed buffers are freed)."""
         plan = chain_plan()
-        res = GpuRuntime(fuse=False).run(plan, {"t": rel})
+        res = GpuRuntime(strategy=Strategy.SERIAL).run(plan, {"t": rel})
         every_buffer = rel.nbytes * (1 + 0.8 + 0.64 + 0.32)
         assert res.peak_device_bytes < every_buffer
 
@@ -173,5 +178,6 @@ class TestConsistencyWithExecutor:
         executor_time = Executor().run(
             plan, {"t": n},
             ExecutionConfig(strategy=Strategy.FUSED)).makespan
-        runtime_time = GpuRuntime(fuse=True).run(plan, {"t": rel}).makespan
+        runtime_time = GpuRuntime(strategy=Strategy.FUSED).run(
+            plan, {"t": rel}).makespan
         assert runtime_time == pytest.approx(executor_time, rel=0.05)

@@ -35,7 +35,7 @@ class TestFunctional:
             q6_reference(tpch_small.lineitem), rel=1e-3)
 
     def test_through_gpu_runtime(self, tpch_small):
-        res = GpuRuntime(fuse=True).run(
+        res = GpuRuntime(strategy=Strategy.FUSED).run(
             build_q6_plan(), {"lineitem": tpch_small.lineitem})
         got = float(res.results["agg_revenue"]["revenue"][0])
         assert got == pytest.approx(q6_reference(tpch_small.lineitem), rel=1e-3)
