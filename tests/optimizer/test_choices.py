@@ -66,6 +66,15 @@ class TestRun:
         assert result.strategy is decision.chosen.option.strategy
         assert result.makespan > 0
 
+    def test_runs_the_choice(self):
+        plan = select_chain_plan(2)
+        rows = {"input": 50_000_000}
+        chosen = Optimizer().choose(plan, rows, include_cpubase=False)
+        result, decision = Optimizer().run(plan, rows, include_cpubase=False)
+        assert decision.chosen.label == chosen.chosen.label
+        assert result.strategy is chosen.chosen.option.strategy
+        assert result.makespan > 0
+
     def test_auto_not_worse_than_serial(self):
         plan = select_chain_plan(2)
         rows = {"input": 200_000_000}
