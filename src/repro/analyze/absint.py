@@ -1,26 +1,28 @@
 """Interval abstract interpretation over plan DAGs (docs/ANALYSIS.md).
 
-The executor sizes every kernel from :func:`repro.runtime.sizes
-.estimate_sizes`; this module re-derives those sizes *as intervals*, so
-memory-safety questions ("can this strategy OOM?") get a sound static
-answer before anything is simulated.  The contract the soundness harness
-enforces (``tests/analyze/test_memory_soundness.py``):
+The executor sizes every kernel and its device residency from the point
+arithmetic in :mod:`repro.runtime.sizes`; this module evaluates that
+same arithmetic at the two corners of its intervals, so memory-safety
+questions ("can this strategy OOM?") get a static answer before
+anything is simulated.  Every sizing rule is monotone non-decreasing in
+its inputs, so ``[f(all lo seeds), f(all hi seeds)]`` is the tightest
+correct interval, not merely a sound one.  The contract the soundness
+harness enforces (``tests/analyze/test_memory_soundness.py``):
 
     for every node ``n``:  ``env[n].rows.lo <= estimate_sizes(...)[n]
-    <= env[n].rows.hi``
+    <= env[n].rows.hi``, with equality when every source is known
 
 Seeding: a source's row count comes from the caller's ``source_rows``
 mapping (what the executor itself receives), else from
 :class:`~repro.optimizer.stats.DataStats` when provided, else from the
 plan's declared ``n_rows``; a source with none of those is *unknown*
 (``[0, inf)``), which downstream can only ever produce possible-OOM
-warnings, never certain-OOM errors.  Propagation brackets the executor's
-``round()`` arithmetic with floor/ceil, so envelopes stay sound even
-where Python's bankers' rounding is involved.
+warnings, never certain-OOM errors.
 
-On top of the envelopes, :func:`strategy_footprint` mirrors the
-executor's actual OOM decision procedure (``Executor._plan_chunks`` and
-the fission prefix split) per strategy, and :func:`fusion_savings`
+On top of the envelopes, :func:`strategy_footprint` evaluates the
+executor's own OOM decision procedure (:func:`~repro.runtime.sizes
+.footprint`, :func:`~repro.runtime.sizes.chunk_count` and the fission
+prefix split) at both corners per strategy, and :func:`fusion_savings`
 statically quantifies the paper's footprint claim: bytes of
 intermediates that fusion never materializes.
 """
@@ -31,10 +33,11 @@ import math
 from dataclasses import dataclass, field
 
 from ..core.fission import split_for_fission
-from ..core.fusion import FusionResult, Region, fuse_plan
+from ..core.fusion import FusionResult, fuse_plan
 from ..core.opmodels import out_row_nbytes
 from ..plans.plan import OpType, Plan, PlanNode
-from ..runtime.strategies import CPU_BASELINE, Strategy
+from ..runtime.sizes import chunk_count, footprint, node_rows
+from ..runtime.strategies import CPU_BASELINE, ExecutionConfig, Strategy
 from ..simgpu.device import DeviceSpec
 
 __all__ = [
@@ -60,10 +63,6 @@ class Interval:
     def exact(value: float) -> "Interval":
         return Interval(float(value), float(value))
 
-    @staticmethod
-    def unknown() -> "Interval":
-        return Interval(0.0, math.inf)
-
     # -- queries ---------------------------------------------------------
     @property
     def is_exact(self) -> bool:
@@ -72,9 +71,6 @@ class Interval:
     @property
     def bounded(self) -> bool:
         return not math.isinf(self.hi)
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
 
     # -- arithmetic (all operands non-negative) --------------------------
     def __add__(self, other: "Interval") -> "Interval":
@@ -86,15 +82,6 @@ class Interval:
         if factor == 0:
             return Interval.exact(0.0)
         return Interval(self.lo * factor, self.hi * factor)
-
-    def round_bracket(self) -> "Interval":
-        """Sound bracket of the executor's ``int(round(x))``: whatever
-        the rounding mode, the result lies in ``[floor(lo), ceil(hi)]``."""
-        hi = self.hi if math.isinf(self.hi) else float(math.ceil(self.hi))
-        return Interval(float(math.floor(self.lo)), hi)
-
-    def clamp_min(self, floor_value: float) -> "Interval":
-        return Interval(max(self.lo, floor_value), max(self.hi, floor_value))
 
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
@@ -121,61 +108,41 @@ class Envelope:
 
 
 def _seed_source(node: PlanNode, source_rows: dict[str, int] | None,
-                 stats) -> Interval:
-    """Row interval of a SOURCE, in the executor's own lookup order."""
-    if source_rows is not None and node.name in source_rows:
-        return Interval.exact(int(source_rows[node.name]))
-    if stats is not None:
+                 stats) -> tuple[float, float]:
+    """Row range of a SOURCE, in the executor's own lookup order."""
+    n = (source_rows or {}).get(node.name)
+    if n is None and stats is not None:
         try:
-            return Interval.exact(int(stats.table(node.name).rows))
+            n = stats.table(node.name).rows
         except KeyError:
             pass
-    if node.params.get("n_rows") is not None:
-        return Interval.exact(int(node.params["n_rows"]))
-    return Interval.unknown()
+    if n is None:
+        n = node.params.get("n_rows")
+    return (0, math.inf) if n is None else (int(n), int(n))
 
 
 def plan_envelopes(plan: Plan, source_rows: dict[str, int] | None = None,
                    stats=None) -> dict[str, Envelope]:
     """Per-node cardinality/byte envelopes, keyed by node name.
 
-    Mirrors :func:`repro.runtime.sizes.estimate_sizes` rule for rule,
-    with every ``round()`` bracketed; ``stats`` is an optional
-    :class:`~repro.optimizer.stats.DataStats` used to seed sources the
-    caller's ``source_rows`` does not name.
+    Evaluates :func:`repro.runtime.sizes.node_rows` at the all-lo and
+    all-hi source seeds in one topological pass; ``stats`` is an
+    optional :class:`~repro.optimizer.stats.DataStats` used to seed
+    sources the caller's ``source_rows`` does not name.
     """
+    lo: dict[str, float] = {}
+    hi: dict[str, float] = {}
     envs: dict[str, Envelope] = {}
     for node in plan.topological():
-        envs[node.name] = Envelope(
-            rows=_node_rows(node, envs, source_rows, stats),
-            row_nbytes=out_row_nbytes(node))
+        name = node.name
+        if node.op is OpType.SOURCE:
+            lo[name], hi[name] = _seed_source(node, source_rows, stats)
+        else:
+            lo[name] = node_rows(node, lo)
+            hi[name] = node_rows(node, hi)
+        envs[name] = Envelope(rows=Interval(float(lo[name]), float(hi[name])),
+                              row_nbytes=out_row_nbytes(node))
     return envs
-
-
-def _node_rows(node: PlanNode, envs: dict[str, Envelope],
-               source_rows: dict[str, int] | None, stats) -> Interval:
-    if node.op is OpType.SOURCE:
-        return _seed_source(node, source_rows, stats)
-    left = envs[node.inputs[0].name].rows
-    sel = node.selectivity
-    if node.op is OpType.UNION:
-        right = envs[node.inputs[1].name].rows
-        return (left + right).scale(sel).round_bracket().clamp_min(0.0)
-    if node.op is OpType.UNION_ALL:
-        # mirrors sizes._node_size exactly: bag concat ignores selectivity
-        return left + envs[node.inputs[1].name].rows
-    if node.op is OpType.TOP_N:
-        n = float(node.params["n"])
-        return Interval(max(0.0, min(left.lo, n)),
-                        max(0.0, min(left.hi, n)))
-    if node.op is OpType.AGGREGATE:
-        n_groups = node.params.get("n_groups")
-        if n_groups is not None:
-            return Interval.exact(max(1, int(n_groups)))
-        return left.scale(sel).round_bracket().clamp_min(1.0)
-    # PRODUCT encodes right rows as selectivity; everything else scales
-    # its primary input -- same shape as sizes._node_size
-    return left.scale(sel).round_bracket().clamp_min(0.0)
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +164,7 @@ def fusion_savings(fusion: FusionResult,
 
 
 # ----------------------------------------------------------------------
-# strategy footprint: Executor._plan_chunks, abstractly
+# strategy footprint: the executor's chunk rule at both corners
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -214,7 +181,7 @@ class StrategyFootprint:
     side_bytes: Interval
     working_bytes: Interval       # driver input + every region output
     peak_bytes: Interval          # side + working: vs the budget
-    chunks: Interval              # serial chunking needed to fit
+    chunks: Interval              # serial chunks to fit (inf: must raise)
     has_barrier: bool
     pipelined: bool               # fission prefix absorbs the driver
     driver: str
@@ -222,18 +189,6 @@ class StrategyFootprint:
     verdict: str
     fused_regions: int = 0
     notes: tuple[str, ...] = field(default=())
-
-
-def _region_geometry(regions: list[Region], envs: dict[str, Envelope],
-                     driver: PlanNode) -> tuple[Interval, bool]:
-    """(sum of region-output bytes, any-barrier) over lowered regions."""
-    out = Interval.exact(0.0)
-    barrier = False
-    for region in regions:
-        out = out + envs[region.output_node.name].bytes
-        if region.is_barrier_op:
-            barrier = True
-    return out, barrier
 
 
 def _driver_candidates(plan: Plan, envs: dict[str, Envelope]
@@ -258,41 +213,10 @@ def _driver_candidates(plan: Plan, envs: dict[str, Envelope]
     return cands
 
 
-def _chunks_needed(working: Interval, side: Interval,
-                   budget: float) -> Interval:
-    """Chunk-count interval ``ceil(working / (budget - side))``."""
-    def at(w: float, s: float) -> float:
-        room = budget - s
-        if room <= 0:
-            return math.inf
-        if w <= room:
-            return 1.0
-        if math.isinf(w):
-            return math.inf
-        return float(math.ceil(w / room))
-    return Interval(at(working.lo, side.lo), at(working.hi, side.hi))
-
-
-def _serial_verdict(side: Interval, working: Interval, budget: float,
-                    has_barrier: bool) -> str:
-    """The `_plan_chunks` decision procedure over intervals.
-
-    The executor raises iff ``side >= budget`` or (``side + working >
-    budget`` and some region is a barrier); anything else chunks its
-    way through.
-    """
-    peak = side + working
-    certain = side.lo >= budget or (has_barrier and peak.lo > budget)
-    if certain:
-        return "certain-oom"
-    safe = side.hi < budget and (not has_barrier or peak.hi <= budget)
-    return "safe" if safe else "possible-oom"
-
-
 def strategy_footprint(plan: Plan, strategy: "Strategy | str",
                        envs: dict[str, Envelope],
                        device: DeviceSpec,
-                       memory_safety: float = 0.9,
+                       memory_safety: float = ExecutionConfig.memory_safety,
                        fusion: FusionResult | None = None
                        ) -> StrategyFootprint:
     """Memory verdict for running ``plan`` under ``strategy`` on
@@ -302,7 +226,9 @@ def strategy_footprint(plan: Plan, strategy: "Strategy | str",
     strategies with a non-empty pipeline prefix stream the driver in
     segments and never take the chunk-planning path; everything else
     (and fission's degenerate no-prefix case) goes through the
-    ``_plan_chunks`` rules abstracted over intervals.
+    executor's own :func:`~repro.runtime.sizes.footprint` and
+    :func:`~repro.runtime.sizes.chunk_count`, evaluated at the lo and
+    hi corners of the envelopes.
     """
     label = strategy if isinstance(strategy, str) else strategy.value
     budget = float(device.global_mem_bytes) * memory_safety
@@ -322,37 +248,38 @@ def strategy_footprint(plan: Plan, strategy: "Strategy | str",
     candidates = _driver_candidates(plan, envs)
     ambiguous = len(candidates) != 1
 
+    nbytes = {name: env.bytes for name, env in envs.items()}
     per_driver: list[StrategyFootprint] = []
     for driver in candidates:
-        side = Interval.exact(0.0)
-        for src in plan.sources():
-            if src is not driver:
-                side = side + envs[src.name].bytes
-        working = envs[driver.name].bytes
-        region_out, has_barrier = _region_geometry(regions, envs, driver)
-        working = working + region_out
-
-        pipelined = False
-        # fission degenerates to the serial path (at the executor's
-        # *default* safety margin) when nothing can be pipelined
-        eff_budget = budget
-        if strat.uses_fission:
-            prefix, _, _ = split_for_fission(regions, driver)
-            pipelined = bool(prefix)
-            if not pipelined:
-                eff_budget = float(device.global_mem_bytes) * 0.9
-
+        side_lo, working_lo, has_barrier = footprint(
+            plan, regions, driver, lambda node: nbytes[node.name].lo)
+        side_hi, working_hi, _ = footprint(
+            plan, regions, driver, lambda node: nbytes[node.name].hi)
+        side = Interval(side_lo, side_hi)
+        working = Interval(working_lo, working_hi)
+        pipelined = (strat.uses_fission
+                     and bool(split_for_fission(regions, driver)[0]))
         if pipelined:
             verdict = "safe"
             chunks = Interval.exact(1.0)
-            notes = ("pipelined prefix: driver streams in segments, "
-                     "no whole-input residency",)
+            notes: tuple[str, ...] = (
+                "pipelined prefix: driver streams in segments, "
+                "no whole-input residency",)
         else:
-            verdict = _serial_verdict(side, working, eff_budget, has_barrier)
-            chunks = _chunks_needed(working, side, eff_budget)
+            # the rule grows with both byte counts, so the lo corner
+            # raising means every point raises, and the hi corner
+            # fitting means every point fits
+            chunks_lo = chunk_count(side_lo, working_lo, budget, has_barrier)
+            chunks_hi = chunk_count(side_hi, working_hi, budget, has_barrier)
+            verdict = ("certain-oom" if chunks_lo is None
+                       else "safe" if chunks_hi is not None
+                       else "possible-oom")
+            chunks = Interval(
+                math.inf if chunks_lo is None else float(chunks_lo),
+                math.inf if chunks_hi is None else float(chunks_hi))
             notes = ()
         per_driver.append(StrategyFootprint(
-            strategy=label, budget_bytes=eff_budget, side_bytes=side,
+            strategy=label, budget_bytes=budget, side_bytes=side,
             working_bytes=working, peak_bytes=side + working, chunks=chunks,
             has_barrier=has_barrier, pipelined=pipelined,
             driver=driver.name, driver_ambiguous=ambiguous,
@@ -371,12 +298,7 @@ def strategy_footprint(plan: Plan, strategy: "Strategy | str",
     # ambiguous driver: merge conservatively -- certain only when every
     # plausible driver choice is certain, safe only when all are safe
     verdicts = {fp.verdict for fp in per_driver}
-    if verdicts == {"certain-oom"}:
-        merged_verdict = "certain-oom"
-    elif verdicts == {"safe"}:
-        merged_verdict = "safe"
-    else:
-        merged_verdict = "possible-oom"
+    merged_verdict = verdicts.pop() if len(verdicts) == 1 else "possible-oom"
     peak = per_driver[0].peak_bytes
     side = per_driver[0].side_bytes
     working = per_driver[0].working_bytes

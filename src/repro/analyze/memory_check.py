@@ -5,8 +5,11 @@ A :class:`MemoryTarget` names a plan (or a
 stats it will run with, and the strategies under consideration.  The
 pass interprets the plan abstractly (:mod:`repro.analyze.absint`) and
 compares per-strategy peak-footprint intervals against the device
-budget -- the same arithmetic ``Executor._plan_chunks`` performs at
-dispatch, evaluated before anything runs.
+budget.  The footprint and chunk rules are the executor's own
+(:func:`repro.runtime.sizes.footprint` and
+:func:`~repro.runtime.sizes.chunk_count`, which ``Executor._plan_chunks``
+calls at dispatch), evaluated at the ends of the row intervals before
+anything runs.
 
 ========  ========  ====================================================
 code      severity  meaning
@@ -48,7 +51,7 @@ from ..core.fusion import fuse_plan
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..plans.distribute import DistributedPlan
 from ..plans.plan import Plan
-from ..runtime.strategies import CPU_BASELINE, Strategy
+from ..runtime.strategies import CPU_BASELINE, ExecutionConfig, Strategy
 from ..simgpu.device import DeviceSpec
 from .absint import (Interval, StrategyFootprint, fusion_savings,
                      plan_envelopes, strategy_footprint)
@@ -76,8 +79,8 @@ class MemoryTarget:
     source_rows: dict[str, int] | None = None
     stats: object = None
     strategies: tuple = DEFAULT_STRATEGIES
-    #: device-memory safety margin (ExecutionConfig default)
-    memory_safety: float = 0.9
+    #: device-memory safety margin
+    memory_safety: float = ExecutionConfig.memory_safety
     #: override the analyzer's device for this one target
     device: DeviceSpec | None = None
     #: pre-compiled :class:`~repro.core.fusion.FusionResult` to vet
@@ -297,7 +300,7 @@ class MemoryVerdict:
 def check_strategy(plan: Plan, strategy: "Strategy | str",
                    source_rows: dict[str, int] | None,
                    device: DeviceSpec,
-                   memory_safety: float = 0.9,
+                   memory_safety: float = ExecutionConfig.memory_safety,
                    stats: object = None,
                    fusion=None) -> MemoryVerdict:
     """One strategy's memory verdict -- the entry point

@@ -13,8 +13,10 @@ to the paper's reported GPU-vs-CPU speedups (2.88x / 8.80x / 8.35x at
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Iterable, Mapping
 
+from ..core.opmodels import out_row_nbytes
+from ..plans.plan import OpType, PlanNode
 from ..ra.expr import Predicate
 from ..ra.operators import select as ra_select
 from ..ra.relation import Relation
@@ -40,6 +42,21 @@ def cpu_select_time(n_elements: int, row_nbytes: int = 4,
         + f * (1.0 - f) * c.branch_miss_s
     )
     return c.startup_s + n * per_elem
+
+
+def host_plan_time(nodes: Iterable[PlanNode], sizes: Mapping[str, int],
+                   calib: CpuCalibration | None = None) -> float:
+    """Simulated seconds for the host interpreter over ``nodes``: one CPU
+    pass per non-source node over its primary input, with row counts
+    from :func:`repro.runtime.sizes.estimate_sizes`."""
+    duration = 0.0
+    for node in nodes:
+        if node.op is OpType.SOURCE:
+            continue
+        prim = node.inputs[0] if node.inputs else node
+        duration += cpu_select_time(sizes[prim.name], out_row_nbytes(prim),
+                                    calib=calib)
+    return duration
 
 
 def cpu_select_throughput(n_elements: int, row_nbytes: int = 4,

@@ -23,13 +23,12 @@ import math
 from dataclasses import dataclass
 
 from ..core.fusion import fuse_plan
-from ..core.opmodels import out_row_nbytes
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cluster.host import contended_device
-from ..cpubase.select import cpu_select_time
+from ..cpubase.select import host_plan_time
 from ..plans.distribute import DistributedPlan
-from ..plans.plan import OpType, Plan
-from ..runtime.sizes import estimate_sizes
+from ..plans.plan import Plan
+from ..runtime.sizes import estimate_sizes, node_bytes, region_bytes
 from ..runtime.strategies import Strategy
 from ..simgpu.device import DeviceSpec
 from ..simgpu.pcie import Direction, HostMemory, PcieModel
@@ -102,16 +101,9 @@ class CostModel:
         fusion = fuse_plan(plan, enable=fused)
         regions = []
         for region in fusion.regions:
-            first = region.nodes[0]
-            primary = first.inputs[0] if first.inputs else first
-            n_in = sizes[primary.name]
-            out_node = region.output_node
-            regions.append((
-                float(n_in) * out_row_nbytes(primary),
-                float(sizes[out_node.name]) * out_row_nbytes(out_node),
-                region.is_barrier_op,
-                n_in,
-            ))
+            primary, in_bytes, out_bytes = region_bytes(region, sizes)
+            regions.append((in_bytes, out_bytes, region.is_barrier_op,
+                            sizes[primary.name]))
         return sizes, fusion, regions
 
     def _estimate_single(self, plan: Plan, stats: DataStats,
@@ -123,11 +115,8 @@ class CostModel:
         sizes, fusion, regions = self._plan_shape(
             plan, stats, strategy.uses_fusion)
 
-        input_bytes = sum(float(sizes[s.name]) * out_row_nbytes(s)
-                          for s in plan.sources())
-        sink_names = {n.name for n in plan.sinks()}
-        output_bytes = sum(float(sizes[n.name]) * out_row_nbytes(n)
-                           for n in plan.sinks())
+        input_bytes = sum(node_bytes(s, sizes) for s in plan.sources())
+        output_bytes = sum(node_bytes(n, sizes) for n in plan.sinks())
         mem = (HostMemory.PAGED if strategy is Strategy.WITH_ROUND_TRIP
                else HostMemory.PINNED)
         h2d_s = pcie.transfer_time(input_bytes, Direction.H2D, mem)
@@ -167,14 +156,8 @@ class CostModel:
     def _estimate_cpubase(self, plan: Plan, stats: DataStats,
                           option: StrategyOption) -> CostEstimate:
         sizes = estimate_sizes(plan, stats.source_rows())
-        host_s = 0.0
-        for node in plan.nodes:
-            if node.op is OpType.SOURCE:
-                continue
-            prim = node.inputs[0] if node.inputs else node
-            host_s += cpu_select_time(sizes[prim.name], out_row_nbytes(prim),
-                                      calib=self.device.calib.cpu)
-        return CostEstimate(option=option, host_s=host_s)
+        return CostEstimate(option=option, host_s=host_plan_time(
+            plan.nodes, sizes, self.device.calib.cpu))
 
     # -- cluster ---------------------------------------------------------
     def _estimate_cluster(self, plan: Plan, stats: DataStats,
@@ -206,13 +189,9 @@ class CostModel:
             exchange_s = exchange_bytes / self.costs.host_gather_bw
         elif dist is not None and dist.suffix_mode == "host":
             sizes = estimate_sizes(plan, stats.source_rows())
-            for node in plan.nodes:
-                if node.name in dist.local_names or node.op is OpType.SOURCE:
-                    continue
-                prim = node.inputs[0] if node.inputs else node
-                exchange_s += cpu_select_time(
-                    sizes[prim.name], out_row_nbytes(prim),
-                    calib=self.device.calib.cpu)
+            exchange_s = host_plan_time(
+                (n for n in plan.nodes if n.name not in dist.local_names),
+                sizes, self.device.calib.cpu)
 
         # host merge of per-device results: tree pays log2(N) rounds on
         # the largest sender, flat pays the serial sum

@@ -25,7 +25,7 @@ from ..core.fission import (FissionConfig, Segment, run_fissioned,
 from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import chain_for_node, chain_for_region, out_row_nbytes
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
-from ..cpubase.select import cpu_select_time
+from ..cpubase.select import host_plan_time
 from ..errors import DeviceOOMError, FaultError, PlanError
 from ..faults import (FaultInjector, FaultPlan, as_injector, ladder,
                       spurious_oom)
@@ -34,7 +34,8 @@ from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
 from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import EventKind, Timeline
-from .sizes import estimate_sizes
+from .sizes import (chunk_count, estimate_sizes, footprint, node_bytes,
+                    region_bytes)
 from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
 
 
@@ -107,7 +108,6 @@ class _LoweredRegion:
     chain: object  # KernelChain
     n_in: int
     n_out: int
-    in_bytes: float
     out_bytes: float
     primary_input: PlanNode
 
@@ -268,13 +268,10 @@ class Executor:
         driver = self._driver_source(plan, sizes)
 
         n_in = sizes[driver.name]
-        input_bytes = float(n_in) * out_row_nbytes(driver)
+        input_bytes = node_bytes(driver, sizes)
         sink_names = {n.name for n in plan.sinks()}
-        output_bytes = sum(
-            float(sizes[lr.region.output_node.name])
-            * out_row_nbytes(lr.region.output_node)
-            for lr in lowered if lr.region.output_node.name in sink_names
-        )
+        output_bytes = sum(lr.out_bytes for lr in lowered
+                           if lr.region.output_node.name in sink_names)
         n_out = sum(sizes[n.name] for n in plan.sinks())
 
         self._last_expected: tuple[float, float] | None = None
@@ -309,23 +306,17 @@ class Executor:
         no device command left for fault injection to break."""
         sizes = estimate_sizes(plan, source_rows or {})
         driver = self._driver_source(plan, sizes)
-        duration = 0.0
-        for node in plan.nodes:
-            if node.op is OpType.SOURCE:
-                continue
-            prim = node.inputs[0] if node.inputs else node
-            duration += cpu_select_time(sizes[prim.name], out_row_nbytes(prim))
+        duration = host_plan_time(plan.nodes, sizes, self.device.calib.cpu)
         timeline = Timeline()
         timeline.add(0.0, duration, EventKind.HOST, "cpubase")
 
         n_in = sizes[driver.name]
-        output_bytes = sum(float(sizes[n.name]) * out_row_nbytes(n)
-                           for n in plan.sinks())
+        output_bytes = sum(node_bytes(n, sizes) for n in plan.sinks())
         self._last_num_chunks = 1
         return RunResult(
             strategy=config.strategy, timeline=timeline, sizes=sizes,
             n_in=n_in, n_out=sum(sizes[n.name] for n in plan.sinks()),
-            input_bytes=float(n_in) * out_row_nbytes(driver),
+            input_bytes=node_bytes(driver, sizes),
             output_bytes=output_bytes, fusion=None, num_chunks=1,
         )
 
@@ -334,20 +325,17 @@ class Executor:
                ) -> list[_LoweredRegion]:
         lowered: list[_LoweredRegion] = []
         for region in fusion.regions:
-            first = region.nodes[0]
-            primary = first.inputs[0] if first.inputs else first
+            primary, _, out_bytes = region_bytes(region, sizes)
             n_in = sizes[primary.name]
             if region.is_barrier_op:
-                chain = chain_for_node(first, self.costs, n_in_hint=max(n_in, 2))
+                chain = chain_for_node(region.nodes[0], self.costs,
+                                       n_in_hint=max(n_in, 2))
             else:
                 chain = chain_for_region(region.nodes, self.costs)
-            out_node = region.output_node
-            n_out = sizes[out_node.name]
             lowered.append(_LoweredRegion(
-                region=region, chain=chain, n_in=n_in, n_out=n_out,
-                in_bytes=float(n_in) * out_row_nbytes(primary),
-                out_bytes=float(n_out) * out_row_nbytes(out_node),
-                primary_input=primary,
+                region=region, chain=chain, n_in=n_in,
+                n_out=sizes[region.output_node.name],
+                out_bytes=out_bytes, primary_input=primary,
             ))
         return lowered
 
@@ -380,7 +368,7 @@ class Executor:
             for src in plan.sources():
                 if src is driver:
                     continue
-                nbytes = float(sizes[src.name]) * out_row_nbytes(src)
+                nbytes = node_bytes(src, sizes)
                 if nbytes > 0:
                     stream.h2d(nbytes, mem, tag=f"input.{src.name}",
                                writes=(src.name,))
@@ -388,8 +376,8 @@ class Executor:
         for chunk in range(num_chunks):
             frac = self._chunk_fraction(chunk, num_chunks)
             if config.include_transfers:
-                stream.h2d(float(sizes[driver.name]) * out_row_nbytes(driver) * frac,
-                           mem, tag=f"input.{driver.name}.c{chunk}",
+                stream.h2d(node_bytes(driver, sizes) * frac, mem,
+                           tag=f"input.{driver.name}.c{chunk}",
                            writes=(driver.name,))
             for lr in lowered:
                 scales = self._scales_with_driver(lr, driver, plan)
@@ -465,8 +453,7 @@ class Executor:
         """(H2D, D2H) bytes the serial schedule should move in total."""
         if not config.include_transfers:
             return (0.0, 0.0)
-        h2d = sum(float(sizes[s.name]) * out_row_nbytes(s)
-                  for s in plan.sources())
+        h2d = sum(node_bytes(s, sizes) for s in plan.sources())
         d2h = 0.0
         for lr in lowered:
             if lr.region.output_node.name in sink_names:
@@ -519,29 +506,19 @@ class Executor:
                      config: ExecutionConfig) -> int:
         """How many chunks are needed for the working set to fit on device."""
         budget = self.device.global_mem_bytes * config.memory_safety
-        side_bytes = sum(
-            float(sizes[s.name]) * out_row_nbytes(s)
-            for s in plan.sources() if s is not driver
-        )
-        budget -= side_bytes
-        if budget <= 0:
+        side, working, has_barrier = footprint(
+            plan, [lr.region for lr in lowered], driver,
+            lambda node: node_bytes(node, sizes))
+        chunks = chunk_count(side, working, budget, has_barrier)
+        if chunks is not None:
+            return int(chunks)
+        if side >= budget:
             # side inputs alone exceed the chunking budget: report the
             # budget actually available, not the raw capacity
-            raise DeviceOOMError(
-                int(side_bytes),
-                int(self.device.global_mem_bytes * config.memory_safety),
-                self.device.global_mem_bytes)
-        driver_bytes = float(sizes[driver.name]) * out_row_nbytes(driver)
-        # working set: input + every region's live output
-        working = driver_bytes + sum(lr.out_bytes for lr in lowered)
-        if working <= budget:
-            return 1
-        for lr in lowered:
-            if lr.region.is_barrier_op:
-                raise DeviceOOMError(
-                    int(working), int(budget), self.device.global_mem_bytes)
-        import math
-        return int(math.ceil(working / budget))
+            raise DeviceOOMError(int(side), int(budget),
+                                 self.device.global_mem_bytes)
+        raise DeviceOOMError(int(working), int(budget - side),
+                             self.device.global_mem_bytes)
 
     # -- fission execution --------------------------------------------------------
     def _run_fission(self, plan: Plan, lowered: list[_LoweredRegion],
@@ -554,11 +531,9 @@ class Executor:
             for part in split_for_fission([lr.region for lr in lowered],
                                           driver))
         if not prefix:
-            # nothing to pipeline -- degenerate to serial with pinned memory
-            serial_cfg = ExecutionConfig(
-                strategy=Strategy.SERIAL, memory=config.memory,
-                include_transfers=config.include_transfers)
-            return self._run_serial(plan, lowered, sizes, driver, serial_cfg)
+            # nothing to pipeline -- degenerate to serial, same config otherwise
+            return self._run_serial(plan, lowered, sizes, driver,
+                                    replace(config, strategy=Strategy.SERIAL))
 
         timeline = Timeline()
         engine = SimEngine(self.device, check=self.check,
@@ -576,7 +551,7 @@ class Executor:
         for src in plan.sources():
             if src is driver or src in co_drivers:
                 continue
-            nbytes = float(sizes[src.name]) * out_row_nbytes(src)
+            nbytes = node_bytes(src, sizes)
             if nbytes > 0:
                 pre.h2d(nbytes, mem_pinned, tag=f"input.{src.name}")
         for lr in phase_a:
@@ -644,8 +619,7 @@ class Executor:
                                 faults=self._injector).run([post])
             timeline.extend(post_tl, offset=timeline.end_time)
 
-        expected_h2d = sum(float(sizes[s.name]) * out_row_nbytes(s)
-                           for s in plan.sources())
+        expected_h2d = sum(node_bytes(s, sizes) for s in plan.sources())
         expected_d2h = sum(
             lr.out_bytes for lr in [*phase_a, *rest]
             if lr.region.output_node.name in sink_names)

@@ -454,7 +454,8 @@ class GpuRuntime:
             prim = node.inputs[0] if node.inputs else node
             rel = node_results[prim.name]
             row = rel.row_nbytes if rel.num_rows else 4
-            duration += cpu_select_time(rel.num_rows, max(1, row))
+            duration += cpu_select_time(rel.num_rows, max(1, row),
+                                        calib=self.device.calib.cpu)
         stream = SimStream(stream_id=0)
         stream.host(duration, tag="cpubase")
         timeline = SimEngine(self.device, faults=injector).run([stream])

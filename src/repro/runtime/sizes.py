@@ -1,12 +1,25 @@
-"""Cardinality estimation / propagation through a plan.
+"""Cardinality estimation / propagation through a plan, and the byte
+arithmetic the executor sizes device memory from.
 
 The simulator times kernels from element counts; for *virtual* workloads
 (timing-only runs at paper scale, e.g. 4 billion elements) the counts come
 from the selectivity annotations on the plan nodes.
+
+This module is the only copy of that arithmetic.  The executor evaluates
+it at point row counts; the memory-safety analysis
+(:mod:`repro.analyze.absint`) evaluates the same functions at the two
+corners of its row intervals.  Every rule here is monotone
+non-decreasing in its inputs, so the corners give the tightest correct
+interval, and every rule accepts ``inf`` for an unknown row count.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Callable, Mapping
+
+from ..core.fusion import Region
+from ..core.opmodels import out_row_nbytes
 from ..errors import PlanError
 from ..plans.plan import OpType, Plan, PlanNode
 
@@ -15,32 +28,95 @@ def estimate_sizes(plan: Plan, source_rows: dict[str, int]) -> dict[str, int]:
     """Estimated output rows for every node, keyed by node name."""
     sizes: dict[str, int] = {}
     for node in plan.topological():
-        sizes[node.name] = _node_size(node, sizes, source_rows)
+        sizes[node.name] = (_source_rows(node, source_rows)
+                            if node.op is OpType.SOURCE
+                            else int(node_rows(node, sizes)))
     return sizes
 
 
-def _node_size(node: PlanNode, sizes: dict[str, int],
-               source_rows: dict[str, int]) -> int:
-    if node.op is OpType.SOURCE:
-        if node.name in source_rows:
-            return int(source_rows[node.name])
-        if node.params.get("n_rows") is not None:
-            return int(node.params["n_rows"])
-        raise PlanError(f"no row count for source {node.name!r}")
+def _source_rows(node: PlanNode, source_rows: dict[str, int]) -> int:
+    if node.name in source_rows:
+        return int(source_rows[node.name])
+    if node.params.get("n_rows") is not None:
+        return int(node.params["n_rows"])
+    raise PlanError(f"no row count for source {node.name!r}")
+
+
+def node_rows(node: PlanNode, sizes: Mapping[str, float]) -> float:
+    """Output rows of a non-source node, from its inputs' rows in
+    ``sizes``."""
     left = sizes[node.inputs[0].name]
-    if node.op is OpType.UNION:
-        right = sizes[node.inputs[1].name]
-        return max(0, int(round((left + right) * node.selectivity)))
-    if node.op is OpType.UNION_ALL:
+    op = node.op
+    if op is OpType.UNION_ALL:
         # bag concatenation is exact: every tuple of both inputs survives
         return left + sizes[node.inputs[1].name]
-    if node.op is OpType.TOP_N:
+    if op is OpType.TOP_N:
         return max(0, min(left, int(node.params["n"])))
-    if node.op is OpType.AGGREGATE:
+    floor = 0
+    if op is OpType.AGGREGATE:
         n_groups = node.params.get("n_groups")
         if n_groups is not None:
             return max(1, int(n_groups))
-        return max(1, int(round(left * node.selectivity)))
+        floor = 1
+    elif op is OpType.UNION:
+        left += sizes[node.inputs[1].name]
     # PRODUCT encodes the expansion factor (right rows) as selectivity;
-    # everything else scales its primary input by selectivity.
-    return max(0, int(round(left * node.selectivity)))
+    # everything else scales its primary input by selectivity.  An
+    # unknown count stays inf unless no row survives.
+    sel = node.selectivity
+    if sel == 0:
+        return floor
+    rows = left * sel
+    return max(floor, rows if rows == math.inf else int(round(rows)))
+
+
+def node_bytes(node: PlanNode, sizes: Mapping[str, float]) -> float:
+    """Bytes of ``node``'s output; a 0-byte row contributes nothing
+    however many rows it has."""
+    row = out_row_nbytes(node)
+    return float(sizes[node.name]) * row if row else 0.0
+
+
+def region_bytes(region: Region, sizes: Mapping[str, float]
+                 ) -> tuple[PlanNode, float, float]:
+    """(primary input, input bytes, output bytes) of one region."""
+    first = region.nodes[0]
+    primary = first.inputs[0] if first.inputs else first
+    return (primary, node_bytes(primary, sizes),
+            node_bytes(region.output_node, sizes))
+
+
+def footprint(plan: Plan, regions: list[Region], driver: PlanNode,
+              nbytes: Callable[[PlanNode], float]
+              ) -> tuple[float, float, bool]:
+    """Device residency of a serial run that chunks ``driver``:
+    (side bytes, working bytes, has barrier), from each node's output
+    bytes ``nbytes(node)``.
+
+    Side inputs (every other source) are loaded once and stay resident;
+    the working set is the driver input plus every region's live output;
+    a barrier region needs its whole input at once, so it cannot be
+    chunked.
+    """
+    side = sum(nbytes(s) for s in plan.sources() if s is not driver)
+    working = nbytes(driver) + sum(nbytes(r.output_node) for r in regions)
+    return side, working, any(r.is_barrier_op for r in regions)
+
+
+def chunk_count(side_bytes: float, working_bytes: float, budget: float,
+                has_barrier: bool) -> float | None:
+    """Chunks a serial run needs for its working set to fit beside the
+    resident side inputs, or None when it must raise
+    :class:`~repro.errors.DeviceOOMError`: the side inputs alone fill
+    the budget, or a barrier region pins a working set that does not
+    fit.  Grows with both byte counts (None is the top)."""
+    room = budget - side_bytes
+    if room <= 0:
+        return None
+    if working_bytes <= room:
+        return 1
+    if has_barrier:
+        return None
+    if math.isinf(working_bytes):
+        return math.inf
+    return math.ceil(working_bytes / room)

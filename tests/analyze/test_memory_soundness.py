@@ -9,8 +9,10 @@ both directions against the real executor:
   been flagged statically as certain (MEM701 / ``certain-oom``) or
   possible (MEM702 / ``possible-oom``).
 
-The matrix covers the TPC-H queries, a fuzzed plan population, several
-row scales, and device budgets from 16 MB up to the default 6 GB.
+The matrix covers the hand-built TPC-H Q1/Q6/Q21 plans, all 22
+frontend-compiled TPC-H queries at sf 0.01 / 1 / 30, a fuzzed plan
+population, several row scales, and device budgets from 16 MB up to the
+default 6 GB.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from repro.plans.fuzz import random_plan_case
 from repro.runtime.executor import ExecutionConfig, Executor
 from repro.runtime.strategies import Strategy
 from repro.simgpu.device import DEFAULT_CALIBRATION, DeviceSpec
+from repro.tpch.catalog import QUERIES, compile_tpch, tpch_source_rows
 from repro.tpch.q1 import build_q1_plan, q1_source_rows
 from repro.tpch.q6 import build_q6_plan
 from repro.tpch.q21 import build_q21_plan, q21_source_rows
@@ -31,6 +34,7 @@ DEVICE_BYTES = (1 << 24, 1 << 26, 1 << 28, 6 << 30)
 SCALES = (200_000, 2_000_000, 20_000_000)
 FUZZ_SEEDS = range(20)
 FUZZ_FACTORS = (1, 40, 1600)
+TPCH_SCALE_FACTORS = (0.01, 1, 30)
 
 
 def device_of(nbytes: int) -> DeviceSpec:
@@ -91,6 +95,17 @@ class TestTpchSoundness:
                                       strategy)
 
 
+class TestTpchSuiteSoundness:
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_compiled_query(self, name):
+        for sf in TPCH_SCALE_FACTORS:
+            plan = compile_tpch(name, scale_factor=sf).plan
+            rows = tpch_source_rows(sf)
+            for device in DEVICES:
+                for strategy in Strategy:
+                    check_both_directions(plan, rows, device, strategy)
+
+
 class TestFuzzSoundness:
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_fuzzed_plans(self, seed):
@@ -101,6 +116,31 @@ class TestFuzzSoundness:
             for device in DEVICES:
                 for strategy in Strategy:
                     check_both_directions(case.plan, rows, device, strategy)
+
+
+class TestFissionFallback:
+    def test_serial_fallback_keeps_the_safety_margin(self):
+        """Fission with nothing to pipeline runs the serial path under
+        the caller's ``memory_safety``, and the analysis agrees."""
+        from repro.plans.plan import Plan
+        from repro.ra.arithmetic import AggSpec
+
+        device = device_of(1 << 26)
+        # sort + aggregate over a working set of 0.7x device memory:
+        # fits at the default 0.9 margin, not at 0.5
+        rows = int(0.7 * (1 << 26)) // 16
+        plan = Plan(name="sorted_agg")
+        src = plan.source("t", row_nbytes=8)
+        srt = plan.sort(src, ["k"], name="srt")
+        plan.aggregate(srt, ["k"], {"n": AggSpec("count")}, n_groups=4,
+                       name="agg")
+        for strategy in (Strategy.SERIAL, Strategy.FISSION):
+            verdict = check_strategy(plan, strategy, {"t": rows}, device,
+                                     memory_safety=0.5)
+            assert verdict.verdict == "certain-oom", strategy
+            with pytest.raises(DeviceOOMError):
+                Executor(device).run(plan, {"t": rows}, ExecutionConfig(
+                    strategy=strategy, memory_safety=0.5))
 
 
 class TestCoverage:

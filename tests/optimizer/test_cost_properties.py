@@ -78,3 +78,27 @@ class TestDevicesNeverHurt:
         assert {"serial", "fused", "fission", "fused_fission",
                 "with_round_trip", "cpubase"} <= labels
         assert any(label.startswith("cluster") for label in labels)
+
+
+class TestHostBaselineTiming:
+    def test_executor_and_cost_model_share_the_cpu_calibration(self):
+        """Both interpreters time the host baseline from the device's own
+        CPU calibration, so on a slowed host they still agree."""
+        import dataclasses
+
+        from repro.optimizer.space import StrategyOption
+        from repro.runtime import Executor
+        from repro.simgpu.calibration import DEFAULT_CALIBRATION
+
+        slow_cpu = dataclasses.replace(
+            DEFAULT_CALIBRATION.cpu,
+            read_bw=DEFAULT_CALIBRATION.cpu.read_bw / 4)
+        device = DeviceSpec(calib=dataclasses.replace(
+            DEFAULT_CALIBRATION, cpu=slow_cpu))
+        plan = build_q6_plan()
+        rows = {"lineitem": 3_000_000}
+        run = Executor(device).run_cpubase(plan, rows)
+        est = CostModel(device).estimate(
+            plan, DataStats.from_rows(plan, rows),
+            StrategyOption(kind="cpubase", strategy=None))
+        assert run.makespan == est.host_s
