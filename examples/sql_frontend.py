@@ -1,66 +1,72 @@
 #!/usr/bin/env python
 """SQL front end: warehouse queries straight into the fusion compiler.
 
-Writes three analytic queries in SQL, compiles each through the full
-pipeline (parse -> bind -> rewrite -> fuse -> strategy), runs it
-functionally over generated TPC-H data, and reports the simulated
-execution.
+Writes three analytic queries in SQL against the TPC-H catalog, compiles
+each through the full pipeline (parse -> bind -> lower -> fuse ->
+strategy), runs it functionally over generated TPC-H data, checks it
+against the reference interpreter, and reports the simulated execution.
 
 Run:  python examples/sql_frontend.py
 """
 
 from repro.core.passes import compile_plan
-from repro.plans import evaluate_sinks
-from repro.sql import sql_to_plan
-from repro.tpch import TpchConfig, generate
-from repro.tpch.q1 import Q1_CUTOFF
+from repro.frontend import compile_sql, run_plan, validate_sql
+from repro.tpch.catalog import CATALOG, tpch_dataset, tpch_source_rows
 
 QUERIES = {
-    "pricing summary (Q1-lite)": f"""
-        SELECT returnflag, linestatus,
-               SUM(quantity) AS sum_qty,
-               SUM(extendedprice * (1 - discount)) AS sum_disc_price,
+    "pricing summary (Q1-lite)": """
+        SELECT l_returnflag, l_linestatus,
+               SUM(l_quantity) AS sum_qty,
+               SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price,
                COUNT(*) AS count_order
         FROM lineitem
-        WHERE shipdate <= {Q1_CUTOFF}
-        GROUP BY returnflag, linestatus
-        ORDER BY returnflag, linestatus
+        WHERE l_shipdate <= DATE '1998-12-01' - INTERVAL '90' DAY
+        GROUP BY l_returnflag, l_linestatus
+        ORDER BY l_returnflag, l_linestatus
     """,
     "forecast revenue (Q6)": """
-        SELECT SUM(extendedprice * discount) AS revenue
+        SELECT SUM(l_extendedprice * l_discount) AS revenue
         FROM lineitem
-        WHERE shipdate >= 730 AND shipdate < 1095
-          AND discount BETWEEN 0.05 AND 0.07 AND quantity < 24
+        WHERE l_shipdate >= DATE '1994-01-01'
+          AND l_shipdate < DATE '1995-01-01'
+          AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24
     """,
     "late items by supplier": """
-        SELECT suppkey, COUNT(*) AS late_items
+        SELECT l_suppkey, COUNT(*) AS late_items
         FROM lineitem
-        WHERE receiptdate > commitdate
-        GROUP BY suppkey
+        WHERE l_receiptdate > l_commitdate
+        GROUP BY l_suppkey
         ORDER BY late_items DESC
     """,
 }
 
 
 def main() -> None:
-    data = generate(TpchConfig(scale_factor=0.01))
-    sources = {"lineitem": data.lineitem}
+    scale_factor = 0.01
+    tables = tpch_dataset(scale_factor=scale_factor)
+    source_rows = tpch_source_rows(scale_factor)
 
     for title, sql in QUERIES.items():
         print("=" * 64)
         print(title)
         print("=" * 64)
-        plan = sql_to_plan(sql)
+        compiled = compile_sql(sql, CATALOG, source_rows=source_rows,
+                               name=title)
 
-        # functional answer
-        out = list(evaluate_sinks(plan, sources).values())[0]
+        # functional answer, differentially checked
+        out = run_plan(compiled, tables)
         print(f"result: {out.num_rows} row(s), fields {out.fields}")
         for i in range(min(out.num_rows, 4)):
             print("   " + ", ".join(f"{f}={out.column(f)[i]}"
                                     for f in out.fields))
+        report = validate_sql(title, sql, CATALOG, tables,
+                              source_rows=source_rows)
+        print(f"reference check: {report.status} {report.detail}".rstrip())
+        if report.status != "ok":
+            raise SystemExit(1)
 
         # the compiler's view
-        cp = compile_plan(plan, {"lineitem": 6_000_000})
+        cp = compile_plan(compiled.plan, {"lineitem": 6_000_000})
         print()
         print(cp.describe())
         result = cp.run()

@@ -610,14 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sql = sub.add_parser("sql", help="run a SQL query over generated TPC-H")
     p_sql.add_argument("statement", nargs="?", default=None,
-                       help="e.g. \"SELECT returnflag, COUNT(*) "
-                       "AS n FROM lineitem GROUP BY returnflag\" "
-                       "(legacy single-table path, physical column names)")
+                       help="e.g. \"SELECT l_returnflag, COUNT(*) "
+                       "AS n FROM lineitem GROUP BY l_returnflag\"")
     p_sql.add_argument("--query", default=None, metavar="qN",
                        help="a TPC-H catalog query (q1..q22), or 'all' for "
-                       "the whole suite (frontend path, SQL column names)")
+                       "the whole suite")
     p_sql.add_argument("--file", default=None, metavar="F.sql",
-                       help="read the SQL text from a file (frontend path)")
+                       help="read the SQL text from a file")
     p_sql.add_argument("--explain", action="store_true",
                        help="print the bound query and the lowered plan "
                        "instead of executing")
@@ -628,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --query all: print the JSON coverage "
                        "report (stable key order)")
     p_sql.add_argument("--seed", type=int, default=1992,
-                       help="dataset seed for the frontend path")
+                       help="dataset seed")
     p_sql.add_argument("--scale-factor", type=float, default=0.01)
     p_sql.add_argument("--limit", type=int, default=20,
                        help="max rows to print")
@@ -645,7 +644,7 @@ def _print_rows(out, limit: int) -> None:
         print(f"... ({out.num_rows} rows total)")
 
 
-def _cmd_sql_frontend(args) -> int:
+def _cmd_sql(args) -> int:
     import json
 
     from .frontend import bind_sql, compile_sql, run_plan, validate_sql
@@ -654,6 +653,12 @@ def _cmd_sql_frontend(args) -> int:
     from .tpch.catalog import (
         CATALOG, QUERIES, tpch_dataset, tpch_source_rows, validate_tpch,
     )
+
+    picked = sum(x is not None
+                 for x in (args.statement, args.query, args.file))
+    if picked != 1:
+        print("provide exactly one of: a SQL statement, --query, or --file")
+        return 2
 
     if args.query == "all":
         report = validate_tpch(scale_factor=args.scale_factor,
@@ -678,10 +683,12 @@ def _cmd_sql_frontend(args) -> int:
             print(f"unknown query {args.query!r}; have q1..q22 or 'all'")
             return 2
         name, sql = args.query, QUERIES[args.query]
-    else:
+    elif args.file is not None:
         name = args.file
         with open(args.file) as fh:
             sql = fh.read()
+    else:
+        name, sql = "statement", args.statement
 
     source_rows = tpch_source_rows(args.scale_factor)
     try:
@@ -711,40 +718,6 @@ def _cmd_sql_frontend(args) -> int:
         return 0 if report.status == "ok" else 1
 
     _print_rows(run_plan(compiled, tables), args.limit)
-    return 0
-
-
-def _cmd_sql(args) -> int:
-    from .core.passes import compile_plan
-    from .plans import evaluate_sinks
-    from .sql import sql_to_plan
-
-    picked = sum(x is not None
-                 for x in (args.statement, args.query, args.file))
-    if picked != 1:
-        print("provide exactly one of: a SQL statement, --query, or --file")
-        return 2
-    if args.query is not None or args.file is not None:
-        return _cmd_sql_frontend(args)
-
-    plan = sql_to_plan(args.statement)
-    data = generate(TpchConfig(scale_factor=args.scale_factor))
-    tables = {"lineitem": data.lineitem, "orders": data.orders,
-              "supplier": data.supplier, "nation": data.nation}
-    sources = {s.name: tables[s.name] for s in plan.sources()
-               if s.name in tables}
-    missing = [s.name for s in plan.sources() if s.name not in tables]
-    if missing:
-        print(f"unknown table(s): {missing}; available: {sorted(tables)}")
-        return 1
-
-    out = list(evaluate_sinks(plan, sources).values())[0]
-    _print_rows(out, args.limit)
-
-    rows = {s.name: tables[s.name].num_rows for s in plan.sources()}
-    cp = compile_plan(plan, rows)
-    print()
-    print(cp.describe())
     return 0
 
 

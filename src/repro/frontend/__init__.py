@@ -1,10 +1,11 @@
 """Schema-aware SQL frontend: parse, bind, lower, and validate.
 
-The legacy :mod:`repro.sql` binder covers single-table queries; this
-package handles the TPC-H-class shapes -- multi-join chains, outer joins,
-subqueries (decorrelated), CASE/LIKE/date arithmetic, HAVING, top-N, and
-set operations -- and pairs every compiled plan with an independent
-reference interpreter for byte-for-byte differential validation.
+The one SQL compiler: it binds the :mod:`repro.sql` parser's AST
+against a :class:`Catalog` and handles the TPC-H-class shapes --
+multi-join chains, outer joins, subqueries (decorrelated), CASE/LIKE/date
+arithmetic, HAVING, top-N, and set operations -- and pairs every compiled
+plan with an independent reference interpreter for byte-for-byte
+differential validation.
 """
 
 from .binder import BoundQuery, bind, bind_sql

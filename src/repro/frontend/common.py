@@ -399,7 +399,11 @@ def plan_aggregate(bq: BoundQuery, repr_map: dict[str, str],
         # subquery leaves stay untouched; only scalar sides carry aggregates
         _collect_aggs_pred(c, leaves)
 
-    if not leaves and not bq.group_by and group_override is None:
+    if not leaves and group_override is None:
+        if bq.group_by:
+            raise UnsupportedError(
+                "GROUP BY without aggregates is not supported; "
+                "use SELECT DISTINCT")
         return None
 
     keys: dict[AggExpr, str] = {}

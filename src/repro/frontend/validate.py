@@ -52,9 +52,16 @@ def compare_relations(got: Relation, want: Relation) -> str | None:
 
 def ordering_violation(rel: Relation, by: list[str],
                        descending) -> str | None:
-    """A stable re-sort on the ORDER BY keys must leave every byte alone."""
+    """A stable re-sort on the ORDER BY keys must leave every byte alone.
+
+    The check always sorts with per-field directions: a single ``True``
+    would reverse ties too, so re-sorting a correctly ordered result
+    would not be the identity.
+    """
     if rel.num_rows <= 1:
         return None
+    if not isinstance(descending, list):
+        descending = [descending] * len(by)
     order = sort_order(rel.columns, by=by, descending=descending)
     if not np.array_equal(order, np.arange(rel.num_rows)):
         return f"output is not ordered by {by}"

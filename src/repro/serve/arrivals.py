@@ -1,7 +1,7 @@
 """Client model: who asks what, when.
 
 Tenants offer queries from a fixed catalog (TPC-H Q1/Q6/Q21 plus two
-SQL-frontend shapes compiled through :func:`repro.sql.sql_to_plan`).  Two
+SQL shapes compiled through :func:`repro.frontend.compile_sql`).  Two
 client disciplines are modeled:
 
 * **open loop** -- a merged Poisson process at the configured offered load;
@@ -24,8 +24,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..frontend import Catalog, Column, Table, compile_sql
 from ..plans.plan import Plan
-from ..sql import sql_to_plan
 from ..tpch import (
     build_q1_plan,
     build_q21_plan,
@@ -39,12 +39,20 @@ from ..tpch import (
 # query catalog
 # ---------------------------------------------------------------------------
 
-#: SQL-frontend shapes served alongside the TPC-H plans.  ``lineitem`` is
-#: declared at Q6's 16 B/row so these batch with Q6 over the same upload.
-_SQL_SCAN = ("SELECT orderkey FROM lineitem WHERE orderkey < 1000",
-             {"lineitem": 16})
-_SQL_AGG = ("SELECT returnflag, COUNT(*) AS n FROM lineitem "
-            "GROUP BY returnflag", {"lineitem": 16})
+#: SQL shapes served alongside the TPC-H plans.  The serve catalog's
+#: ``lineitem`` is four 4-byte columns -- Q6's 16 B/row -- so these batch
+#: with Q6 over the same upload.
+_SERVE_CATALOG = Catalog([Table("lineitem", (
+    Column("orderkey", "int"),
+    Column("returnflag", "int"),
+    Column("quantity", "float"),
+    Column("shipdate", "date"),
+))])
+_SQL = {
+    "sql_scan": "SELECT orderkey FROM lineitem WHERE orderkey < 1000",
+    "sql_agg": ("SELECT returnflag, COUNT(*) AS n FROM lineitem "
+                "GROUP BY returnflag"),
+}
 
 
 @lru_cache(maxsize=None)
@@ -56,10 +64,9 @@ def catalog_plan(kind: str) -> Plan:
         return build_q6_plan()
     if kind == "q21":
         return build_q21_plan()
-    if kind == "sql_scan":
-        return sql_to_plan(_SQL_SCAN[0], row_nbytes=_SQL_SCAN[1])
-    if kind == "sql_agg":
-        return sql_to_plan(_SQL_AGG[0], row_nbytes=_SQL_AGG[1])
+    if kind in _SQL:
+        return compile_sql(_SQL[kind], _SERVE_CATALOG,
+                           name="sql_lineitem").plan
     if kind.startswith("tpch_q"):
         from ..tpch.catalog import compile_tpch
         return compile_tpch(kind[len("tpch_"):]).plan

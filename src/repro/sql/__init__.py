@@ -1,26 +1,27 @@
-"""A SQL front end for the plan layer.
+"""SQL lexer, parser and AST shared by the schema-aware frontend.
 
 Parses the analytic-query subset data warehousing needs -- filters, joins,
-computed expressions, grouped aggregation, ordering -- into the logical
-plans the fusion/fission compiler consumes:
+computed expressions, grouped aggregation, ordering, subqueries and set
+operations -- into a :class:`Query` AST:
 
->>> from repro.sql import sql_to_plan
->>> plan = sql_to_plan('''
-...     SELECT returnflag, SUM(quantity) AS total
+>>> from repro.sql import parse
+>>> query = parse('''
+...     SELECT l_returnflag, SUM(l_quantity) AS total
 ...     FROM lineitem
-...     WHERE shipdate <= 2436 AND discount < 0.05
-...     GROUP BY returnflag
-...     ORDER BY returnflag
+...     WHERE l_discount < 0.05
+...     GROUP BY l_returnflag
+...     ORDER BY l_returnflag
 ... ''')
+>>> query.table, query.group_by
+('lineitem', ['l_returnflag'])
 
-The resulting plan runs through everything else in the package: the
-fusion pass, the executor/strategies, and the functional runtime.
+Binding against a schema and lowering to a fusable plan is
+:func:`repro.frontend.compile_sql`'s job.
 """
 
 from .ast import Aggregate, Query, SelectItem
 from .lexer import SqlError, Token, tokenize
 from .parser import parse
-from .binder import sql_to_plan, to_plan
 
 __all__ = ["Aggregate", "Query", "SelectItem", "SqlError", "Token",
-           "tokenize", "parse", "sql_to_plan", "to_plan"]
+           "tokenize", "parse"]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.frontend import Catalog, Column, Table, validate_sql
+from repro.frontend.validate import ordering_violation
 from repro.ra.relation import Relation
 
 CAT = Catalog([
@@ -167,3 +168,31 @@ def test_seeds_validate(seed):
     for name, sql in CASES.items():
         report = validate_sql(name, sql, CAT, tables)
         assert report.status == "ok", f"{name}@seed{seed}: {report.detail}"
+
+
+# ---------------------------------------------------------------------------
+# ORDER BY ... DESC over tied keys: the ordering check must not treat the
+# original order of tied rows as a violation
+# ---------------------------------------------------------------------------
+
+TOY = Catalog([Table("t", tuple(Column(f, "int") for f in "kvw"))])
+
+
+def test_ordering_check_accepts_desc_ties():
+    rel = Relation({"k": np.array([1, 2, 3], dtype=np.int32),
+                    "n": np.array([5, 4, 4], dtype=np.int32)})
+    assert ordering_violation(rel, ["n"], True) is None
+    assert ordering_violation(rel, ["n"], [True]) is None
+    assert ordering_violation(rel, ["n"], False) is not None
+
+
+def test_desc_order_with_tied_counts_validates():
+    rng = np.random.default_rng(0)
+    tables = {"t": Relation({f: rng.integers(0, 60, 3000).astype(np.int32)
+                             for f in "kvw"})}
+    report = validate_sql(
+        "having_desc",
+        "SELECT k, COUNT(*) AS n FROM t GROUP BY k HAVING n > 40 "
+        "ORDER BY n DESC", TOY, tables)
+    assert report.status == "ok", report.detail
+    assert report.rows > 0

@@ -1,13 +1,33 @@
-"""Tests for SQL -> plan binding, end to end against the interpreter."""
+"""SQL -> plan binding through the frontend, end to end.
+
+Every query compiles through :func:`repro.frontend.compile_sql`, must
+validate ``ok`` against the reference interpreter, and its plan output
+is then checked against a direct NumPy computation.
+"""
 
 import numpy as np
 import pytest
 
-from repro.plans import evaluate_sinks
+from repro.frontend import (
+    Catalog, Column, Table, compile_sql, run_plan, validate_sql,
+)
 from repro.plans.plan import OpType
 from repro.ra import Relation
-from repro.sql import SqlError, sql_to_plan
-from repro.tpch.q1 import Q1_CUTOFF
+from repro.sql import SqlError
+from repro.tpch.catalog import CATALOG, sql_tables, tpch_source_rows
+
+CAT = Catalog([
+    Table("t", (
+        Column("k", "int"),
+        Column("v", "int"),
+        Column("price", "float"),
+        Column("discount", "float"),
+    )),
+    Table("dim", (
+        Column("k", "int"),
+        Column("label", "int"),
+    )),
+])
 
 
 @pytest.fixture
@@ -17,8 +37,8 @@ def data(rng):
         "t": Relation({
             "k": rng.integers(0, 50, n).astype(np.int32),
             "v": rng.integers(0, 100, n).astype(np.int32),
-            "price": rng.random(n).astype(np.float64) * 100,
-            "discount": (rng.integers(0, 11, n) / 100.0),
+            "price": (rng.random(n) * 100).astype(np.float32),
+            "discount": (rng.integers(0, 11, n) / 100.0).astype(np.float32),
         }),
         "dim": Relation({
             "k": np.arange(50, dtype=np.int32),
@@ -27,43 +47,49 @@ def data(rng):
     }
 
 
-def run(sql, data):
-    plan = sql_to_plan(sql)
-    plan.validate()
-    out = evaluate_sinks(plan, data)
-    return list(out.values())[0]
+def plan_of(sql, catalog=CAT):
+    return compile_sql(sql, catalog).plan
+
+
+def run(sql, data, catalog=CAT):
+    report = validate_sql("query", sql, catalog, data)
+    assert report.status == "ok", report.detail
+    compiled = compile_sql(sql, catalog)
+    compiled.plan.validate()
+    return run_plan(compiled, data)
 
 
 class TestPlanShapes:
     def test_filtered_scan(self):
-        plan = sql_to_plan("SELECT k FROM t WHERE k < 10")
-        ops = [n.op for n in plan.topological()]
+        ops = [n.op for n in plan_of("SELECT k FROM t WHERE k < 10")
+               .topological()]
         assert OpType.SELECT in ops
         assert OpType.SORT not in ops
 
     def test_aggregate_query_shape(self):
-        plan = sql_to_plan(
-            "SELECT g, SUM(x) AS s FROM t GROUP BY g ORDER BY g")
-        ops = [n.op for n in plan.topological()]
-        for expected in (OpType.SELECT, OpType.AGGREGATE, OpType.SORT):
-            assert expected in ops or expected is OpType.SELECT  # no WHERE
+        ops = [n.op for n in plan_of(
+            "SELECT k, SUM(v) AS s FROM t GROUP BY k ORDER BY k")
+            .topological()]
+        assert OpType.AGGREGATE in ops
+        assert OpType.SORT in ops
+        assert OpType.SELECT not in ops  # no WHERE
 
     def test_sql_plans_fuse(self):
         from repro.core.fusion import fuse_plan
-        plan = sql_to_plan(
-            "SELECT k FROM t JOIN dim USING (k) WHERE k < 10")
-        fr = fuse_plan(plan)
-        # WHERE + JOIN + output project fuse into one region
+        fr = fuse_plan(plan_of(
+            "SELECT t.k, d.label FROM t JOIN dim AS d USING (k) "
+            "WHERE t.k < 10"))
+        # the alias rename, JOIN, and output stages fuse into one region
         assert fr.num_fused_regions == 1
-        assert len(fr.regions[0].nodes) >= 3
+        assert max(len(r.nodes) for r in fr.regions) >= 3
 
     def test_group_by_without_aggregate_rejected(self):
-        with pytest.raises(SqlError):
-            sql_to_plan("SELECT g FROM t GROUP BY g")
+        with pytest.raises(SqlError, match="GROUP BY without aggregates"):
+            compile_sql("SELECT k FROM t GROUP BY k", CAT)
 
     def test_non_grouped_plain_column_rejected(self):
-        with pytest.raises(SqlError):
-            sql_to_plan("SELECT v, SUM(k) AS s FROM t GROUP BY k")
+        with pytest.raises(SqlError, match="must appear in GROUP BY"):
+            compile_sql("SELECT v, SUM(k) AS s FROM t GROUP BY k", CAT)
 
 
 class TestEndToEnd:
@@ -99,14 +125,16 @@ class TestEndToEnd:
 
     def test_aggregate_of_expression(self, data):
         out = run("SELECT SUM(price * discount) AS rev FROM t", data)
-        expected = float((data["t"]["price"] * data["t"]["discount"]).sum())
-        assert float(out["rev"][0]) == pytest.approx(expected)
+        ref = data["t"]
+        expected = float((ref["price"].astype(np.float64)
+                          * ref["discount"]).sum())
+        assert float(out["rev"][0]) == pytest.approx(expected, rel=1e-4)
 
     def test_join_using(self, data):
-        out = run("SELECT k, v, label FROM t JOIN dim USING (k) "
-                  "WHERE k < 10", data)
+        out = run("SELECT t.k AS k, v, label FROM t JOIN dim AS d "
+                  "USING (k) WHERE t.k < 10", data)
         assert out.num_rows == int((data["t"]["k"] < 10).sum())
-        assert "label" in out.fields
+        assert out.fields == ["k", "v", "label"]
 
     def test_order_by_desc(self, data):
         out = run("SELECT k, COUNT(*) AS n FROM t GROUP BY k "
@@ -121,36 +149,40 @@ class TestEndToEnd:
 
 class TestTpchInSql:
     def test_q6_in_sql_matches_reference(self, tpch_small):
-        from repro.tpch.q6 import Q6_DATE_HI, Q6_DATE_LO, q6_reference
-        sql = (f"SELECT SUM(extendedprice * discount) AS revenue "
-               f"FROM lineitem "
-               f"WHERE shipdate >= {Q6_DATE_LO} AND shipdate < {Q6_DATE_HI} "
-               f"AND discount BETWEEN 0.049999 AND 0.070001 "
-               f"AND quantity < 24")
-        out = run(sql, {"lineitem": tpch_small.lineitem})
+        from repro.tpch.q6 import q6_reference
+        sql = ("SELECT SUM(l_extendedprice * l_discount) AS revenue "
+               "FROM lineitem "
+               "WHERE l_shipdate >= DATE '1994-01-01' "
+               "AND l_shipdate < DATE '1995-01-01' "
+               "AND l_discount BETWEEN 0.049999 AND 0.070001 "
+               "AND l_quantity < 24")
+        out = run(sql, sql_tables(tpch_small), CATALOG)
         assert float(out["revenue"][0]) == pytest.approx(
             q6_reference(tpch_small.lineitem), rel=1e-3)
 
     def test_q1_lite_in_sql(self, tpch_small):
-        sql = (f"SELECT returnflag, linestatus, SUM(quantity) AS sum_qty, "
-               f"COUNT(*) AS n FROM lineitem WHERE shipdate <= {Q1_CUTOFF} "
-               f"GROUP BY returnflag, linestatus ORDER BY returnflag, linestatus")
-        out = run(sql, {"lineitem": tpch_small.lineitem})
-        assert out.num_rows == 6
         from repro.tpch import q1_reference
+        sql = ("SELECT l_returnflag, l_linestatus, "
+               "SUM(l_quantity) AS sum_qty, COUNT(*) AS n FROM lineitem "
+               "WHERE l_shipdate <= DATE '1998-12-01' - INTERVAL '90' DAY "
+               "GROUP BY l_returnflag, l_linestatus "
+               "ORDER BY l_returnflag, l_linestatus")
+        out = run(sql, sql_tables(tpch_small), CATALOG)
+        assert out.num_rows == 6
         ref = q1_reference(tpch_small.lineitem)
         for i in range(out.num_rows):
-            key = (int(out["returnflag"][i]), int(out["linestatus"][i]))
+            key = (int(out["l_returnflag"][i]), int(out["l_linestatus"][i]))
             assert int(out["n"][i]) == ref[key]["count_order"]
             assert float(out["sum_qty"][i]) == pytest.approx(
                 ref[key]["sum_qty"], rel=1e-3)
 
-    def test_sql_plan_through_compiler(self, tpch_small):
+    def test_sql_plan_through_compiler(self):
         """SQL -> plan -> full pipeline -> simulated execution."""
         from repro.core.passes import compile_plan
-        sql = ("SELECT returnflag, SUM(quantity) AS q FROM lineitem "
-               "WHERE discount < 0.05 GROUP BY returnflag")
-        plan = sql_to_plan(sql)
+        sql = ("SELECT l_returnflag, SUM(l_quantity) AS q FROM lineitem "
+               "WHERE l_discount < 0.05 GROUP BY l_returnflag")
+        plan = compile_sql(sql, CATALOG,
+                           source_rows=tpch_source_rows(1.0)).plan
         cp = compile_plan(plan, {"lineitem": 6_000_000})
         assert cp.fusion.num_fused_regions >= 1
         result = cp.run()
@@ -165,8 +197,8 @@ class TestDistinctAndHaving:
         assert set(ks) == set(int(x) for x in data["t"]["k"] if x < 10)
 
     def test_distinct_plan_uses_unique_barrier(self):
-        plan = sql_to_plan("SELECT DISTINCT k FROM t")
-        ops = [n.op for n in plan.topological()]
+        ops = [n.op for n in plan_of("SELECT DISTINCT k FROM t")
+               .topological()]
         assert OpType.UNIQUE in ops
 
     def test_having_filters_groups(self, data):
@@ -183,8 +215,8 @@ class TestDistinctAndHaving:
         assert (out["sv"] >= 20000).all()
 
     def test_having_without_group_by_rejected(self):
-        with pytest.raises(SqlError):
-            sql_to_plan("SELECT SUM(v) AS s FROM t HAVING s > 1")
+        with pytest.raises(SqlError, match="HAVING requires GROUP BY"):
+            compile_sql("SELECT SUM(v) AS s FROM t HAVING s > 1", CAT)
 
     def test_having_with_order_by(self, data):
         out = run("SELECT k, COUNT(*) AS n FROM t GROUP BY k "

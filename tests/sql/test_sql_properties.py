@@ -1,19 +1,23 @@
 """Property-based tests for the SQL front end.
 
-Random queries are generated structurally, rendered to SQL text, parsed
-back, and executed -- the results must match the directly-constructed
-reference computation.
+Random queries are generated structurally, rendered to SQL text, and
+compiled through the frontend against a toy catalog -- each must validate
+``ok`` against the reference interpreter and match the directly-constructed
+NumPy computation.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.plans import evaluate_sinks
+from repro.frontend import (
+    Catalog, Column, Table, compile_sql, run_plan, validate_sql,
+)
 from repro.ra import Relation
-from repro.sql import parse, sql_to_plan
+from repro.sql import parse
 
 FIELDS = ["k", "v", "w"]
+CAT = Catalog([Table("t", tuple(Column(f, "int") for f in FIELDS))])
 CMPS = ["<", "<=", ">", ">=", "=", "!="]
 
 comparison_st = st.tuples(st.sampled_from(FIELDS), st.sampled_from(CMPS),
@@ -37,14 +41,21 @@ def _mask(rel, comparisons, connector):
     return out
 
 
+def _run(sql, rel):
+    """Compile + execute `sql` over ``t = rel``, checked by the oracle."""
+    tables = {"t": rel}
+    report = validate_sql("query", sql, CAT, tables)
+    assert report.status == "ok", f"{sql}: {report.detail}"
+    return run_plan(compile_sql(sql, CAT), tables)
+
+
 @given(st.lists(comparison_st, min_size=1, max_size=4),
        st.sampled_from(["AND", "OR"]), st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_where_clause_matches_numpy(comparisons, connector, seed):
     rel = _rel(seed % 1000)
     where = f" {connector} ".join(f"{f} {c} {t}" for f, c, t in comparisons)
-    plan = sql_to_plan(f"SELECT k, v, w FROM t WHERE {where}")
-    out = list(evaluate_sinks(plan, {"t": rel}).values())[0]
+    out = _run(f"SELECT k, v, w FROM t WHERE {where}", rel)
     expected = int(_mask(rel, comparisons, connector).sum())
     assert out.num_rows == expected
 
@@ -54,10 +65,9 @@ def test_where_clause_matches_numpy(comparisons, connector, seed):
 @settings(max_examples=40, deadline=None)
 def test_grouped_sum_matches_numpy(group_field, value_field, scale, seed):
     rel = _rel(seed % 1000)
-    plan = sql_to_plan(
+    out = _run(
         f"SELECT {group_field}, SUM({value_field} * {scale}) AS s "
-        f"FROM t GROUP BY {group_field} ORDER BY {group_field}")
-    out = list(evaluate_sinks(plan, {"t": rel}).values())[0]
+        f"FROM t GROUP BY {group_field} ORDER BY {group_field}", rel)
     for g, s in zip(out[group_field], out["s"]):
         mask = rel[group_field] == g
         assert int(s) == int(rel[value_field][mask].sum()) * scale
@@ -78,10 +88,8 @@ def test_parse_is_deterministic_and_stable(comparisons, seed):
 @settings(max_examples=40, deadline=None)
 def test_between_equals_two_comparisons(lo, hi, seed):
     rel = _rel(seed % 1000)
-    a = sql_to_plan(f"SELECT k FROM t WHERE k BETWEEN {lo} AND {hi}")
-    b = sql_to_plan(f"SELECT k FROM t WHERE k >= {lo} AND k <= {hi}")
-    ra = list(evaluate_sinks(a, {"t": rel}).values())[0]
-    rb = list(evaluate_sinks(b, {"t": rel}).values())[0]
+    ra = _run(f"SELECT k FROM t WHERE k BETWEEN {lo} AND {hi}", rel)
+    rb = _run(f"SELECT k FROM t WHERE k >= {lo} AND k <= {hi}", rel)
     assert ra.to_tuples() == rb.to_tuples()
 
 
@@ -89,10 +97,11 @@ def test_between_equals_two_comparisons(lo, hi, seed):
        st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_sql_plans_survive_the_full_pipeline(comparisons, seed):
-    """Every generated query must compile and fuse without error."""
+    """Every generated query must validate, compile and fuse."""
     from repro.core.passes import compile_plan
     where = " AND ".join(f"{f} {c} {t}" for f, c, t in comparisons)
-    plan = sql_to_plan(f"SELECT k FROM t WHERE {where}")
-    cp = compile_plan(plan, {"t": 1_000_000})
+    sql = f"SELECT k FROM t WHERE {where}"
+    _run(sql, _rel(seed % 1000))
+    cp = compile_plan(compile_sql(sql, CAT).plan, {"t": 1_000_000})
     assert cp.num_kernels >= 1
     assert cp.run().makespan > 0

@@ -87,14 +87,13 @@ class TestCompile:
 
 
 class TestSql:
+    STATEMENT = ("SELECT l_returnflag, COUNT(*) AS n FROM lineitem "
+                 "GROUP BY l_returnflag")
+
     def test_query_runs(self, capsys):
-        assert main(["sql",
-                     "SELECT returnflag, COUNT(*) AS n FROM lineitem "
-                     "GROUP BY returnflag",
-                     "--scale-factor", "0.002"]) == 0
+        assert main(["sql", self.STATEMENT, "--scale-factor", "0.002"]) == 0
         out = capsys.readouterr().out
-        assert "returnflag" in out
-        assert "compiled plan" in out
+        assert "l_returnflag" in out
 
     def test_unknown_table(self, capsys):
         assert main(["sql", "SELECT a FROM widgets",
@@ -103,10 +102,27 @@ class TestSql:
 
     def test_row_limit(self, capsys):
         assert main(["sql",
-                     "SELECT orderkey FROM lineitem WHERE orderkey < 50",
+                     "SELECT l_orderkey FROM lineitem WHERE l_orderkey < 50",
                      "--scale-factor", "0.002", "--limit", "3"]) == 0
         out = capsys.readouterr().out
         assert "rows total" in out
+
+    def test_statement_explain_prints_fused_plan(self, capsys):
+        assert main(["sql", self.STATEMENT, "--explain",
+                     "--scale-factor", "0.002"]) == 0
+        out = capsys.readouterr().out
+        assert "bound query:" in out
+        assert "AGGREGATE" in out and "rows~" in out
+        assert "fusion:" in out
+
+    def test_statement_validates(self, capsys):
+        assert main(["sql", self.STATEMENT, "--validate",
+                     "--scale-factor", "0.002"]) == 0
+        assert "statement: ok" in capsys.readouterr().out
+
+    def test_exactly_one_source_required(self, capsys):
+        assert main(["sql", self.STATEMENT, "--query", "q1"]) == 2
+        assert "exactly one" in capsys.readouterr().out
 
 
 class TestExplain:
