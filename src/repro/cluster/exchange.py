@@ -11,8 +11,9 @@ interpreter (docs/CLUSTER.md):
   the buffer carries a ``rowid`` column -- so order-sensitive float
   aggregations later see rows in exactly the single-device order;
 * **merge_group_sorted** reassembles per-destination aggregate outputs by
-  the same packed-key sort :func:`repro.ra.arithmetic.aggregate` uses, so
-  a disjoint-group concat lands in exactly the single-device group order;
+  a packed-key sort, the group order
+  :func:`repro.ra.arithmetic.aggregate` emits, so a disjoint-group concat
+  lands in exactly the single-device group order;
 * **repartition_chunked** streams the same shuffle in row chunks -- the
   pieces the pipelined exchange puts on the wire -- and is byte-identical
   to the materialized :func:`repartition` because destination ids are
@@ -63,10 +64,11 @@ def merge_group_sorted(parts: list[Relation],
                        group_by: list[str]) -> Relation:
     """Merge per-destination aggregate outputs over *disjoint* groups.
 
-    Stable-sorts the concat by the packed group key -- the exact order
-    ``np.unique`` gives a single-device aggregation -- so when every group
-    lives wholly on one destination the result is byte-identical to the
-    unsharded aggregate.
+    Stable-sorts the concat by the packed group key.  That is the group
+    order :func:`repro.ra.arithmetic.aggregate` emits on a single device
+    (its per-column factorization reproduces ``np.unique`` over the packed
+    key), so when every group lives wholly on one destination the result
+    is byte-identical to the unsharded aggregate.
     """
     merged = concat(parts)
     packed = pack_rows(merged, list(group_by))

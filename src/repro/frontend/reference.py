@@ -6,13 +6,22 @@ road everywhere the lowering optimizes:
 
 * no filter pushdown -- WHERE conjuncts run after the full join chain;
 * no decorrelation -- EXISTS/IN/scalar subqueries are evaluated directly,
-  correlated ones by probing per outer row.
+  correlated ones by probing per outer row;
+* no vectorized GROUP BY -- :func:`_aggregate` is this module's private
+  copy of the per-group kernel: factorize on the packed key with
+  ``np.unique``, split, and reduce each group in Python.  It shares no
+  code with :func:`repro.ra.arithmetic.aggregate`, so a bug in the plan
+  path's sort-and-segment kernel shows up in the differential.
 
-Everything that determines float bit patterns is shared with the plan
-path: the join-key choices, the join/aggregate/sort primitives from
-:mod:`repro.ra`, and the aggregate-naming recipe.  A disagreement in the
-byte-for-byte comparison therefore points at a real semantic divergence,
-not float noise.
+Both aggregate kernels follow one definition of the float results: a
+float SUM accumulates in float64, left to right in input row order
+(``np.cumsum(seg, dtype=float64)[-1]``), and is cast back to the column's
+dtype; MEAN is that float64 sum over the count, cast to a float column's
+dtype (float64 for integer columns).  The join-key choices, the
+join/sort primitives from :mod:`repro.ra` and the aggregate-naming recipe
+are shared with the plan path.  A disagreement in the byte-for-byte
+comparison therefore points at a real semantic divergence, not float
+noise.
 """
 
 from __future__ import annotations
@@ -22,8 +31,10 @@ from collections import defaultdict
 import numpy as np
 
 from ..ra import arithmetic, operators
+from ..ra.arithmetic import AggSpec
 from ..ra.expr import Compare, Field, Predicate, conjoin
 from ..ra.relation import Relation
+from ..ra.rows import pack_rows
 from ..ra.sort import sort as ra_sort, top_n as ra_top_n, unique as ra_unique
 from ..sql.ast import Exists, InSubquery, ScalarSubquery
 from .binder import BoundQuery
@@ -36,6 +47,74 @@ from .common import (
 def execute(bq: BoundQuery, tables: dict[str, Relation]) -> Relation:
     """Execute a bound query over ``tables`` (SQL column names)."""
     return _Reference(tables).query(bq)
+
+
+def _aggregate(rel: Relation, group_by: list[str],
+               aggs: dict[str, AggSpec]) -> Relation:
+    """Naive AGGREGATION: one Python-level reduction per group.
+
+    Groups come in packed-key ``np.unique`` order, each keyed by its first
+    row's values; no rows under GROUP BY give no groups.
+    """
+    if rel.num_rows == 0 and group_by:
+        cols: dict[str, np.ndarray] = {n: rel.column(n)[:0] for n in group_by}
+        for name, spec in aggs.items():
+            if spec.func in ("count", "count_distinct"):
+                cols[name] = np.empty(0, dtype=np.int64)
+            else:
+                cols[name] = rel.column(spec.field)[:0].astype(np.float64)
+        return Relation(cols, key=group_by[0])
+
+    if group_by:
+        packed = pack_rows(rel, group_by)
+        _, inverse, counts = np.unique(packed, return_inverse=True,
+                                       return_counts=True)
+        order = np.argsort(inverse, kind="stable")
+        boundaries = np.cumsum(counts)[:-1]
+        first = order[np.concatenate([[0], boundaries])]
+        out: dict[str, np.ndarray] = {n: rel.column(n)[first]
+                                      for n in group_by}
+    else:
+        counts = np.array([rel.num_rows])
+        order = np.arange(rel.num_rows)
+        boundaries = np.array([], dtype=np.int64)
+        out = {}
+
+    for name, spec in aggs.items():
+        if spec.func == "count":
+            out[name] = counts.astype(np.int64)
+            continue
+        segments = np.split(rel.column(spec.field)[order], boundaries)
+        if spec.func == "count_distinct":
+            result = np.array([len(np.unique(seg)) for seg in segments],
+                              dtype=np.int64)
+        elif spec.func == "sum":
+            result = np.array([_sum(seg) for seg in segments])
+        elif spec.func == "mean":
+            result = np.array([_mean(seg) if len(seg) else np.nan
+                               for seg in segments])
+        elif spec.func == "min":
+            result = np.array([seg.min() for seg in segments])
+        else:
+            result = np.array([seg.max() for seg in segments])
+        out[name] = result
+    return Relation(out, key=group_by[0] if group_by else next(iter(out)))
+
+
+def _sum64(seg: np.ndarray) -> np.float64:
+    """Float64 sum, left to right in row order."""
+    return np.cumsum(seg, dtype=np.float64)[-1] if len(seg) else np.float64(0)
+
+
+def _sum(seg: np.ndarray):
+    if seg.dtype.kind != "f":
+        return seg.sum()
+    return seg.dtype.type(_sum64(seg))
+
+
+def _mean(seg: np.ndarray):
+    mean = _sum64(seg) / len(seg)
+    return seg.dtype.type(mean) if seg.dtype.kind == "f" else mean
 
 
 class _Reference:
@@ -180,7 +259,7 @@ class _Reference:
                     "aggregate")
             if arecipe.pre:
                 rel = arithmetic.arith(rel, arecipe.pre)
-            grouped = arithmetic.aggregate(rel, group_cols, arecipe.aggs)
+            grouped = _aggregate(rel, group_cols, arecipe.aggs)
             if arecipe.post:
                 grouped = arithmetic.arith(grouped, arecipe.post)
             alias = inner.items[0].alias
@@ -224,7 +303,7 @@ class _Reference:
         if arecipe is not None:
             if arecipe.pre:
                 cur = arithmetic.arith(cur, arecipe.pre)
-            cur = arithmetic.aggregate(cur, arecipe.group_by, arecipe.aggs)
+            cur = _aggregate(cur, arecipe.group_by, arecipe.aggs)
             if arecipe.post:
                 cur = arithmetic.arith(cur, arecipe.post)
             for c in arecipe.having_plain:

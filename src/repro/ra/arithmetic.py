@@ -61,65 +61,142 @@ class AggSpec:
 
 def aggregate(rel: Relation, group_by: list[str],
               aggs: Mapping[str, AggSpec]) -> Relation:
-    """AGGREGATION: grouped reduction.
+    """AGGREGATION: grouped reduction, sort then reduce by segment.
 
-    Returns one tuple per distinct `group_by` value combination, ordered by
-    group key, with one output field per entry of `aggs`.
+    Returns one tuple per distinct `group_by` value combination, in the
+    order ``np.unique(pack_rows(rel, group_by))`` gives, with one output
+    field per entry of `aggs`.  Each group's key values are those of its
+    first row.  Integer SUM, MIN, MAX, COUNT and COUNT DISTINCT are exact;
+    a float SUM accumulates in float64, left to right in input row order,
+    and is cast back to the column's dtype.  MEAN is that float64 sum over
+    the count, cast to a float column's dtype (float64 for integers).
     """
     if not aggs:
         raise RelationError("aggregate needs at least one output")
     for n in group_by:
         if n not in rel.columns:
             raise RelationError(f"group-by field {n!r} not in relation")
+    for spec in aggs.values():
+        if spec.func in ("sum", "mean", "min", "max") and \
+                rel.column(spec.field).dtype.kind not in "biuf":
+            raise RelationError(f"aggregate {spec.func!r} needs a numeric "
+                                f"field; {spec.field!r} is "
+                                f"{rel.column(spec.field).dtype}")
 
-    if rel.num_rows == 0 and group_by:
-        # no rows -> no groups: empty output with the right schema
-        cols: dict[str, np.ndarray] = {n: rel.column(n)[:0] for n in group_by}
-        for name, spec in aggs.items():
-            if spec.func in ("count", "count_distinct"):
-                cols[name] = np.empty(0, dtype=np.int64)
-            else:
-                cols[name] = rel.column(spec.field)[:0].astype(np.float64)
-        return Relation(cols, key=group_by[0])
+    if rel.num_rows == 0:
+        return _aggregate_empty(rel, group_by, aggs)
 
     if group_by:
-        packed = pack_rows(rel, group_by)
-        uniq, inverse, counts = np.unique(packed, return_inverse=True, return_counts=True)
-        n_groups = len(uniq)
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.cumsum(counts)[:-1]
-        group_cols = {
-            n: rel.column(n)[order[np.concatenate([[0], boundaries])]]
-            for n in group_by
-        }
+        order, starts = _group_order(rel, group_by)
+        first = order[starts]
+        out: dict[str, np.ndarray] = {n: rel.column(n)[first]
+                                      for n in group_by}
     else:
-        n_groups = 1
-        inverse = np.zeros(rel.num_rows, dtype=np.int64)
-        counts = np.array([rel.num_rows])
-        order = np.arange(rel.num_rows)
-        boundaries = np.array([], dtype=np.int64)
-        group_cols = {}
-
-    out: dict[str, np.ndarray] = dict(group_cols)
+        order, starts, out = None, np.zeros(1, dtype=np.intp), {}
+    counts = np.diff(starts, append=rel.num_rows)
     for name, spec in aggs.items():
         if spec.func == "count":
             out[name] = counts.astype(np.int64)
             continue
-        values = rel.column(spec.field)[order]
-        segments = np.split(values, boundaries) if n_groups > 1 else [values]
+        col = rel.column(spec.field)
+        values = col if order is None else col[order]
         if spec.func == "count_distinct":
-            out[name] = np.array([len(np.unique(seg)) for seg in segments],
-                                 dtype=np.int64)
-            continue
-        if spec.func == "sum":
-            result = np.array([seg.sum() for seg in segments])
-        elif spec.func == "mean":
-            result = np.array([seg.mean() if len(seg) else np.nan for seg in segments])
+            out[name] = _count_distinct(values, counts)
         elif spec.func == "min":
-            result = np.array([seg.min() for seg in segments])
+            out[name] = np.minimum.reduceat(values, starts)
         elif spec.func == "max":
-            result = np.array([seg.max() for seg in segments])
-        out[name] = result
+            out[name] = np.maximum.reduceat(values, starts)
+        elif spec.func == "sum" and col.dtype.kind != "f":
+            out[name] = np.add.reduceat(values, starts,
+                                        dtype=col[:0].sum().dtype)
+        else:  # float sum, or mean
+            result = _sums64(values, starts, counts)
+            if spec.func == "mean":
+                result = result / counts
+            out[name] = (result.astype(col.dtype, copy=False)
+                         if col.dtype.kind == "f" else result)
 
     key = group_by[0] if group_by else next(iter(out))
     return Relation(out, key=key)
+
+
+def _aggregate_empty(rel: Relation, group_by: list[str],
+                     aggs: Mapping[str, AggSpec]) -> Relation:
+    """No rows: no groups under GROUP BY (empty output with the right
+    schema), else one global group over nothing (MIN/MAX raise)."""
+    cols: dict[str, np.ndarray] = {n: rel.column(n) for n in group_by}
+    for name, spec in aggs.items():
+        if spec.func in ("count", "count_distinct"):
+            cols[name] = np.zeros(0 if group_by else 1, dtype=np.int64)
+        elif group_by:
+            cols[name] = rel.column(spec.field).astype(np.float64)
+        elif spec.func == "mean":
+            cols[name] = np.array([np.nan])
+        else:
+            col = rel.column(spec.field)
+            cols[name] = np.array([getattr(col, spec.func)()])
+    return Relation(cols, key=group_by[0] if group_by else next(iter(cols)))
+
+
+def _group_order(rel: Relation, group_by: list[str]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Stable permutation making each group contiguous, and where each
+    group starts in it; groups come in packed-key ``np.unique`` order."""
+    cols = [rel.column(n) for n in group_by]
+    if any(c.dtype.kind == "f" and np.isnan(c).any() for c in cols):
+        # a NaN never equals itself, so np.unique makes every NaN row its
+        # own group; packing the rows reproduces that exactly
+        _, codes = np.unique(pack_rows(rel, group_by), return_inverse=True)
+    elif len(cols) == 1:
+        codes = cols[0]
+    else:
+        codes = _mixed_radix(cols)
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    starts = np.flatnonzero(np.concatenate(([True],
+                                            ordered[1:] != ordered[:-1])))
+    return order, starts
+
+
+def _mixed_radix(cols: list[np.ndarray]) -> np.ndarray:
+    """One int64 per row whose order is the rows' lexicographic order."""
+    limit = np.iinfo(np.int64).max
+    codes, card = np.zeros(len(cols[0]), dtype=np.int64), 1
+    for col in cols:
+        uniq, inverse = np.unique(col, return_inverse=True)
+        if card * len(uniq) > limit:
+            # re-compress the prefix to dense codes, at most one per row
+            prefix, codes = np.unique(codes, return_inverse=True)
+            card = len(prefix)
+        codes = codes * len(uniq) + inverse
+        card *= len(uniq)
+    return codes
+
+
+def _count_distinct(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Distinct values per contiguous group (``np.unique`` equality)."""
+    uniq, code = np.unique(values, return_inverse=True)
+    group = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    pairs = np.unique(group * len(uniq) + code)
+    return np.bincount(pairs // len(uniq), minlength=len(counts))
+
+
+def _sums64(values: np.ndarray, starts: np.ndarray,
+            counts: np.ndarray) -> np.ndarray:
+    """Float64 sum of each contiguous group, left to right in row order.
+
+    Groups are bucketed by power-of-two length and each bucket is laid out
+    as a ``(width, groups)`` block padded with -0.0, which leaves every
+    sum unchanged; a cumulative sum down the block adds each column
+    strictly in order (``np.add.reduce`` and ``reduceat`` reassociate).
+    """
+    x = values.astype(np.float64, copy=False)
+    width = np.int64(1) << np.frexp((counts - 1).astype(np.float64))[1]
+    out = np.empty(len(counts))
+    for w in np.unique(width):
+        groups = np.flatnonzero(width == w)
+        step = np.arange(w)[:, None]
+        rows = np.minimum(starts[groups] + step, len(x) - 1)
+        block = np.where(step < counts[groups], x[rows], -0.0)
+        out[groups] = np.cumsum(block, axis=0)[-1]
+    return out

@@ -113,6 +113,12 @@ class Relation:
     def take(self, indices: np.ndarray) -> "Relation":
         """Row subset by integer indices (or boolean mask)."""
         idx = np.asarray(indices)
+        if idx.dtype == bool and idx.ndim == 1:
+            if len(idx) != self.num_rows:
+                raise IndexError(f"boolean mask of {len(idx)} rows for a "
+                                 f"relation of {self.num_rows}")
+            # one mask scan for all columns, not one per column
+            idx = np.flatnonzero(idx)
         return Relation(
             {name: col[idx] for name, col in self.columns.items()},
             key=self.key,

@@ -101,6 +101,26 @@ class TestDerived:
         r = Relation({"a": [10, 20, 30]})
         assert r.take(np.array([True, False, True])).to_tuples() == [(10,), (30,)]
 
+    @pytest.mark.parametrize("rows", [0, 1, 257])
+    def test_take_mask_equals_take_indices(self, rows):
+        rng = np.random.default_rng(rows)
+        cols = {dt: rng.integers(0, 100, rows).astype(dt)
+                for dt in ("bool", "int8", "int32", "int64", "uint16",
+                           "float32", "float64")}
+        cols["str"] = np.array([f"s{v}" for v in rng.integers(0, 9, rows)],
+                               dtype="<U3")
+        r = Relation(cols, key="int32")
+        mask = rng.random(rows) < 0.5
+        by_mask, by_idx = r.take(mask), r.take(np.flatnonzero(mask))
+        assert by_mask.fields == r.fields and by_mask.key == r.key
+        for f in r.fields:
+            assert by_mask[f].dtype == by_idx[f].dtype == r[f].dtype
+            assert by_mask[f].tobytes() == by_idx[f].tobytes()
+
+    def test_take_mask_wrong_length(self):
+        with pytest.raises(IndexError):
+            Relation({"a": [10, 20, 30]}).take(np.array([True, False]))
+
     def test_with_columns(self):
         r = Relation({"a": [1, 2]})
         r2 = r.with_columns({"b": np.array([3, 4])})
