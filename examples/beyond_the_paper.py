@@ -48,7 +48,7 @@ def main() -> None:
     print(f"   chose {decision.chosen.label}: "
           f"{result.throughput/1e9:.2f} GB/s")
     for cand in decision.ranked():
-        print(f"   - {cand.label}: {cand.price_s*1e3:.1f} ms simulated")
+        print(f"   - {cand.label}: {cand.price_text(digits=1)}")
 
     # 2. hybrid CPU+GPU -----------------------------------------------------
     print("\n2. hybrid CPU+GPU execution")

@@ -123,8 +123,7 @@ def _cmd_query(args) -> int:
           f"({auto.makespan*1e3:.1f} ms)")
     for cand in decision.ranked():
         marker = " (chosen)" if cand.option == decision.chosen.option else ""
-        print(f"       - {cand.label}: {cand.price_s*1e3:.3f} ms "
-              f"simulated{marker}")
+        print(f"       - {cand.label}: {cand.price_text()}{marker}")
     return 0
 
 
@@ -146,7 +145,7 @@ def _cmd_optimize(args) -> int:
         decision = opt.choose(plan, rows, max_devices=args.devices)
     cached = " [cached decision]" if decision.cache_hit else ""
     print(f"chosen: {decision.chosen.label} "
-          f"({decision.chosen.price_s*1e3:.3f} ms simulated){cached}")
+          f"({decision.chosen.price_text()}){cached}")
     if args.explain:
         print()
         print(decision.explain())

@@ -346,7 +346,7 @@ class ClusterExecutor:
         if has_local:
             for shard in range(n):
                 dev_id = owner[shard]
-                rows = self._shard_rows(dist, local, shard)
+                rows = shard_rows(dist, local, shard)
                 res = self._run_executor(local, rows, injector)
                 t0 = clock[dev_id]
                 timelines[dev_id].extend(res.timeline, offset=t0)
@@ -664,21 +664,6 @@ class ClusterExecutor:
         return ex.run(plan, rows,
                       ExecutionConfig(strategy=self.config.strategy))
 
-    def _shard_rows(self, dist: DistributedPlan, local: Plan,
-                    shard: int) -> dict[str, int]:
-        """Virtual row counts of shard `shard`'s slice of each source."""
-        rows: dict[str, int] = {}
-        needed = {s.name for s in local.sources()}
-        for src in dist.sources:
-            if src.name not in needed:
-                continue
-            if src.kind == "replicated":
-                rows[src.name] = src.rows
-            else:
-                rows[src.name] = even_counts(
-                    src.rows, dist.num_shards)[shard]
-        return rows
-
     # ------------------------------------------------------------------
     # functional path
     # ------------------------------------------------------------------
@@ -837,6 +822,24 @@ class ClusterExecutor:
             return xchg.merge_group_sorted(
                 parts, node.params.get("group_by") or [])
         return xchg.merge_concat(parts)
+
+
+def shard_rows(dist: DistributedPlan, local: Plan,
+               shard: int) -> dict[str, int]:
+    """Virtual row counts of shard `shard`'s slice of each source of the
+    shard-local plan `local`: replicated sources keep every row, the
+    others split evenly."""
+    rows: dict[str, int] = {}
+    needed = {s.name for s in local.sources()}
+    for src in dist.sources:
+        if src.name not in needed:
+            continue
+        if src.kind == "replicated":
+            rows[src.name] = src.rows
+        else:
+            rows[src.name] = even_counts(
+                src.rows, dist.num_shards)[shard]
+    return rows
 
 
 def single_device_makespan(plan: Plan, source_rows: dict[str, int],

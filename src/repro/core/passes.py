@@ -107,7 +107,7 @@ def compile_plan(plan: Plan, source_rows: dict[str, int],
             optimized, source_rows, include_cpubase=False)
         strategy = decision.chosen.option.strategy
         reasons = tuple(
-            f"{c.label}: {c.price_s * 1e3:.3f} ms simulated"
+            f"{c.label}: {c.price_text()}"
             + (" (chosen)" if c.option == decision.chosen.option else "")
             for c in decision.ranked())
     else:

@@ -1,11 +1,16 @@
 """The chooser: price every strategy, pick one, explain it, cache it.
 
 :meth:`Optimizer.choose` enumerates the registered strategy space
-(:mod:`repro.optimizer.space`), prices each option twice -- the analytic
-model for ordering/explanation, then (by default) the calibrated
-simulator itself for the authoritative makespan -- and returns a
-:class:`Decision` carrying every candidate's price, so callers can ask
-not just *what* was chosen but *why* and *what it beat*.
+(:mod:`repro.optimizer.space`) and prices every option with the analytic
+model (for explanation) and a provable lower bound on its simulated
+makespan.  It then confirms options on the calibrated simulator -- the
+authoritative price -- in branch-and-bound order: cheapest bound first,
+stopping once no remaining bound can beat the best confirmed price.  The
+returned :class:`Decision` carries every candidate's price (simulated,
+or the bound that ruled it out), so callers can ask not just *what* was
+chosen but *why* and *what it beat*.  :meth:`Optimizer.run` executes the
+winner by reusing the run that confirmed it whenever nothing about the
+execution differs from the confirmation.
 
 Decisions are content-addressed: the cache key is plan hash + stats
 digest + calibration fingerprint + cluster shape, so a repeat query
@@ -20,14 +25,16 @@ buy nothing, the optimizer should say so by picking the plain plan.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..errors import DeviceOOMError, FaultError, PlanError
-from ..plans.plan import Plan
-from ..runtime.executor import Executor, RunResult
+from ..plans.plan import OpType, Plan
+from ..runtime.executor import Executor
+from ..runtime.sizes import estimate_sizes, node_bytes
 from ..runtime.strategies import ExecutionConfig, Strategy
 from ..simgpu.device import DeviceSpec
+from ..simgpu.pcie import Direction, HostMemory, PcieModel
 from .costmodel import CostEstimate, CostModel
 from .fingerprint import (calibration_fingerprint, cluster_fingerprint,
                           plan_fingerprint)
@@ -50,24 +57,52 @@ def _rank(option: StrategyOption) -> int:
     return 6 + option.devices
 
 
+#: the note a candidate carries when branch and bound skipped it
+PRUNED_NOTE = "bound \u2265 best"
+
+
 @dataclass(frozen=True)
 class PricedOption:
-    """One candidate with its analytic and (optionally) simulated price."""
+    """One candidate with its analytic, lower-bound and (optionally)
+    simulated price."""
 
     option: StrategyOption
     est: CostEstimate
     #: the simulator's authoritative makespan; None when pricing was
-    #: analytic-only (``simulate=False``) or the option was infeasible
+    #: analytic-only (``simulate=False``), the option was infeasible, or
+    #: branch and bound never confirmed it
     sim_makespan_s: float | None = None
     feasible: bool = True
     notes: tuple[str, ...] = ()
+    #: provable lower bound on the simulated makespan
+    #: (:meth:`Optimizer._lower_bound`); None when it was not needed
+    bound_s: float | None = None
+
+    @property
+    def pruned(self) -> bool:
+        """Skipped by branch and bound: its bound could not beat the
+        chosen option, so it was never simulated."""
+        return (self.feasible and self.sim_makespan_s is None
+                and self.bound_s is not None)
 
     @property
     def price_s(self) -> float:
-        """What the chooser compares: simulated when available."""
+        """What the chooser compares: simulated when available, the
+        lower bound for a pruned option, else the analytic estimate."""
         if self.sim_makespan_s is not None:
             return self.sim_makespan_s
+        if self.pruned:
+            return self.bound_s
         return self.est.total_s
+
+    def price_text(self, digits: int = 3) -> str:
+        """The price in ms, saying where it came from."""
+        ms = f"{self.price_s * 1e3:.{digits}f} ms"
+        if self.sim_makespan_s is not None:
+            return f"{ms} simulated"
+        if self.pruned:
+            return f"\u2265 {ms} (lower bound, not simulated)"
+        return f"{ms} estimated"
 
     @property
     def label(self) -> str:
@@ -84,17 +119,24 @@ class Decision:
     calibration_fp: str
     max_devices: int
     chosen: PricedOption
-    #: every candidate, feasible first, each tier sorted by price
+    #: every candidate, in enumeration order
     candidates: tuple[PricedOption, ...]
     simulated: bool = True
     cache_key: str = ""
     cache_hit: bool = False
+    #: the simulator run that confirmed `chosen`, for
+    #: :meth:`Optimizer.run` to reuse; None on a cache hit or without
+    #: simulation, and never stored in the cache
+    confirmed_run: object = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     def ranked(self) -> list[PricedOption]:
-        """Feasible candidates, cheapest first."""
-        return sorted((c for c in self.candidates if c.feasible),
-                      key=lambda c: (c.price_s, _rank(c.option)))
+        """Feasible candidates: the priced ones cheapest first, then the
+        pruned ones by bound."""
+        key = (lambda c: (c.price_s, _rank(c.option)))
+        feasible = [c for c in self.candidates if c.feasible]
+        return (sorted((c for c in feasible if not c.pruned), key=key)
+                + sorted((c for c in feasible if c.pruned), key=key))
 
     def rejected(self, n: int = 2) -> list[PricedOption]:
         """The best `n` feasible candidates the chooser did not pick."""
@@ -103,11 +145,13 @@ class Decision:
 
     @property
     def best_price_s(self) -> float:
-        ranked = self.ranked()
+        """The cheapest price actually paid for (pruned bounds excluded)."""
+        ranked = [c for c in self.ranked() if not c.pruned]
         return ranked[0].price_s if ranked else self.chosen.price_s
 
     def explain(self) -> str:
-        """Human-readable pricing table (the ``--explain`` output)."""
+        """Human-readable pricing table (the ``--explain`` output); a
+        pruned candidate shows its lower bound in the sim column."""
         lines = [
             f"plan {self.plan_name}  stats {self.stats_digest[:12]}  "
             f"calibration {self.calibration_fp[:12]}  "
@@ -119,8 +163,11 @@ class Decision:
         for cand in self.ranked() + [c for c in self.candidates
                                      if not c.feasible]:
             mark = "*" if cand.option == self.chosen.option else " "
-            sim = ("" if cand.sim_makespan_s is None
-                   else f"{cand.sim_makespan_s * 1e3:10.3f}")
+            sim = ""
+            if cand.sim_makespan_s is not None:
+                sim = f"{cand.sim_makespan_s * 1e3:10.3f}"
+            elif cand.pruned:
+                sim = f"\u2265{cand.bound_s * 1e3:.3f}"
             note = "; ".join(cand.notes)
             if not cand.feasible:
                 note = ("infeasible" + (": " + note if note else ""))
@@ -141,6 +188,9 @@ class Decision:
             "optimizer.chosen_price_s": round(self.chosen.price_s, 9),
             "optimizer.simulated": int(self.simulated),
             "optimizer.candidates": len(self.candidates),
+            "optimizer.confirmed": sum(
+                1 for c in self.candidates
+                if c.bound_s is not None and not c.pruned),
         }
         for cand in self.candidates:
             key = f"candidate.{cand.label}"
@@ -148,6 +198,8 @@ class Decision:
             out[f"{key}.feasible"] = int(cand.feasible)
             if cand.sim_makespan_s is not None:
                 out[f"{key}.sim_s"] = round(cand.sim_makespan_s, 9)
+            if cand.bound_s is not None:
+                out[f"{key}.bound_s"] = round(cand.bound_s, 9)
         return out
 
 
@@ -196,30 +248,54 @@ class Optimizer:
 
         ctx = EnumContext(plan=plan, stats=stats, max_devices=max_devices,
                           schemes=schemes, include_cpubase=include_cpubase)
+        sizes = (estimate_sizes(plan, stats.source_rows())
+                 if self.simulate else None)
         priced: list[PricedOption] = []
+        #: (bound, rank, index) of every option left to confirm
+        pending: list[tuple[float, int, int]] = []
         for option in enumerate_from(ctx):
             dist = (ctx.distributable(option.devices)
                     if option.kind == "cluster" else None)
             est = self.cost_model.estimate(plan, stats, option, dist=dist)
-            sim, feasible, notes = None, True, []
+            priced.append(PricedOption(option=option, est=est))
             verdict = self._memory_verdict(plan, plan_fp, stats_dg,
                                            calib_fp, option, stats)
             if verdict is not None and verdict.certain_oom:
                 # hard-prune without simulating: the abstract interpreter
                 # proved the dispatch would raise DeviceOOMError
-                feasible = False
-                notes = [f"MEM701 certain OOM: {verdict.detail}"]
+                priced[-1] = dataclasses.replace(
+                    priced[-1], feasible=False,
+                    notes=(f"MEM701 certain OOM: {verdict.detail}",))
             elif self.simulate:
-                sim, feasible, notes = self._simulate(plan, stats, option)
-            priced.append(PricedOption(
-                option=option, est=est, sim_makespan_s=sim,
-                feasible=feasible, notes=tuple(notes)))
+                bound = self._lower_bound(plan, sizes, option, est, dist)
+                pending.append((bound, _rank(option), len(priced) - 1))
+
+        # branch and bound: confirm the cheapest bounds first; an option
+        # whose (bound, rank, index) already loses to the best confirmed
+        # (price, rank, index) cannot win, since price >= bound -- and
+        # neither can any option after it in this order
+        best: tuple[float, int, int] | None = None
+        best_run = None
+        for key in sorted(pending):
+            bound, rank, i = key
+            if best is not None and key > best:
+                priced[i] = dataclasses.replace(
+                    priced[i], bound_s=bound, notes=(PRUNED_NOTE,))
+                continue
+            sim, feasible, notes, run = self._simulate(
+                plan, stats, priced[i].option)
+            priced[i] = dataclasses.replace(
+                priced[i], sim_makespan_s=sim, feasible=feasible,
+                notes=tuple(notes), bound_s=bound)
+            if feasible and (best is None or (sim, rank, i) < best):
+                best, best_run = (sim, rank, i), run
 
         feasible = [c for c in priced if c.feasible]
         if not feasible:
             raise PlanError(
                 f"no feasible execution strategy for plan {plan.name!r}")
-        chosen = min(feasible, key=lambda c: (c.price_s, _rank(c.option)))
+        chosen = (priced[best[2]] if best is not None else
+                  min(feasible, key=lambda c: (c.price_s, _rank(c.option))))
         decision = Decision(
             plan_name=plan.name, plan_fp=plan_fp, stats_digest=stats_dg,
             calibration_fp=calib_fp, max_devices=max_devices, chosen=chosen,
@@ -227,7 +303,59 @@ class Optimizer:
             cache_key=cache_key)
         if self.cache is not None:
             self.cache.put(cache_key, decision)
-        return decision
+        return dataclasses.replace(decision, confirmed_run=best_run)
+
+    # ------------------------------------------------------------------
+    def _lower_bound(self, plan: Plan, sizes: dict[str, int],
+                     option: StrategyOption, est: CostEstimate,
+                     dist) -> float:
+        """Seconds no simulated run of `option` can beat.
+
+        Every transfer takes at least ``bytes / peak_bandwidth``
+        (:meth:`~repro.simgpu.pcie.PcieModel.peak_bandwidth`), a device
+        has one H2D copy engine, and every device strategy uploads every
+        source row once, chunked or not -- so the source bytes over the
+        pinned H2D peak bound each single-device option.  The round-trip
+        strategy always runs as one stream, so its spills (D2H) and
+        re-uploads (H2D) of every non-sink result, both through pageable
+        memory, add on top.  The host baseline's price is exactly
+        ``host_plan_time``, which the analytic estimate already is.  A
+        cluster option is bounded by its busiest shard's upload of the
+        shard-local plan's sources on a contended device.
+        """
+        if option.kind == "cpubase":
+            return est.host_s
+        if option.kind == "single":
+            pcie = self.cost_model.pcie
+            bound = (sum(node_bytes(s, sizes) for s in plan.sources())
+                     / pcie.peak_bandwidth(Direction.H2D, HostMemory.PINNED))
+            if option.strategy is Strategy.WITH_ROUND_TRIP:
+                sinks = {n.name for n in plan.sinks()}
+                spilled = sum(node_bytes(n, sizes) for n in plan.nodes
+                              if n.op is not OpType.SOURCE
+                              and n.name not in sinks)
+                bound += (
+                    spilled / pcie.peak_bandwidth(Direction.H2D,
+                                                  HostMemory.PAGED)
+                    + spilled / pcie.peak_bandwidth(Direction.D2H,
+                                                    HostMemory.PAGED))
+            return bound
+        from ..cluster.executor import shard_rows
+        from ..cluster.host import ClusterSpec, contended_device
+        local = (dist.preagg_plan()
+                 if option.preagg and dist.preagg is not None
+                 else dist.local_plan())
+        if all(n.op is OpType.SOURCE for n in local.nodes):
+            return 0.0  # no shard-local phase runs at all
+        sharers = ClusterSpec(num_devices=option.devices,
+                              pcie_sharers=self.pcie_sharers).sharers
+        pcie = PcieModel(contended_device(self.device, sharers).calib.pcie)
+        busiest = max(
+            sum(node_bytes(s, shard_rows(dist, local, shard))
+                for s in local.sources())
+            for shard in range(option.devices))
+        return busiest / pcie.peak_bandwidth(Direction.H2D,
+                                              HostMemory.PINNED)
 
     # ------------------------------------------------------------------
     def _memory_verdict(self, plan: Plan, plan_fp: str, stats_dg: str,
@@ -256,38 +384,44 @@ class Optimizer:
     def _simulate(self, plan: Plan, stats: DataStats,
                   option: StrategyOption):
         """Authoritative price: actually run the option on the simulator.
-        Returns (makespan | None, feasible, notes)."""
-        rows = stats.source_rows()
+        Returns (makespan | None, feasible, notes, run | None)."""
         try:
-            if option.kind == "cpubase":
-                res = self._executor().run_cpubase(plan, rows)
-                return res.makespan, True, []
-            if option.kind == "single":
-                res = self._executor().run(
-                    plan, rows, ExecutionConfig(strategy=option.strategy))
-                notes = ([f"{res.num_chunks} chunks"]
-                         if res.num_chunks > 1 else [])
-                return res.makespan, True, notes
-            from ..cluster.executor import ClusterConfig, ClusterExecutor
-            cx = ClusterExecutor(
-                self.device, costs=self.costs, plan_cache=self.cache,
-                config=ClusterConfig(
-                    num_devices=option.devices, scheme=option.scheme,
-                    seed=self.cluster_seed, strategy=option.strategy,
-                    pcie_sharers=self.pcie_sharers, preagg=option.preagg,
-                    merge=option.merge))
-            res = cx.run(plan, rows)
-            return res.makespan, True, []
+            res = self._execute(plan, stats.source_rows(), option)
         except (DeviceOOMError, PlanError, FaultError, KeyError,
                 ValueError) as err:
-            return None, False, [f"{type(err).__name__}: {err}"]
+            return None, False, [f"{type(err).__name__}: {err}"], None
+        notes = ([f"{res.num_chunks} chunks"]
+                 if option.kind == "single" and res.num_chunks > 1 else [])
+        return res.makespan, True, notes, res
+
+    def _execute(self, plan: Plan, rows: dict[str, int],
+                 option: StrategyOption, faults=None, check: bool = False,
+                 analyze: bool = False):
+        """One run of `option`: a RunResult, or a ClusterRunResult for a
+        cluster option."""
+        if option.kind == "cpubase":
+            return self._executor(faults=faults, check=check).run_cpubase(
+                plan, rows)
+        if option.kind == "single":
+            return self._executor(faults=faults, check=check,
+                                  analyze=analyze).run(
+                plan, rows, ExecutionConfig(strategy=option.strategy))
+        from ..cluster.executor import ClusterConfig, ClusterExecutor
+        cx = ClusterExecutor(
+            self.device, costs=self.costs, plan_cache=self.cache,
+            config=ClusterConfig(
+                num_devices=option.devices, scheme=option.scheme,
+                seed=self.cluster_seed, strategy=option.strategy,
+                check=check, faults=faults, analyze=analyze,
+                pcie_sharers=self.pcie_sharers, preagg=option.preagg,
+                merge=option.merge))
+        return cx.run(plan, rows)
 
     def _executor(self, faults=None, check: bool = False,
                   analyze: bool = False) -> Executor:
-        ex = Executor(self.device, costs=self.costs, check=check,
-                      faults=faults, analyze=analyze,
-                      plan_cache=self.cache)
-        return ex
+        return Executor(self.device, costs=self.costs, check=check,
+                        faults=faults, analyze=analyze,
+                        plan_cache=self.cache)
 
     # ------------------------------------------------------------------
     def run(self, plan: Plan, source_rows: dict[str, int] | None = None,
@@ -301,34 +435,30 @@ class Optimizer:
         :class:`~repro.runtime.executor.RunResult` for single-device /
         host choices and a
         :class:`~repro.cluster.executor.ClusterRunResult` for cluster
-        choices.  A run that degrades off the chosen strategy (fault
-        ladder) *invalidates* the cached decision instead of pinning the
-        failed strategy for future queries.
+        choices.  The run that confirmed the choice
+        (:attr:`Decision.confirmed_run`) is returned as is when this
+        execution would repeat it exactly: no faults, no
+        sanitizer, no static pre-flight, a fresh (not cached) decision,
+        and the same source rows the decision was priced on.  A run that
+        degrades off the chosen strategy (fault ladder) *invalidates* the
+        cached decision instead of pinning the failed strategy for future
+        queries.
         """
+        rows = source_rows if source_rows is not None else (
+            stats.source_rows() if stats is not None else {})
+        if stats is None:
+            stats = DataStats.from_rows(plan, source_rows)
         decision = self.choose(plan, source_rows, stats=stats,
                                max_devices=max_devices, schemes=schemes,
                                include_cpubase=include_cpubase)
-        option = decision.chosen.option
-        rows = source_rows if source_rows is not None else (
-            stats.source_rows() if stats is not None else {})
-        if option.kind == "cpubase":
-            result: object = self._executor(
-                faults=faults, check=check).run_cpubase(plan, rows)
-        elif option.kind == "single":
-            result = self._executor(faults=faults, check=check,
-                                    analyze=analyze).run(
-                plan, rows, ExecutionConfig(strategy=option.strategy))
-        else:
-            from ..cluster.executor import ClusterConfig, ClusterExecutor
-            cx = ClusterExecutor(
-                self.device, costs=self.costs, plan_cache=self.cache,
-                config=ClusterConfig(
-                    num_devices=option.devices, scheme=option.scheme,
-                    seed=self.cluster_seed, strategy=option.strategy,
-                    check=check, faults=faults, analyze=analyze,
-                    pcie_sharers=self.pcie_sharers, preagg=option.preagg,
-                    merge=option.merge))
-            result = cx.run(plan, rows)
+        result = decision.confirmed_run
+        priced_rows = {s.name: rows[s.name] for s in plan.sources()
+                       if s.name in rows}
+        if (result is None or faults is not None or check or analyze
+                or priced_rows != stats.source_rows()):
+            result = self._execute(plan, rows, decision.chosen.option,
+                                   faults=faults, check=check,
+                                   analyze=analyze)
         degraded = getattr(result, "degraded_to", None)
         if degraded is None and hasattr(result, "shard_runs"):
             if any(r.degraded_to for r in result.shard_runs):

@@ -41,6 +41,16 @@ class PcieModel:
         }
         return table[(direction, memory)]
 
+    def peak_bandwidth(self, direction: Direction, memory: HostMemory) -> float:
+        """The fastest any transfer can stream: ``transfer_time(n) >=
+        n / peak_bandwidth`` for every ``n``, because the ramp and the
+        pinned degradation only lower the asymptote, and the latency and
+        the ``host_share_bw`` cap only add time."""
+        bw = self._asymptotic_bw(direction, memory)
+        if self.calib.host_share_bw is not None:
+            bw = min(bw, self.calib.host_share_bw)
+        return bw
+
     def bandwidth(self, nbytes: float, direction: Direction, memory: HostMemory) -> float:
         """Effective bandwidth (bytes/s) for a transfer of `nbytes`.
 
