@@ -10,7 +10,7 @@ q1 / q21 / q6
 optimize    price every execution strategy for a query with the
             cost-based optimizer (docs/OPTIMIZER.md): --explain prints
             the full pricing table, --no-cache disables the
-            compiled-plan cache, --repeat exercises cache hits
+            plan cache, --repeat exercises cache hits
 fuse        show what the fusion pass does to a query plan (+ rendered
             fused-kernel source with --render)
 trace       write a Chrome trace of a strategy run for visual inspection
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "enumerated strategy with its analytic "
                             "estimate and simulated makespan")
     p_opt.add_argument("--no-cache", action="store_true",
-                       help="disable the compiled-plan cache (every "
+                       help="disable the plan cache (every "
                             "repeat re-prices from scratch)")
     p_opt.add_argument("--repeat", type=int, default=1,
                        help="ask for the same decision N times (repeats "

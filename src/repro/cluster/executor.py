@@ -76,7 +76,7 @@ from ..plans.interp import evaluate
 from ..plans.plan import OpType, Plan
 from ..ra.relation import Relation
 from ..runtime.executor import Executor, RunResult
-from ..runtime.sizes import estimate_sizes
+from ..runtime.sizes import PlanShape
 from ..runtime.strategies import ExecutionConfig, Strategy
 from ..simgpu.device import DeviceSpec
 from ..simgpu.timeline import EventKind, Timeline
@@ -248,10 +248,10 @@ class ClusterExecutor:
             num_devices=config.num_devices, base=self.base_device,
             pcie_sharers=config.pcie_sharers)
         self.device = contended_device(self.base_device, self.spec.sharers)
-        #: content-addressed compiled-plan cache
+        #: content-addressed plan cache
         #: (:class:`repro.optimizer.plancache.PlanCache`): the distribution
         #: rewrite is reused across runs of the same (plan, stats) on the
-        #: same cluster shape, and per-shard Executors share the cache
+        #: same cluster shape
         self.plan_cache = plan_cache
 
     # ------------------------------------------------------------------
@@ -285,15 +285,20 @@ class ClusterExecutor:
     def _as_dist(self, plan, source_rows) -> DistributedPlan:
         if isinstance(plan, DistributedPlan):
             return plan
+        if isinstance(plan, PlanShape):
+            plan = plan.plan
         return self.distribute(plan, source_rows)
 
     # ------------------------------------------------------------------
     # timing path
     # ------------------------------------------------------------------
-    def run(self, plan: "Plan | DistributedPlan",
+    def run(self, plan: "Plan | PlanShape | DistributedPlan",
             source_rows: dict[str, int]) -> ClusterRunResult:
+        """Time `plan` on the cluster; a :class:`PlanShape` shares the
+        whole plan's sizes with the caller."""
         cfg = self.config
         dist = self._as_dist(plan, source_rows)
+        shape = plan if isinstance(plan, PlanShape) else PlanShape(dist.plan)
         if cfg.analyze:
             self._memory_preflight(dist, source_rows)
         n = cfg.num_devices
@@ -301,7 +306,8 @@ class ClusterExecutor:
         notes: list[str] = list(dist.notes)
 
         if n == 1:
-            return self._run_single(dist, source_rows, injector, notes)
+            return self._run_single(dist, shape, source_rows, injector,
+                                    notes)
 
         # -- device-loss probes (phase 1) -------------------------------
         lost: set[int] = set()
@@ -330,6 +336,8 @@ class ClusterExecutor:
         local = (dist.preagg_plan() if dist.preagg is not None
                  else dist.local_plan())
         has_local = any(nd.op is not OpType.SOURCE for nd in local.nodes)
+        # every shard runs the same local plan: size and fuse it once
+        local_shape = PlanShape(local)
         owner: dict[int, int] = {}
         assigned = {d: 0 for d in alive}
         for shard in range(n):
@@ -346,17 +354,15 @@ class ClusterExecutor:
         if has_local:
             for shard in range(n):
                 dev_id = owner[shard]
-                rows = shard_rows(dist, local, shard)
-                res = self._run_executor(local, rows, injector)
+                res = self._run_executor(
+                    local_shape, shard_rows(dist, local, shard), injector)
                 t0 = clock[dev_id]
                 timelines[dev_id].extend(res.timeline, offset=t0)
                 h2d, d2h, out = _phase_bytes(res.timeline)
                 local_out_total += out
                 clock[dev_id] = t0 + res.timeline.end_time
-                f_rows = 0.0
-                if dist.frontier:
-                    f_rows = float(estimate_sizes(local, rows).get(
-                        dist.frontier[0], 0.0))
+                f_rows = (float(res.sizes.get(dist.frontier[0], 0.0))
+                          if dist.frontier else 0.0)
                 local_info[shard] = (t0, res.timeline.end_time, out, f_rows)
                 shard_runs.append(ShardRun(
                     shard=shard, device=dev_id, phase="local", start=t0,
@@ -369,7 +375,6 @@ class ClusterExecutor:
         # -- phase 2/3: exchange / host suffix / merge ------------------
         exchange_out = exchange_in = merge_bytes = 0.0
         exchange_out_per_device = 0.0
-        sizes = estimate_sizes(dist.plan, source_rows)
         if dist.suffix_mode == "exchange":
             ex = dist.exchange
             # destinations and key-group routing are fixed when the
@@ -439,8 +444,9 @@ class ClusterExecutor:
                             t_barrier, t_barrier + detect_s, EventKind.HOST,
                             f"fault.device_loss.device.{dev_id}.suffix")
 
-            suffix = (dist.combine_plan() if dist.preagg is not None
-                      else dist.suffix_plan())
+            # every destination runs the same suffix plan
+            suffix = PlanShape(dist.combine_plan() if dist.preagg is not None
+                               else dist.suffix_plan())
             src_name = (f"{dist.preagg.agg}.partial"
                         if dist.preagg is not None else ex.buffer)
             unit = float(dist.preagg.state_row_nbytes
@@ -490,6 +496,7 @@ class ClusterExecutor:
             host_tl.add(t3, t3 + merge_s, EventKind.HOST, "cluster.merge",
                         nbytes=merge_bytes)
         elif dist.suffix_mode == "host":
+            sizes = shape.sizes(source_rows)
             if dist.preagg is not None:
                 # per-shard partial-state blocks combine pairwise up a
                 # device-level tree; the host ingests only the root and
@@ -568,7 +575,8 @@ class ClusterExecutor:
         return result
 
     # ------------------------------------------------------------------
-    def _run_single(self, dist: DistributedPlan, source_rows: dict[str, int],
+    def _run_single(self, dist: DistributedPlan, shape: PlanShape,
+                    source_rows: dict[str, int],
                     injector: FaultInjector | None,
                     notes: list[str]) -> ClusterRunResult:
         """num_devices == 1: the cluster degenerates to the plain
@@ -579,7 +587,7 @@ class ClusterExecutor:
         if injector is not None and injector.device_loss("device.0"):
             notes.append("sole device probed lost; retained "
                          "(no survivor to recover on)")
-        res = self._run_executor(dist.plan, dict(source_rows), injector)
+        res = self._run_executor(shape, dict(source_rows), injector)
         h2d, d2h, out = _phase_bytes(res.timeline)
         result = ClusterRunResult(
             config=cfg, dist=dist, device_timelines={0: res.timeline},
@@ -655,12 +663,11 @@ class ClusterExecutor:
                               device=self.device)
         Analyzer(self.device, self.costs).run(target, strict=True)
 
-    def _run_executor(self, plan: Plan, rows: dict[str, int],
+    def _run_executor(self, plan: "Plan | PlanShape", rows: dict[str, int],
                       injector: FaultInjector | None) -> RunResult:
         ex = Executor(self.device, costs=self.costs, check=self.config.check,
                       faults=injector,
-                      degrade=True if injector is not None else None,
-                      plan_cache=self.plan_cache)
+                      degrade=True if injector is not None else None)
         return ex.run(plan, rows,
                       ExecutionConfig(strategy=self.config.strategy))
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.fusion import fuse_plan
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cluster.host import contended_device
 from ..cpubase.select import host_plan_time
 from ..plans.distribute import DistributedPlan
 from ..plans.plan import Plan
-from ..runtime.sizes import estimate_sizes, node_bytes, region_bytes
+from ..runtime.sizes import PlanShape, node_bytes, region_bytes
 from ..runtime.strategies import Strategy
 from ..simgpu.device import DeviceSpec
 from ..simgpu.pcie import Direction, HostMemory, PcieModel
@@ -83,37 +82,30 @@ class CostModel:
         self.pcie = PcieModel(self.device.calib.pcie)
 
     # ------------------------------------------------------------------
-    def estimate(self, plan: Plan, stats: DataStats, option: StrategyOption,
+    def estimate(self, plan: "Plan | PlanShape", stats: DataStats,
+                 option: StrategyOption,
                  dist: DistributedPlan | None = None) -> CostEstimate:
         """Price one option; ``dist`` (when the caller already distributed
         the plan) refines the cluster estimates with the real exchange
-        and pre-aggregation specs."""
+        and pre-aggregation specs.  Pricing several options over one
+        :class:`PlanShape` estimates sizes and fuses the plan once."""
+        shape = PlanShape.of(plan)
         if option.kind == "cpubase":
-            return self._estimate_cpubase(plan, stats, option)
+            return CostEstimate(option=option, host_s=host_plan_time(
+                shape.plan.nodes, shape.sizes(stats.source_rows()),
+                self.device.calib.cpu))
         if option.kind == "cluster":
-            return self._estimate_cluster(plan, stats, option, dist)
-        return self._estimate_single(plan, stats, option)
+            return self._estimate_cluster(shape, stats, option, dist)
+        return self._estimate_single(shape, stats, option)
 
     # -- single device ---------------------------------------------------
-    def _plan_shape(self, plan: Plan, stats: DataStats, fused: bool):
-        """(sizes, per-region (in_bytes, out_bytes, is_barrier, n_in))."""
-        sizes = estimate_sizes(plan, stats.source_rows())
-        fusion = fuse_plan(plan, enable=fused)
-        regions = []
-        for region in fusion.regions:
-            primary, in_bytes, out_bytes = region_bytes(region, sizes)
-            regions.append((in_bytes, out_bytes, region.is_barrier_op,
-                            sizes[primary.name]))
-        return sizes, fusion, regions
-
-    def _estimate_single(self, plan: Plan, stats: DataStats,
-                         option: StrategyOption,
-                         pcie: PcieModel | None = None) -> CostEstimate:
+    def _estimate_single(self, shape: PlanShape, stats: DataStats,
+                         option: StrategyOption) -> CostEstimate:
         strategy = option.strategy
-        pcie = pcie or self.pcie
+        pcie = self.pcie
         gpu = self.device.calib.gpu
-        sizes, fusion, regions = self._plan_shape(
-            plan, stats, strategy.uses_fusion)
+        plan = shape.plan
+        sizes = shape.sizes(stats.source_rows())
 
         input_bytes = sum(node_bytes(s, sizes) for s in plan.sources())
         output_bytes = sum(node_bytes(n, sizes) for n in plan.sinks())
@@ -125,10 +117,12 @@ class CostModel:
         kernel_s = 0.0
         launches = 0
         roundtrip_s = 0.0
-        for in_b, out_b, is_barrier, n_in in regions:
+        for region in shape.fusion(strategy.uses_fusion).regions:
+            primary, in_b, out_b = region_bytes(region, sizes)
             touched = in_b + out_b
-            if is_barrier:
+            if region.is_barrier_op:
                 # multi-pass device sort/group: log2(n) sweeps over the data
+                n_in = sizes[primary.name]
                 touched *= max(1.0, math.log2(max(float(n_in), 2.0)) / 4.0)
             kernel_s += touched / gpu.mem_bw
             launches += 1
@@ -152,15 +146,8 @@ class CostModel:
             option=option, h2d_s=h2d_s, kernel_s=kernel_s, d2h_s=d2h_s,
             launch_s=launch_s, roundtrip_s=roundtrip_s, overlap_s=overlap_s)
 
-    # -- host baseline ---------------------------------------------------
-    def _estimate_cpubase(self, plan: Plan, stats: DataStats,
-                          option: StrategyOption) -> CostEstimate:
-        sizes = estimate_sizes(plan, stats.source_rows())
-        return CostEstimate(option=option, host_s=host_plan_time(
-            plan.nodes, sizes, self.device.calib.cpu))
-
     # -- cluster ---------------------------------------------------------
-    def _estimate_cluster(self, plan: Plan, stats: DataStats,
+    def _estimate_cluster(self, shape: PlanShape, stats: DataStats,
                           option: StrategyOption,
                           dist: DistributedPlan | None) -> CostEstimate:
         n = option.devices
@@ -173,7 +160,7 @@ class CostModel:
         # capped at this device's share of the host (cluster/host.py)
         cdev = contended_device(self.device, n)
         local = CostModel(cdev, self.costs)._estimate_single(
-            plan, shard_stats,
+            shape, shard_stats,
             StrategyOption(kind="single", strategy=option.strategy))
 
         exchange_s = 0.0
@@ -188,9 +175,10 @@ class CostModel:
                 exchange_bytes = float(ex.est_bytes)
             exchange_s = exchange_bytes / self.costs.host_gather_bw
         elif dist is not None and dist.suffix_mode == "host":
-            sizes = estimate_sizes(plan, stats.source_rows())
+            sizes = shape.sizes(stats.source_rows())
             exchange_s = host_plan_time(
-                (n for n in plan.nodes if n.name not in dist.local_names),
+                (n for n in shape.plan.nodes
+                 if n.name not in dist.local_names),
                 sizes, self.device.calib.cpu)
 
         # host merge of per-device results: tree pays log2(N) rounds on

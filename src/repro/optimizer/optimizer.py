@@ -31,7 +31,7 @@ from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..errors import DeviceOOMError, FaultError, PlanError
 from ..plans.plan import OpType, Plan
 from ..runtime.executor import Executor
-from ..runtime.sizes import estimate_sizes, node_bytes
+from ..runtime.sizes import PlanShape, node_bytes
 from ..runtime.strategies import ExecutionConfig, Strategy
 from ..simgpu.device import DeviceSpec
 from ..simgpu.pcie import Direction, HostMemory, PcieModel
@@ -214,8 +214,9 @@ class Optimizer:
                  pcie_sharers: int | None = None):
         self.device = device or DeviceSpec()
         self.costs = costs
-        #: shared plan cache: decisions land here, and the executors this
-        #: optimizer spawns reuse it for their compiled artifacts
+        #: shared plan cache: decisions and memory verdicts land here, and
+        #: the cluster executors this optimizer spawns reuse it for their
+        #: distribution rewrites
         self.cache = cache
         #: refine analytic prices with the simulator (authoritative)
         self.simulate = simulate
@@ -224,11 +225,18 @@ class Optimizer:
         self.cost_model = CostModel(self.device, costs)
 
     # ------------------------------------------------------------------
-    def choose(self, plan: Plan, source_rows: dict[str, int] | None = None,
+    def choose(self, plan: "Plan | PlanShape",
+               source_rows: dict[str, int] | None = None,
                stats: DataStats | None = None, max_devices: int = 1,
                schemes: tuple[str, ...] = ("hash",),
                include_cpubase: bool = True) -> Decision:
-        """Price the strategy space for (plan, stats) and pick a winner."""
+        """Price the strategy space for (plan, stats) and pick a winner.
+
+        One :class:`PlanShape` feeds the cost model, the memory verdicts,
+        the bounds and every confirming run, so the plan is sized and
+        fused once per fusion flag."""
+        shape = PlanShape.of(plan)
+        plan = shape.plan
         plan.validate()
         if stats is None:
             stats = DataStats.from_rows(plan, source_rows)
@@ -248,17 +256,15 @@ class Optimizer:
 
         ctx = EnumContext(plan=plan, stats=stats, max_devices=max_devices,
                           schemes=schemes, include_cpubase=include_cpubase)
-        sizes = (estimate_sizes(plan, stats.source_rows())
-                 if self.simulate else None)
         priced: list[PricedOption] = []
         #: (bound, rank, index) of every option left to confirm
         pending: list[tuple[float, int, int]] = []
         for option in enumerate_from(ctx):
             dist = (ctx.distributable(option.devices)
                     if option.kind == "cluster" else None)
-            est = self.cost_model.estimate(plan, stats, option, dist=dist)
+            est = self.cost_model.estimate(shape, stats, option, dist=dist)
             priced.append(PricedOption(option=option, est=est))
-            verdict = self._memory_verdict(plan, plan_fp, stats_dg,
+            verdict = self._memory_verdict(shape, plan_fp, stats_dg,
                                            calib_fp, option, stats)
             if verdict is not None and verdict.certain_oom:
                 # hard-prune without simulating: the abstract interpreter
@@ -267,7 +273,7 @@ class Optimizer:
                     priced[-1], feasible=False,
                     notes=(f"MEM701 certain OOM: {verdict.detail}",))
             elif self.simulate:
-                bound = self._lower_bound(plan, sizes, option, est, dist)
+                bound = self._lower_bound(shape, stats, option, est, dist)
                 pending.append((bound, _rank(option), len(priced) - 1))
 
         # branch and bound: confirm the cheapest bounds first; an option
@@ -283,7 +289,7 @@ class Optimizer:
                     priced[i], bound_s=bound, notes=(PRUNED_NOTE,))
                 continue
             sim, feasible, notes, run = self._simulate(
-                plan, stats, priced[i].option)
+                shape, stats, priced[i].option)
             priced[i] = dataclasses.replace(
                 priced[i], sim_makespan_s=sim, feasible=feasible,
                 notes=tuple(notes), bound_s=bound)
@@ -306,7 +312,7 @@ class Optimizer:
         return dataclasses.replace(decision, confirmed_run=best_run)
 
     # ------------------------------------------------------------------
-    def _lower_bound(self, plan: Plan, sizes: dict[str, int],
+    def _lower_bound(self, shape: PlanShape, stats: DataStats,
                      option: StrategyOption, est: CostEstimate,
                      dist) -> float:
         """Seconds no simulated run of `option` can beat.
@@ -326,6 +332,8 @@ class Optimizer:
         if option.kind == "cpubase":
             return est.host_s
         if option.kind == "single":
+            plan = shape.plan
+            sizes = shape.sizes(stats.source_rows())
             pcie = self.cost_model.pcie
             bound = (sum(node_bytes(s, sizes) for s in plan.sources())
                      / pcie.peak_bandwidth(Direction.H2D, HostMemory.PINNED))
@@ -358,7 +366,7 @@ class Optimizer:
                                               HostMemory.PINNED)
 
     # ------------------------------------------------------------------
-    def _memory_verdict(self, plan: Plan, plan_fp: str, stats_dg: str,
+    def _memory_verdict(self, shape: PlanShape, plan_fp: str, stats_dg: str,
                         calib_fp: str, option: StrategyOption,
                         stats: DataStats):
         """Static memory verdict for a single-device option, cached under
@@ -373,15 +381,15 @@ class Optimizer:
             hit = self.cache.get(key)
             if hit is not None:
                 return hit
-        verdict = check_strategy(plan, option.strategy,
-                                 stats.source_rows(), self.device,
-                                 stats=stats)
+        verdict = check_strategy(
+            shape.plan, option.strategy, stats.source_rows(), self.device,
+            stats=stats, fusion=shape.fusion(option.strategy.uses_fusion))
         if self.cache is not None:
             self.cache.put(key, verdict)
         return verdict
 
     # ------------------------------------------------------------------
-    def _simulate(self, plan: Plan, stats: DataStats,
+    def _simulate(self, plan: "Plan | PlanShape", stats: DataStats,
                   option: StrategyOption):
         """Authoritative price: actually run the option on the simulator.
         Returns (makespan | None, feasible, notes, run | None)."""
@@ -394,7 +402,7 @@ class Optimizer:
                  if option.kind == "single" and res.num_chunks > 1 else [])
         return res.makespan, True, notes, res
 
-    def _execute(self, plan: Plan, rows: dict[str, int],
+    def _execute(self, plan: "Plan | PlanShape", rows: dict[str, int],
                  option: StrategyOption, faults=None, check: bool = False,
                  analyze: bool = False):
         """One run of `option`: a RunResult, or a ClusterRunResult for a
@@ -420,8 +428,7 @@ class Optimizer:
     def _executor(self, faults=None, check: bool = False,
                   analyze: bool = False) -> Executor:
         return Executor(self.device, costs=self.costs, check=check,
-                        faults=faults, analyze=analyze,
-                        plan_cache=self.cache)
+                        faults=faults, analyze=analyze)
 
     # ------------------------------------------------------------------
     def run(self, plan: Plan, source_rows: dict[str, int] | None = None,
@@ -448,7 +455,8 @@ class Optimizer:
             stats.source_rows() if stats is not None else {})
         if stats is None:
             stats = DataStats.from_rows(plan, source_rows)
-        decision = self.choose(plan, source_rows, stats=stats,
+        shape = PlanShape(plan)
+        decision = self.choose(shape, source_rows, stats=stats,
                                max_devices=max_devices, schemes=schemes,
                                include_cpubase=include_cpubase)
         result = decision.confirmed_run
@@ -456,7 +464,7 @@ class Optimizer:
                        if s.name in rows}
         if (result is None or faults is not None or check or analyze
                 or priced_rows != stats.source_rows()):
-            result = self._execute(plan, rows, decision.chosen.option,
+            result = self._execute(shape, rows, decision.chosen.option,
                                    faults=faults, check=check,
                                    analyze=analyze)
         degraded = getattr(result, "degraded_to", None)

@@ -1,14 +1,21 @@
-"""The content-addressed compiled-plan cache.
+"""The content-addressed plan cache.
 
 A bounded LRU keyed by sha256 digests (:func:`repro.optimizer.fingerprint
 .digest`) of plan hash + stats digest + calibration / cluster
-fingerprints.  Three artifact families share one cache:
+fingerprints.  Four artifact families share one cache:
 
-* ``decision:*`` -- whole optimizer decisions (strategy choice + prices),
-* ``compiled:*`` -- the Executor's per-(plan, stats, strategy) size map
-  and fusion result (skips re-planning on repeat runs),
-* ``serve:*``    -- fully-priced serve dispatches (makespan + timeline),
-  so a repeat batch skips planning, analysis, and simulation entirely.
+* ``decision:*``    -- whole optimizer decisions (strategy choice +
+  prices),
+* ``absint:*``      -- the optimizer's per-strategy static memory
+  verdicts (:func:`repro.analyze.memory_check.check_strategy`),
+* ``distributed:*`` -- the cluster executor's distribution rewrite of a
+  plan at one cluster shape,
+* ``serve:*``       -- fully-priced serve dispatches (makespan +
+  timeline), so a repeat batch skips planning, analysis, and simulation
+  entirely.
+
+Sizes and fusion regions are not cached here: they are shared within
+one planning call through a :class:`~repro.runtime.sizes.PlanShape`.
 
 Every entry stores a checksum of its value at ``put`` time; ``get``
 re-verifies it, so a corrupted entry (bit-flip, in-place mutation by a

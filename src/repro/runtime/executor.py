@@ -17,12 +17,10 @@ lowering's semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from ..core.cost import FusionCostModel
-from ..core.fission import (FissionConfig, Segment, run_fissioned,
-                            split_for_fission)
-from ..core.fusion import FusionResult, Region, fuse_plan
+from ..core.fission import Segment, run_fissioned, split_for_fission
+from ..core.fusion import FusionResult, Region
 from ..core.opmodels import chain_for_node, chain_for_region, out_row_nbytes
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import host_plan_time
@@ -34,8 +32,7 @@ from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
 from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import EventKind, Timeline
-from .sizes import (chunk_count, estimate_sizes, footprint, node_bytes,
-                    region_bytes)
+from .sizes import PlanShape, chunk_count, footprint, node_bytes, region_bytes
 from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
 
 
@@ -117,15 +114,12 @@ class Executor:
 
     def __init__(self, device: DeviceSpec | None = None,
                  costs: StageCostParams = DEFAULT_STAGE_COSTS,
-                 cost_model: FusionCostModel | None = None,
                  check: bool = False,
                  faults: "FaultPlan | FaultInjector | None" = None,
                  degrade: bool | None = None,
-                 analyze: bool = False,
-                 plan_cache=None):
+                 analyze: bool = False):
         self.device = device or DeviceSpec()
         self.costs = costs
-        self.cost_model = cost_model
         #: strict mode: sanitize every schedule this executor produces and
         #: raise ScheduleInvariantError at the first violation
         self.check = check
@@ -140,60 +134,19 @@ class Executor:
         #: fall back through cheaper strategies when faults keep winning;
         #: None means "degrade iff faults are enabled"
         self.degrade = degrade
-        self._injector: FaultInjector | None = None
-        #: content-addressed compiled-plan cache
-        #: (:class:`repro.optimizer.plancache.PlanCache`): size estimation,
-        #: fusion, and their static pre-flight are reused across runs of
-        #: the same (plan, stats, strategy) on the same calibration
-        self.plan_cache = plan_cache
-        self._device_fp: str | None = None
 
     # ------------------------------------------------------------------
     def _analyzer(self):
         from ..analyze import Analyzer
         return Analyzer(self.device, self.costs)
 
-    def _calibration_fp(self) -> str:
-        if self._device_fp is None:
-            from ..optimizer.fingerprint import calibration_fingerprint
-            self._device_fp = calibration_fingerprint(self.device)
-        return self._device_fp
-
-    def _compiled(self, plan: Plan, source_rows: dict[str, int] | None,
-                  config: ExecutionConfig):
-        """Size estimation + fusion (+ the fusion pre-flight), cached by
-        content.  Cache hits verify the stored plan is the *same object*:
-        the scheduler compares plan nodes by identity, so a fusion result
-        is only reusable for the plan object that produced it."""
-        cache = self.plan_cache
-        key = None
-        if cache is not None:
-            from ..optimizer.fingerprint import plan_fingerprint
-            key = cache.key(
-                "compiled", plan_fingerprint(plan), source_rows or {},
-                self._calibration_fp(), config.strategy.value,
-                self.cost_model is not None, self.analyze)
-            hit = cache.get(key)
-            if hit is not None and hit[0] is plan:
-                _, sizes, fusion, reports = hit
-                self._analysis_reports.extend(reports)
-                return sizes, fusion
-        sizes = estimate_sizes(plan, source_rows or {})
-        fusion = fuse_plan(
-            plan,
-            cost_model=self.cost_model if config.strategy.uses_fusion else None,
-            enable=config.strategy.uses_fusion,
-        )
-        reports: list = []
-        if self.analyze:
-            reports.append(self._analyzer().run(fusion, strict=True))
-            self._analysis_reports.extend(reports)
-        if cache is not None:
-            cache.put(key, (plan, sizes, fusion, reports))
-        return sizes, fusion
-
-    def run(self, plan: Plan, source_rows: dict[str, int] | None = None,
+    def run(self, plan: "Plan | PlanShape",
+            source_rows: dict[str, int] | None = None,
             config: ExecutionConfig = ExecutionConfig()) -> RunResult:
+        """Time `plan` under `config`; a :class:`PlanShape` lets repeated
+        runs of one plan share its sizes and fusion regions."""
+        shape = PlanShape.of(plan)
+        plan = shape.plan
         plan.validate()
         self._analysis_reports = []
         if self.analyze:
@@ -206,7 +159,7 @@ class Executor:
         last_err: Exception | None = None
         for step in steps:
             try:
-                result = self._run_once(plan, source_rows, config, step,
+                result = self._run_once(shape, source_rows, config, step,
                                         injector)
             except (DeviceOOMError, FaultError) as err:
                 last_err = err
@@ -238,23 +191,18 @@ class Executor:
         anything.  A MEM701 verdict raises AnalysisError; MEM703/MEM706
         land in the run's analysis summary."""
         from ..analyze.memory_check import MemoryTarget
-        fusion = None
-        if self.cost_model is not None and config.strategy.uses_fusion:
-            # vet the exact regions this executor will dispatch
-            fusion = fuse_plan(plan, cost_model=self.cost_model,
-                               enable=True)
         target = MemoryTarget(plan, source_rows,
                               strategies=(config.strategy,),
                               memory_safety=config.memory_safety,
-                              device=self.device, fusion=fusion)
+                              device=self.device)
         self._analysis_reports.append(
             self._analyzer().run(target, strict=True))
 
-    def _run_once(self, plan: Plan, source_rows: dict[str, int] | None,
+    def _run_once(self, shape: PlanShape, source_rows: dict[str, int] | None,
                   config: ExecutionConfig, step,
                   injector: FaultInjector | None) -> RunResult:
         if step == CPU_BASELINE:
-            return self._run_cpubase(plan, source_rows, config)
+            return self._run_cpubase(shape, source_rows, config)
         config = config if step is config.strategy else replace(
             config, strategy=step)
         if injector is not None:
@@ -262,9 +210,13 @@ class Executor:
             # the strategy's working set outright
             spurious_oom(injector, f"exec.{config.strategy.value}",
                          self.device.global_mem_bytes)
-        self._injector = injector
-        sizes, fusion = self._compiled(plan, source_rows, config)
-        lowered = self._lower(plan, fusion, sizes)
+        plan = shape.plan
+        sizes = shape.sizes(source_rows)
+        fusion = shape.fusion(config.strategy.uses_fusion)
+        if self.analyze:
+            self._analysis_reports.append(
+                self._analyzer().run(fusion, strict=True))
+        lowered = self._lower(fusion, sizes)
         driver = self._driver_source(plan, sizes)
 
         n_in = sizes[driver.name]
@@ -274,37 +226,35 @@ class Executor:
                            if lr.region.output_node.name in sink_names)
         n_out = sum(sizes[n.name] for n in plan.sinks())
 
-        self._last_expected: tuple[float, float] | None = None
-        if config.strategy.uses_fission and config.include_transfers:
-            timeline = self._run_fission(plan, lowered, sizes, driver, config)
-        else:
-            timeline = self._run_serial(plan, lowered, sizes, driver, config)
-
-        expected = self._last_expected
-        result = RunResult(
+        run = (self._run_fission
+               if config.strategy.uses_fission and config.include_transfers
+               else self._run_serial)
+        timeline, num_chunks, (expected_h2d, expected_d2h) = run(
+            plan, lowered, sizes, driver, config, injector)
+        return RunResult(
             strategy=config.strategy, timeline=timeline, sizes=sizes,
             n_in=n_in, n_out=n_out, input_bytes=input_bytes,
-            output_bytes=output_bytes, fusion=fusion,
-            num_chunks=getattr(self, "_last_num_chunks", 1),
-            expected_h2d_bytes=expected[0] if expected else None,
-            expected_d2h_bytes=expected[1] if expected else None,
+            output_bytes=output_bytes, fusion=fusion, num_chunks=num_chunks,
+            expected_h2d_bytes=expected_h2d, expected_d2h_bytes=expected_d2h,
         )
-        return result
 
-    def run_cpubase(self, plan: Plan,
+    def run_cpubase(self, plan: "Plan | PlanShape",
                     source_rows: dict[str, int] | None = None) -> RunResult:
         """Run the host-interpreter baseline as a first-class strategy
         (the optimizer's CPU side of the CPU-vs-GPU crossover), not just
         the degradation ladder's last rung."""
-        plan.validate()
-        return self._run_cpubase(plan, source_rows, ExecutionConfig())
+        shape = PlanShape.of(plan)
+        shape.plan.validate()
+        return self._run_cpubase(shape, source_rows, ExecutionConfig())
 
-    def _run_cpubase(self, plan: Plan, source_rows: dict[str, int] | None,
+    def _run_cpubase(self, shape: PlanShape,
+                     source_rows: dict[str, int] | None,
                      config: ExecutionConfig) -> RunResult:
         """Host-interpreter fallback timeline: every operator runs on the
         CPU (one pass per node, timed by the CPU calibration), so there is
         no device command left for fault injection to break."""
-        sizes = estimate_sizes(plan, source_rows or {})
+        plan = shape.plan
+        sizes = shape.sizes(source_rows)
         driver = self._driver_source(plan, sizes)
         duration = host_plan_time(plan.nodes, sizes, self.device.calib.cpu)
         timeline = Timeline()
@@ -312,7 +262,6 @@ class Executor:
 
         n_in = sizes[driver.name]
         output_bytes = sum(node_bytes(n, sizes) for n in plan.sinks())
-        self._last_num_chunks = 1
         return RunResult(
             strategy=config.strategy, timeline=timeline, sizes=sizes,
             n_in=n_in, n_out=sum(sizes[n.name] for n in plan.sinks()),
@@ -321,7 +270,7 @@ class Executor:
         )
 
     # -- lowering ----------------------------------------------------------
-    def _lower(self, plan: Plan, fusion: FusionResult, sizes: dict[str, int]
+    def _lower(self, fusion: FusionResult, sizes: dict[str, int]
                ) -> list[_LoweredRegion]:
         lowered: list[_LoweredRegion] = []
         for region in fusion.regions:
@@ -349,18 +298,20 @@ class Executor:
     # -- serial / round-trip execution ------------------------------------------
     def _run_serial(self, plan: Plan, lowered: list[_LoweredRegion],
                     sizes: dict[str, int], driver: PlanNode,
-                    config: ExecutionConfig) -> Timeline:
-        engine = SimEngine(self.device, check=self.check,
-                           faults=self._injector)
+                    config: ExecutionConfig,
+                    injector: FaultInjector | None
+                    ) -> tuple[Timeline, int, tuple[float, float]]:
+        """(timeline, chunks, expected (H2D, D2H) bytes) of one serial or
+        round-trip run."""
+        engine = SimEngine(self.device, check=self.check, faults=injector)
         num_chunks = 1
         if config.include_transfers:
             num_chunks = self._plan_chunks(plan, lowered, sizes, driver, config)
-        self._last_num_chunks = num_chunks
 
         stream = SimStream(stream_id=0)
         mem = config.memory
         sink_names = {n.name for n in plan.sinks()}
-        self._last_expected = self._expected_serial_bytes(
+        expected = self._expected_serial_bytes(
             plan, lowered, sizes, sink_names, config)
 
         # side (non-driver) sources are loaded once, up front
@@ -374,7 +325,7 @@ class Executor:
                                writes=(src.name,))
 
         for chunk in range(num_chunks):
-            frac = self._chunk_fraction(chunk, num_chunks)
+            frac = 1.0 / num_chunks
             if config.include_transfers:
                 stream.h2d(node_bytes(driver, sizes) * frac, mem,
                            tag=f"input.{driver.name}.c{chunk}",
@@ -431,7 +382,7 @@ class Executor:
             self._analysis_reports.append(
                 self._analyzer().run([stream], unit=f"serial.{plan.name}",
                                      strict=True))
-        return engine.run([stream])
+        return engine.run([stream]), num_chunks, expected
 
     @staticmethod
     def _region_side_inputs(lr: _LoweredRegion) -> tuple[str, ...]:
@@ -443,9 +394,6 @@ class Executor:
                 if id(inp) not in in_region and inp.name not in out:
                     out.append(inp.name)
         return tuple(out)
-
-    def _chunk_fraction(self, chunk: int, num_chunks: int) -> float:
-        return 1.0 / num_chunks
 
     def _expected_serial_bytes(self, plan: Plan, lowered: list[_LoweredRegion],
                                sizes: dict[str, int], sink_names: set[str],
@@ -523,8 +471,10 @@ class Executor:
     # -- fission execution --------------------------------------------------------
     def _run_fission(self, plan: Plan, lowered: list[_LoweredRegion],
                      sizes: dict[str, int], driver: PlanNode,
-                     config: ExecutionConfig) -> Timeline:
-        self._last_num_chunks = 1
+                     config: ExecutionConfig,
+                     injector: FaultInjector | None
+                     ) -> tuple[Timeline, int, tuple[float, float]]:
+        """Like :meth:`_run_serial`, pipelining the driver's prefix."""
         by_region = {id(lr.region): lr for lr in lowered}
         prefix, phase_a, rest = (
             [by_region[id(r)] for r in part]
@@ -533,11 +483,11 @@ class Executor:
         if not prefix:
             # nothing to pipeline -- degenerate to serial, same config otherwise
             return self._run_serial(plan, lowered, sizes, driver,
-                                    replace(config, strategy=Strategy.SERIAL))
+                                    replace(config, strategy=Strategy.SERIAL),
+                                    injector)
 
         timeline = Timeline()
-        engine = SimEngine(self.device, check=self.check,
-                           faults=self._injector)
+        engine = SimEngine(self.device, check=self.check, faults=injector)
         mem_pinned = HostMemory.PINNED
 
         # column arrays consumed positionally by gather joins in the prefix
@@ -585,14 +535,7 @@ class Executor:
         if not whole_plan_is_prefix:
             # results stay on device for the barrier stage: no per-segment
             # upload and no host gather
-            fis_cfg = FissionConfig(
-                num_streams=fis_cfg.num_streams,
-                target_segment_bytes=fis_cfg.target_segment_bytes,
-                min_segments=fis_cfg.min_segments,
-                max_segments=fis_cfg.max_segments,
-                memory=fis_cfg.memory,
-                host_gather=False,
-            )
+            fis_cfg = replace(fis_cfg, host_gather=False)
 
         pipeline_in_row = (out_row_nbytes(driver)
                            + sum(out_row_nbytes(s) for s in co_drivers))
@@ -604,8 +547,7 @@ class Executor:
             output_selectivity=prefix_sel if whole_plan_is_prefix else 0.0,
             kernel_builder=kernel_builder,
             config=fis_cfg,
-            engine=SimEngine(self.device, check=self.check,
-                             faults=self._injector),
+            engine=SimEngine(self.device, check=self.check, faults=injector),
             costs=self.costs,
         )
         timeline.extend(pipe_tl, offset=timeline.end_time)
@@ -616,7 +558,7 @@ class Executor:
             for lr in rest:
                 self._emit_region(post, lr, sizes, sink_names, mem_pinned)
             post_tl = SimEngine(self.device, check=self.check,
-                                faults=self._injector).run([post])
+                                faults=injector).run([post])
             timeline.extend(post_tl, offset=timeline.end_time)
 
         expected_h2d = sum(node_bytes(s, sizes) for s in plan.sources())
@@ -625,8 +567,7 @@ class Executor:
             if lr.region.output_node.name in sink_names)
         if whole_plan_is_prefix:
             expected_d2h += float(n_driver) * prefix_sel * out_row
-        self._last_expected = (expected_h2d, expected_d2h)
-        return timeline
+        return timeline, 1, (expected_h2d, expected_d2h)
 
     def _emit_region(self, stream: SimStream, lr: _LoweredRegion,
                      sizes: dict[str, int], sink_names: set[str],

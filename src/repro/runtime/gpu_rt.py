@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.cost import FusionCostModel
 from ..core.fission import FissionConfig, plan_segments
 from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import chain_for_node, chain_for_region
@@ -140,7 +139,6 @@ class GpuRuntime:
     def __init__(self, device: DeviceSpec | None = None,
                  strategy: Strategy | str = Strategy.FUSED,
                  costs: StageCostParams = DEFAULT_STAGE_COSTS,
-                 cost_model: FusionCostModel | None = None,
                  memory_limit: int | None = None,
                  host_memory: HostMemory = HostMemory.PINNED,
                  faults: "FaultPlan | FaultInjector | None" = None,
@@ -151,7 +149,6 @@ class GpuRuntime:
         ladder(strategy)  # validates the strategy
         self.strategy = strategy
         self.costs = costs
-        self.cost_model = cost_model
         self.memory = DeviceMemory(
             capacity=memory_limit if memory_limit is not None
             else self.device.global_mem_bytes)
@@ -202,7 +199,7 @@ class GpuRuntime:
                       injector: FaultInjector | None, fuse: bool,
                       eager_spill: bool = False) -> FunctionalRunResult:
         self.memory.reset()
-        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=fuse)
+        fusion = fuse_plan(plan, enable=fuse)
 
         stream = SimStream(stream_id=0)
         buffers: dict[str, DeviceBuffer] = {}
@@ -353,7 +350,7 @@ class GpuRuntime:
             return self._run_resident(plan, sources, injector, fuse)
 
         self.memory.reset()
-        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=fuse)
+        fusion = fuse_plan(plan, enable=fuse)
         sink = plan.sinks()[0]
         side_srcs: list[PlanNode] = []
         for node in chain:
@@ -445,7 +442,7 @@ class GpuRuntime:
         device commands remain, so nothing is left to fault (slowdowns may
         still stretch the host event)."""
         self.memory.reset()
-        fusion = fuse_plan(plan, cost_model=self.cost_model, enable=False)
+        fusion = fuse_plan(plan, enable=False)
         node_results = evaluate(plan, sources)
         duration = 0.0
         for node in plan.nodes:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping
 
-from ..core.fusion import Region
+from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import out_row_nbytes
 from ..errors import PlanError
 from ..plans.plan import OpType, Plan, PlanNode
@@ -32,6 +32,43 @@ def estimate_sizes(plan: Plan, source_rows: dict[str, int]) -> dict[str, int]:
                             if node.op is OpType.SOURCE
                             else int(node_rows(node, sizes)))
     return sizes
+
+
+class PlanShape:
+    """One plan's size estimates and fusion regions, each computed once.
+
+    The cost model, the memory verdict and every executor run of one
+    planning call share a shape instead of re-deriving the same sizes
+    and regions.  A shape lives for that one call: plan nodes are
+    mutable, so nothing here may outlive the caller that built it.
+    Every caller gets the same size map and FusionResult objects, so
+    none may mutate them.
+    """
+
+    def __init__(self, plan: Plan):
+        self.plan = plan
+        self._sizes: dict[tuple, dict[str, int]] = {}
+        self._fusion: dict[bool, FusionResult] = {}
+
+    @classmethod
+    def of(cls, plan: "Plan | PlanShape") -> "PlanShape":
+        return plan if isinstance(plan, PlanShape) else cls(plan)
+
+    def sizes(self, source_rows: dict[str, int] | None) -> dict[str, int]:
+        """:func:`estimate_sizes` for ``source_rows``; only the rows of
+        this plan's own sources tell one row map from another."""
+        rows = source_rows or {}
+        key = tuple(rows.get(s.name) for s in self.plan.sources())
+        if key not in self._sizes:
+            self._sizes[key] = estimate_sizes(self.plan, rows)
+        return self._sizes[key]
+
+    def fusion(self, fused: bool) -> FusionResult:
+        """The fusion pass's regions (``fused=False``: one region per
+        operator, the unfused baseline)."""
+        if fused not in self._fusion:
+            self._fusion[fused] = fuse_plan(self.plan, enable=fused)
+        return self._fusion[fused]
 
 
 def _source_rows(node: PlanNode, source_rows: dict[str, int]) -> int:

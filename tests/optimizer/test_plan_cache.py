@@ -1,4 +1,4 @@
-"""Compiled-plan cache correctness: hits, perturbation misses, eviction,
+"""Plan cache correctness: hits, perturbation misses, eviction,
 corruption.
 
 The load-bearing properties: a hit is only served for a byte-identical
@@ -115,20 +115,6 @@ class TestDecisionCacheHits:
         assert _summary_json(recomputed) == _summary_json(first)
         # and the repaired entry serves hits again
         assert opt.choose(select_chain_plan(2), ROWS).cache_hit
-
-
-class TestCompiledArtifactCache:
-    def test_executor_reuses_compiled_fusion(self):
-        from repro.runtime import ExecutionConfig, Executor, Strategy
-        cache = PlanCache()
-        ex = Executor(plan_cache=cache)
-        plan = select_chain_plan(2)
-        cfg = ExecutionConfig(strategy=Strategy.FUSED)
-        a = ex.run(plan, ROWS, cfg)
-        hits_before = cache.hits
-        b = ex.run(plan, ROWS, cfg)
-        assert cache.hits > hits_before
-        assert a.makespan == b.makespan
 
 
 class TestMergeStats:
