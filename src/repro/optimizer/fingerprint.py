@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import Any
+from typing import Any, Callable
 
 from ..plans.plan import Plan
 from ..simgpu.device import DeviceSpec
@@ -29,30 +29,82 @@ def canonical(obj: Any) -> str:
     Handles the value types that appear in plan parameters and platform
     config: scalars, strings, enums, containers (dicts sorted by key),
     dataclasses (by field), and plain objects (by ``__dict__``, sorted).
+    Dispatch is by ``type(obj)`` through :data:`_RENDERERS`, one renderer
+    per type chosen in this order (first match wins):
+
+    1. ``None`` and subclasses of bool/int/str/bytes/float -- ``repr``
+       (so ``IntEnum`` and str-mixin enums render by ``repr`` too);
+    2. other enums -- ``Type.NAME``;
+    3. list/tuple (incl. ``NamedTuple``) -- ``[a,b]``;
+    4. set/frozenset -- ``{..}`` with sorted elements;
+    5. dict -- ``{k:v}`` sorted by ``repr(key)``;
+    6. dataclass instances -- ``Type(f=v,..)`` in field order;
+    7. anything else -- ``Type(k=v,..)`` over sorted ``vars()`` when the
+       instance has a ``__dict__``, else ``repr``.
     """
-    if obj is None or isinstance(obj, (bool, int, str, bytes)):
-        return repr(obj)
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, enum.Enum):
-        return f"{type(obj).__name__}.{obj.name}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical(x) for x in obj) + "]"
-    if isinstance(obj, (set, frozenset)):
-        return "{" + ",".join(sorted(canonical(x) for x in obj)) + "}"
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: repr(kv[0]))
-        return ("{" + ",".join(f"{canonical(k)}:{canonical(v)}"
-                               for k, v in items) + "}")
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = ",".join(f"{f.name}={canonical(getattr(obj, f.name))}"
-                          for f in dataclasses.fields(obj))
-        return f"{type(obj).__name__}({fields})"
+    render = _RENDERERS.get(type(obj))
+    if render is None:
+        render = _RENDERERS[type(obj)] = _renderer_for(type(obj))
+    return render(obj)
+
+
+def _render_enum(obj: enum.Enum) -> str:
+    return f"{type(obj).__name__}.{obj.name}"
+
+
+def _render_sequence(obj: list | tuple) -> str:
+    return "[" + ",".join([canonical(x) for x in obj]) + "]"
+
+
+def _render_set(obj: set | frozenset) -> str:
+    return "{" + ",".join(sorted([canonical(x) for x in obj])) + "}"
+
+
+def _render_dict(obj: dict) -> str:
+    items = sorted(obj.items(), key=lambda kv: repr(kv[0]))
+    return ("{" + ",".join([f"{canonical(k)}:{canonical(v)}"
+                            for k, v in items]) + "}")
+
+
+def _render_dataclass(cls: type) -> Callable[[Any], str]:
+    prefix = f"{cls.__name__}("
+    names = tuple(f.name for f in dataclasses.fields(cls))
+
+    def render(obj: Any) -> str:
+        return prefix + ",".join([f"{name}={canonical(getattr(obj, name))}"
+                                  for name in names]) + ")"
+    return render
+
+
+def _render_object(obj: Any) -> str:
+    # checked per instance: a __getattr__ hook may supply __dict__ for
+    # some instances of a type and not others
     if hasattr(obj, "__dict__"):
-        items = ",".join(f"{k}={canonical(v)}"
-                         for k, v in sorted(vars(obj).items()))
+        items = ",".join([f"{k}={canonical(v)}"
+                          for k, v in sorted(vars(obj).items())])
         return f"{type(obj).__name__}({items})"
     return repr(obj)
+
+
+def _renderer_for(cls: type) -> Callable[[Any], str]:
+    if cls is type(None) or issubclass(cls, (bool, int, str, bytes, float)):
+        return repr
+    if issubclass(cls, enum.Enum):
+        return _render_enum
+    if issubclass(cls, (list, tuple)):
+        return _render_sequence
+    if issubclass(cls, (set, frozenset)):
+        return _render_set
+    if issubclass(cls, dict):
+        return _render_dict
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return _render_dataclass(cls)
+    return _render_object
+
+
+#: type -> renderer, filled on first sight of each type (a pure memo: the
+#: choice depends only on the type's bases and dataclass fields)
+_RENDERERS: dict[type, Callable[[Any], str]] = {}
 
 
 def digest(*parts: Any) -> str:

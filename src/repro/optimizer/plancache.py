@@ -17,9 +17,10 @@ fingerprints.  Four artifact families share one cache:
 Sizes and fusion regions are not cached here: they are shared within
 one planning call through a :class:`~repro.runtime.sizes.PlanShape`.
 
-Every entry stores a checksum of its value at ``put`` time; ``get``
-re-verifies it, so a corrupted entry (bit-flip, in-place mutation by a
-buggy caller) is *detected and treated as a miss*, never served.
+Every entry stores a checksum of its value at ``put`` time; every ``get``
+re-renders the value and re-verifies it, so a corrupted entry (bit-flip,
+in-place mutation by a buggy caller) is *detected and treated as a miss*,
+never served.  Checksums are process-internal and never persisted.
 Counters (hits / misses / evictions / invalidations / corruptions) feed
 the serve metrics and the CI cache-hit-rate gate.
 """
@@ -30,7 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from .fingerprint import canonical, digest
+from .fingerprint import digest
 
 
 @dataclass
@@ -40,7 +41,7 @@ class _Entry:
 
 
 def _checksum(value: Any) -> str:
-    return digest("entry", canonical(value))
+    return digest("entry", value)
 
 
 class PlanCache:

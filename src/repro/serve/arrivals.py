@@ -57,7 +57,11 @@ _SQL = {
 
 @lru_cache(maxsize=None)
 def catalog_plan(kind: str) -> Plan:
-    """The (cached, immutable) logical plan for a catalog query kind."""
+    """The (cached, immutable) logical plan for a catalog query kind.
+
+    Callers must never mutate the returned plan: it is shared by every
+    request of its kind, and :func:`request_fingerprint` memoizes its
+    fingerprint for the life of the process."""
     if kind == "q1":
         return build_q1_plan()
     if kind == "q6":
@@ -87,6 +91,21 @@ def catalog_rows(kind: str, elements: int) -> dict[str, int]:
         sf = elements / schema.BASE_ROWS["lineitem"]
         return {t: schema.scaled_rows(t, sf) for t in schema.BASE_ROWS}
     raise KeyError(f"unknown catalog query kind {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def request_fingerprint(kind: str, elements: int
+                        ) -> tuple[str, tuple[tuple[str, int], ...]]:
+    """Content identity of a catalog request: the plan fingerprint of
+    ``kind`` plus its sorted source cardinalities at ``elements``.
+
+    Computed once per ``(kind, elements)``; sound because
+    :func:`catalog_plan` hands out one immutable plan per kind for the
+    life of the process, so the memo lives exactly as long as the plan it
+    hashes."""
+    from ..optimizer.fingerprint import plan_fingerprint
+    return (plan_fingerprint(catalog_plan(kind)),
+            tuple(sorted(catalog_rows(kind, elements).items())))
 
 
 #: the frontend-compiled suite (src/repro/tpch/catalog.py), served under
@@ -165,6 +184,11 @@ class QueryRequest:
 
     def source_rows(self) -> dict[str, int]:
         return catalog_rows(self.kind, self.elements)
+
+    def fingerprint(self) -> tuple[str, tuple[tuple[str, int], ...]]:
+        """What a dispatch key hashes for this request
+        (:func:`request_fingerprint`)."""
+        return request_fingerprint(self.kind, self.elements)
 
 
 # ---------------------------------------------------------------------------

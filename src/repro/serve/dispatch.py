@@ -71,6 +71,8 @@ class DispatchEngine:
             self.lane_device = contended_device(device, config.devices)
         else:
             self.lane_device = device
+        from ..optimizer.fingerprint import calibration_fingerprint
+        self._lane_device_fp = calibration_fingerprint(self.lane_device)
         self._wscheds = [
             WorkloadScheduler(self.lane_device, check=config.check,
                               analyze=config.analyze)
@@ -154,19 +156,11 @@ class DispatchEngine:
         fault plan when chaos is on, which keys each batch uniquely --
         deliberately: a faulted schedule must not stand in for a clean
         one)."""
-        from ..optimizer.fingerprint import (calibration_fingerprint,
-                                             plan_fingerprint)
         cfg = self.config
-        if not hasattr(self, "_lane_device_fp"):
-            self._lane_device_fp = calibration_fingerprint(self.lane_device)
-        plans_fp = tuple(
-            (plan_fingerprint(r.plan()), tuple(sorted(
-                r.source_rows().items())))
-            for r in batch)
         return cfg.plan_cache.key(
             "serve", cfg.mode, cfg.max_streams, cfg.memory_safety,
-            cfg.check, cfg.analyze, self._lane_device_fp, plans_fp,
-            fault_plan)
+            cfg.check, cfg.analyze, self._lane_device_fp,
+            tuple(r.fingerprint() for r in batch), fault_plan)
 
     def dispatch_degraded(self, batch: list[QueryRequest],
                           fault_plan: FaultPlan | None,
@@ -211,11 +205,8 @@ def batch_fingerprint(batch: "list[QueryRequest] | tuple[QueryRequest, ...]"
     """Content hash of a batch's query plans and row stats, independent of
     serve knobs: the ``query_fingerprint`` component of the worker pool's
     idempotent dispatch key (docs/SERVING.md)."""
-    from ..optimizer.fingerprint import digest, plan_fingerprint
-    return digest(tuple(
-        (plan_fingerprint(r.plan()),
-         tuple(sorted(r.source_rows().items())))
-        for r in batch))
+    from ..optimizer.fingerprint import digest
+    return digest(tuple(r.fingerprint() for r in batch))
 
 
 def simulate_dispatch(engine: DispatchEngine,

@@ -9,6 +9,8 @@ behavior change.
 
 import json
 
+import pytest
+
 from repro.optimizer import PlanCache
 from repro.serve import QueryServer, ServeConfig
 from repro.serve.arrivals import QueryRequest
@@ -100,3 +102,106 @@ class TestChaosNeverCached:
         # a degraded dispatch is never cached -- and with chaos on, every
         # batch keys uniquely anyway (reseeded fault plan in the key)
         assert cache.hits == 0
+
+
+class TestFingerprintOnce:
+    """Each catalog request's content identity is computed once per
+    ``(kind, elements)``, and the memo stays sound: serving never mutates
+    the catalog plan it hashed."""
+
+    def test_plan_fingerprint_at_most_once_per_kind(self, monkeypatch):
+        from repro.optimizer import fingerprint
+        from repro.serve import DEFAULT_TENANTS, ArrivalProcess
+        from repro.serve.arrivals import request_fingerprint
+
+        calls = []
+        original = fingerprint.plan_fingerprint
+
+        def counting(plan):
+            calls.append(plan.name)
+            return original(plan)
+
+        request_fingerprint.cache_clear()
+        monkeypatch.setattr(fingerprint, "plan_fingerprint", counting)
+        trace = ArrivalProcess(30, 10.0, DEFAULT_TENANTS, seed=7).trace()
+        cache = PlanCache()
+        QueryServer(config=ServeConfig(devices=2, queue_capacity=4096,
+                                       plan_cache=cache)).run(trace)
+        kinds = {r.kind for r in trace}
+        assert cache.hits > 0
+        assert 0 < len(calls) <= len(kinds)
+
+    def test_serving_never_mutates_a_catalog_plan(self):
+        from repro.faults import FaultPlan
+        from repro.optimizer.fingerprint import plan_fingerprint
+        from repro.serve.arrivals import (QUERY_KINDS, catalog_plan,
+                                          request_fingerprint)
+
+        elements = 1_000_000
+        trace = [
+            QueryRequest(req_id=i, tenant="t", kind=kind,
+                         arrival_s=i * 0.001, priority=0, deadline_s=FAR,
+                         elements=elements)
+            for i, kind in enumerate(QUERY_KINDS * 2)]
+        memo = {k: request_fingerprint(k, elements)[0] for k in QUERY_KINDS}
+        cfg = ServeConfig(check=True, analyze=True, devices=2,
+                          queue_capacity=256, plan_cache=PlanCache(),
+                          faults=FaultPlan.chaos(5, rate=0.2))
+        summary = QueryServer(config=cfg).run(trace=trace).metrics.summary()
+        assert summary["completed"] == len(trace)
+        assert summary["degraded_batches"] > 0   # the per-query ladder ran
+        for kind in QUERY_KINDS:
+            assert plan_fingerprint(catalog_plan(kind)) == memo[kind], kind
+            assert request_fingerprint(kind, elements)[0] == memo[kind]
+
+
+def _append_event(timeline):
+    timeline.events.append(timeline.events[-1])
+
+
+def _replace_event(timeline):
+    import dataclasses
+    ev = timeline.events[0]
+    timeline.events[0] = dataclasses.replace(ev, end=ev.end + 1e-9)
+
+
+class _RotOnFirstRepeat(PlanCache):
+    """Mutates the first cached outcome's Timeline in place -- through the
+    value the caller holds, not the ``_corrupt`` hook -- right before the
+    first lookup that would hit it."""
+
+    def __init__(self, rot):
+        super().__init__()
+        self.rot = rot
+        self.first: tuple[str, tuple] | None = None
+
+    def put(self, key, value):
+        super().put(key, value)
+        if self.first is None:
+            self.first = (key, value)
+
+    def get(self, key):
+        if self.rot is not None and self.first and self.first[0] == key:
+            self.rot(self.first[1][1])
+            self.rot = None
+        return super().get(key)
+
+
+class TestInPlaceMutationDetected:
+    """Every hit re-verifies the whole stored value, so rot that bypasses
+    the test hook is still caught and never served."""
+
+    @pytest.mark.parametrize("rot", [_append_event, _replace_event],
+                             ids=["append", "replace"])
+    def test_mutated_timeline_is_a_miss(self, rot):
+        trace = _repeat_trace(12, spacing=0.001)
+        cache = _RotOnFirstRepeat(rot)
+        with_cache = QueryServer(config=ServeConfig(
+            mode="isolated", plan_cache=cache)).run(trace=list(trace))
+        assert cache.rot is None            # the rot happened
+        assert cache.corruptions == 1
+        assert cache.misses == 2            # cold + the rotted entry
+        assert cache.hits == len(trace) - 2
+        without = QueryServer(config=ServeConfig(
+            mode="isolated")).run(trace=list(trace))
+        assert _summary_json(with_cache) == _summary_json(without)
