@@ -7,7 +7,8 @@ intermediate traffic, compression shrinks the (dominant) wire bytes.
 """
 
 from repro.bench import format_table, print_header
-from repro.runtime.compressed import run_compressed_select_chain
+from repro.runtime import ExecutionConfig, Strategy
+from repro.runtime.select_chain import run_select_chain
 from repro.simgpu.compression import BITPACK, DICT, NONE, RLE
 
 N = 200_000_000
@@ -17,7 +18,9 @@ def _measure():
     rows = []
     for scheme in (NONE, DICT, BITPACK, RLE):
         for fused in (False, True):
-            r = run_compressed_select_chain(N, 2, 0.5, scheme, fused=fused)
+            strategy = Strategy.FUSED if fused else Strategy.SERIAL
+            r = run_select_chain(N, 2, 0.5, config=ExecutionConfig(
+                strategy=strategy, compression=scheme))
             rows.append([scheme.name, "fused" if fused else "unfused",
                          r.makespan * 1e3, r.throughput / 1e9])
     return rows

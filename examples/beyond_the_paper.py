@@ -27,11 +27,10 @@ from repro.core.opmodels import chain_for_region
 from repro.plans import Plan
 from repro.ra import Field, Relation
 from repro.optimizer import Optimizer
-from repro.runtime import GpuRuntime, Strategy
-from repro.runtime.compressed import run_compressed_select_chain
+from repro.runtime import ExecutionConfig, GpuRuntime, Strategy
 from repro.runtime.hybrid import run_hybrid_select
 from repro.runtime.select_chain import run_select_chain, select_chain_plan
-from repro.simgpu import DeviceSpec, RLE
+from repro.simgpu import NONE, RLE, DeviceSpec
 from repro.simgpu.trace import write_chrome_trace
 
 N = 1_000_000_000
@@ -61,12 +60,11 @@ def main() -> None:
 
     # 3. compression --------------------------------------------------------
     print("\n3. PCIe compression (He et al.) composed with fusion")
-    for label, scheme, fused in [("fusion only", None, True),
-                                 ("RLE only", RLE, False),
-                                 ("RLE + fusion", RLE, True)]:
-        from repro.simgpu.compression import NONE
-        r = run_compressed_select_chain(200_000_000, scheme=scheme or NONE,
-                                        fused=fused)
+    for label, scheme, strategy in [("fusion only", NONE, Strategy.FUSED),
+                                    ("RLE only", RLE, Strategy.SERIAL),
+                                    ("RLE + fusion", RLE, Strategy.FUSED)]:
+        r = run_select_chain(200_000_000, 2, 0.5, config=ExecutionConfig(
+            strategy=strategy, compression=scheme))
         print(f"   {label:14s} {r.throughput/1e9:6.2f} GB/s")
 
     # 4. shared-scan fusion --------------------------------------------------

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
-from ..cpubase.select import cpu_select_time
+from ..cpubase.select import cpu_select_time, host_plan_time
 from ..core.opmodels import out_row_nbytes
 from ..faults import FaultInjector, FaultPlan, as_injector
 from ..plans.distribute import (DistributedPlan, combine_agg_specs,
@@ -491,12 +491,13 @@ class ClusterExecutor:
             t3 = max(ends) if ends else max(host_clock, t_barrier)
             merge_bytes = sum(slot_out)
             if dist.merge == "tree" and len(slot_out) > 1:
-                t3 = self._tree_rounds(host_tl, slot_out, t3)
+                t3, _ = self._tree_rounds(host_tl, slot_out, t3)
             merge_s = merge_bytes / self.costs.host_gather_bw
             host_tl.add(t3, t3 + merge_s, EventKind.HOST, "cluster.merge",
                         nbytes=merge_bytes)
         elif dist.suffix_mode == "host":
             sizes = shape.sizes(source_rows)
+            cpu = self.base_device.calib.cpu
             if dist.preagg is not None:
                 # per-shard partial-state blocks combine pairwise up a
                 # device-level tree; the host ingests only the root and
@@ -506,23 +507,19 @@ class ClusterExecutor:
                 level = [local_info[s][2] for s in sorted(local_info)]
                 t_m = t_barrier
                 if dist.merge == "tree" and len(level) > 1:
-                    t_m = self._tree_rounds(host_tl, level, t_m, cap=cap)
-                    root_bytes = self._tree_root(level, cap)
+                    t_m, root_bytes = self._tree_rounds(host_tl, level, t_m,
+                                                        cap=cap)
                 else:
                     root_bytes = float(sum(level))
                 merge_bytes = root_bytes
                 suffix_s = root_bytes / self.costs.host_gather_bw
                 suffix_s += cpu_select_time(root_bytes / state_row,
-                                            int(state_row))
+                                            int(state_row), calib=cpu)
                 skip = set(dist.preagg.lowered) | {dist.preagg.agg}
-                for node in dist.plan.nodes:
-                    if (node.name in dist.local_names
-                            or node.op is OpType.SOURCE
-                            or node.name in skip):
-                        continue
-                    prim = node.inputs[0] if node.inputs else node
-                    suffix_s += cpu_select_time(
-                        sizes[prim.name], out_row_nbytes(prim))
+                suffix_s += host_plan_time(
+                    (n for n in dist.plan.nodes
+                     if n.name not in dist.local_names and n.name not in skip),
+                    sizes, cpu)
                 host_tl.add(t_m, t_m + suffix_s, EventKind.HOST,
                             "cluster.merge", nbytes=root_bytes)
             else:
@@ -531,13 +528,9 @@ class ClusterExecutor:
                 # node)
                 gather_bytes = local_out_total
                 suffix_s = gather_bytes / self.costs.host_gather_bw
-                for node in dist.plan.nodes:
-                    if (node.name in dist.local_names
-                            or node.op is OpType.SOURCE):
-                        continue
-                    prim = node.inputs[0] if node.inputs else node
-                    suffix_s += cpu_select_time(
-                        sizes[prim.name], out_row_nbytes(prim))
+                suffix_s += host_plan_time(
+                    (n for n in dist.plan.nodes
+                     if n.name not in dist.local_names), sizes, cpu)
                 merge_bytes = sum(
                     float(sizes[s.name]) * out_row_nbytes(s)
                     for s in dist.plan.sinks()
@@ -610,10 +603,12 @@ class ClusterExecutor:
         return result
 
     def _tree_rounds(self, host_tl: Timeline, level: list[float],
-                     t0: float, cap: float | None = None) -> float:
+                     t0: float, cap: float | None = None
+                     ) -> tuple[float, float]:
         """Price pairwise device-level merge rounds onto the host lane
         (coordination events; pairs move in parallel so a round costs its
-        largest sender).  Returns the time the root is ready."""
+        largest sender, and a merged pair is capped at `cap` bytes).
+        Returns (time the root is ready, root bytes)."""
         r = 0
         level = list(level)
         while len(level) > 1:
@@ -633,22 +628,7 @@ class ClusterExecutor:
             t0 += dur
             level = nxt
             r += 1
-        return t0
-
-    @staticmethod
-    def _tree_root(level: list[float], cap: float | None = None) -> float:
-        level = list(level)
-        while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level), 2):
-                if i + 1 < len(level):
-                    merged = level[i] + level[i + 1]
-                    nxt.append(min(merged, cap) if cap is not None
-                               else merged)
-                else:
-                    nxt.append(level[i])
-            level = nxt
-        return float(level[0]) if level else 0.0
+        return t0, (float(level[0]) if level else 0.0)
 
     # ------------------------------------------------------------------
     def _memory_preflight(self, dist: DistributedPlan,

@@ -151,10 +151,12 @@ class KernelChain:
     def side_launch_specs(self, device: DeviceSpec,
                           side_sizes: dict[str, int] | None = None
                           ) -> list[KernelLaunchSpec]:
-        """Launch specs of the prerequisite (build) kernels."""
+        """Launch specs of the prerequisite (build) kernels, each sized by
+        its feed node's entry in `side_sizes` (rows by node name, e.g. a
+        whole plan's row map; a missing node counts as one row)."""
         specs: list[KernelLaunchSpec] = []
         for kern, feed_node in self.side_kernels:
-            n_side = (side_sizes or {}).get(getattr(feed_node, "name", str(feed_node)), 0)
+            n_side = (side_sizes or {}).get(feed_node.name, 0)
             specs.append(kern.launch_spec(max(int(n_side), 1), device))
         return specs
 

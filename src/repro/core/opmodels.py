@@ -299,6 +299,15 @@ def chain_for_node(node: PlanNode,
     raise PlanError(f"cannot lower op {node.op.value}")
 
 
+def lower_region(region, costs: StageCostParams, n_in: int) -> KernelChain:
+    """Lower one fusion region (a :class:`~repro.core.fusion.Region`): a
+    barrier region is its single operator, sized by its `n_in` input rows;
+    any other region is one fused chain."""
+    if region.is_barrier_op:
+        return chain_for_node(region.nodes[0], costs, n_in_hint=max(n_in, 2))
+    return chain_for_region(region.nodes, costs)
+
+
 def _sort_passes(n: int, costs: StageCostParams = DEFAULT_STAGE_COSTS) -> int:
     """Data passes for an n-element sort (merge passes x pass factor)."""
     return max(1, math.ceil(costs.sort_pass_factor * math.log2(max(n, 2))))

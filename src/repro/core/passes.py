@@ -18,7 +18,7 @@ from ..simgpu.device import DeviceSpec
 from .cost import FusionCostModel
 from .fusion import FusionResult, fuse_plan
 from .kernel import KernelChain
-from .opmodels import chain_for_node, chain_for_region
+from .opmodels import lower_region
 from .stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 
 
@@ -95,11 +95,7 @@ def compile_plan(plan: Plan, source_rows: dict[str, int],
     for region in fusion.regions:
         first = region.nodes[0]
         primary = first.inputs[0] if first.inputs else first
-        if region.is_barrier_op:
-            chains.append(chain_for_node(
-                first, costs, n_in_hint=max(sizes[primary.name], 2)))
-        else:
-            chains.append(chain_for_region(region.nodes, costs))
+        chains.append(lower_region(region, costs, sizes[primary.name]))
 
     if options.auto_strategy:
         from ..optimizer import Optimizer

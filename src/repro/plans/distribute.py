@@ -500,11 +500,6 @@ def _candidate_keys(plan: Plan) -> list[tuple[str, ...] | None]:
     return uniq
 
 
-def _even_counts(n_rows: int, num_shards: int) -> tuple[int, ...]:
-    base, extra = divmod(int(n_rows), num_shards)
-    return tuple(base + (1 if i < extra else 0) for i in range(num_shards))
-
-
 # ---------------------------------------------------------------------------
 # pre-aggregation detection
 # ---------------------------------------------------------------------------
@@ -590,6 +585,7 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
         raise PlanError(f"num_shards must be >= 1, got {num_shards}")
     if scheme not in ("hash", "range", "rr"):
         raise PlanError(f"unknown partition scheme {scheme!r}")
+    from ..cluster.partition import even_counts
     from ..core.opmodels import out_row_nbytes
     from ..runtime.sizes import estimate_sizes
 
@@ -668,8 +664,8 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
         sources=tuple(source_dists), local_names=local_names,
         frontier=tuple(frontier), suffix_sources=tuple(suffix_sources),
         suffix_mode=suffix_mode, exchange=exchange,
-        driver_shard_rows=_even_counts(
-            _source_rows(driver, source_rows), num_shards),
+        driver_shard_rows=tuple(even_counts(
+            _source_rows(driver, source_rows), num_shards)),
         notes=tuple(notes), merge=merge or "flat")
     if preagg:
         spec = find_preagg(dist)

@@ -1,6 +1,5 @@
 """Plan execution on the simulated platform: strategies, executor, metrics."""
 
-from .compressed import CompressedRunResult, run_compressed_select_chain
 from .estimates import EstimateProfile, profile_estimates
 from .executor import Executor, RunResult
 from .hybrid import HybridRunResult, balance_split, run_hybrid_select
@@ -12,7 +11,6 @@ __all__ = [
     "Executor", "RunResult", "DeviceBuffer", "FunctionalRunResult",
     "GpuRuntime", "estimate_sizes", "ExecutionConfig", "Strategy",
     "CPU_BASELINE",
-    "CompressedRunResult", "run_compressed_select_chain",
     "HybridRunResult", "balance_split", "run_hybrid_select",
     "EstimateProfile", "profile_estimates",
 ]

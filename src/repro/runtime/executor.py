@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from ..core.fission import Segment, run_fissioned, split_for_fission
 from ..core.fusion import FusionResult, Region
-from ..core.opmodels import chain_for_node, chain_for_region, out_row_nbytes
+from ..core.opmodels import lower_region, out_row_nbytes
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import host_plan_time
 from ..errors import DeviceOOMError, FaultError, PlanError
@@ -276,13 +276,9 @@ class Executor:
         for region in fusion.regions:
             primary, _, out_bytes = region_bytes(region, sizes)
             n_in = sizes[primary.name]
-            if region.is_barrier_op:
-                chain = chain_for_node(region.nodes[0], self.costs,
-                                       n_in_hint=max(n_in, 2))
-            else:
-                chain = chain_for_region(region.nodes, self.costs)
             lowered.append(_LoweredRegion(
-                region=region, chain=chain, n_in=n_in,
+                region=region, chain=lower_region(region, self.costs, n_in),
+                n_in=n_in,
                 n_out=sizes[region.output_node.name],
                 out_bytes=out_bytes, primary_input=primary,
             ))
@@ -310,6 +306,7 @@ class Executor:
 
         stream = SimStream(stream_id=0)
         mem = config.memory
+        upload = config.compression.upload
         sink_names = {n.name for n in plan.sinks()}
         expected = self._expected_serial_bytes(
             plan, lowered, sizes, sink_names, config)
@@ -321,15 +318,17 @@ class Executor:
                     continue
                 nbytes = node_bytes(src, sizes)
                 if nbytes > 0:
-                    stream.h2d(nbytes, mem, tag=f"input.{src.name}",
-                               writes=(src.name,))
+                    upload(stream, nbytes, sizes[src.name],
+                           out_row_nbytes(src), mem, self.device,
+                           tag=src.name, writes=(src.name,))
 
         for chunk in range(num_chunks):
             frac = 1.0 / num_chunks
             if config.include_transfers:
-                stream.h2d(node_bytes(driver, sizes) * frac, mem,
-                           tag=f"input.{driver.name}.c{chunk}",
-                           writes=(driver.name,))
+                upload(stream, node_bytes(driver, sizes) * frac,
+                       max(1, int(round(sizes[driver.name] * frac))),
+                       out_row_nbytes(driver), mem, self.device,
+                       tag=f"{driver.name}.c{chunk}", writes=(driver.name,))
             for lr in lowered:
                 scales = self._scales_with_driver(lr, driver, plan)
                 runs_this_chunk = chunk == 0 or scales
@@ -339,9 +338,7 @@ class Executor:
                 side_reads = self._region_side_inputs(lr)
                 out_name = lr.region.output_node.name
                 if chunk == 0:  # build kernels run once, not per chunk
-                    side_sizes = {getattr(n, "name", str(n)): sizes[n.name]
-                                  for _, n in lr.chain.side_kernels}
-                    for spec in lr.chain.side_launch_specs(self.device, side_sizes):
+                    for spec in lr.chain.side_launch_specs(self.device, sizes):
                         stream.kernel(spec, tag=spec.name, reads=side_reads,
                                       writes=(f"{lr.region.name}.build",))
                 main_reads = (lr.primary_input.name,)
@@ -398,10 +395,12 @@ class Executor:
     def _expected_serial_bytes(self, plan: Plan, lowered: list[_LoweredRegion],
                                sizes: dict[str, int], sink_names: set[str],
                                config: ExecutionConfig) -> tuple[float, float]:
-        """(H2D, D2H) bytes the serial schedule should move in total."""
+        """(H2D, D2H) bytes the serial schedule should move in total:
+        sources at their wire size, spills raw."""
         if not config.include_transfers:
             return (0.0, 0.0)
-        h2d = sum(node_bytes(s, sizes) for s in plan.sources())
+        wire = config.compression.wire_bytes
+        h2d = sum(wire(node_bytes(s, sizes)) for s in plan.sources())
         d2h = 0.0
         for lr in lowered:
             if lr.region.output_node.name in sink_names:
@@ -507,9 +506,7 @@ class Executor:
         for lr in phase_a:
             self._emit_region(pre, lr, sizes, sink_names, mem_pinned)
         for lr in prefix:
-            side_sizes = {getattr(n, "name", str(n)): sizes[n.name]
-                          for _, n in lr.chain.side_kernels}
-            for spec in lr.chain.side_launch_specs(self.device, side_sizes):
+            for spec in lr.chain.side_launch_specs(self.device, sizes):
                 pre.kernel(spec, tag=spec.name)
         if pre.commands:
             timeline = engine.run([pre])
@@ -573,9 +570,7 @@ class Executor:
                      sizes: dict[str, int], sink_names: set[str],
                      mem: HostMemory) -> None:
         """Queue one region's kernels (and sink upload) onto a stream."""
-        side_sizes = {getattr(n, "name", str(n)): sizes[n.name]
-                      for _, n in lr.chain.side_kernels}
-        for spec in lr.chain.side_launch_specs(self.device, side_sizes):
+        for spec in lr.chain.side_launch_specs(self.device, sizes):
             stream.kernel(spec, tag=spec.name)
         for spec in lr.chain.main_launch_specs(lr.n_in, self.device):
             stream.kernel(spec, tag=spec.name)

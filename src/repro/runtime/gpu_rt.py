@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.fission import FissionConfig, plan_segments
 from ..core.fusion import FusionResult, Region, fuse_plan
-from ..core.opmodels import chain_for_node, chain_for_region
+from ..core.opmodels import chain_for_region, lower_region
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import cpu_select_time
 from ..errors import DeviceOOMError, FaultError, PlanError
@@ -132,8 +132,11 @@ class GpuRuntime:
         exhausted retries defeat the current strategy.  ``None`` =
         degrade iff fault injection is enabled.
     compression:
-        Resident-path source uploads ship compressed and pay a
-        decompress kernel whenever this is not ``NONE``.
+        The PCIe codec, by the rule the Executor's
+        ``ExecutionConfig.compression`` follows too: every source upload
+        of the resident path (including fission's resident fallback)
+        ships compressed and pays a decompress kernel; spills and the
+        fission pipeline's uploads ship raw bytes.
     """
 
     def __init__(self, device: DeviceSpec | None = None,
@@ -222,17 +225,10 @@ class GpuRuntime:
             spills += self._make_room(buf.nbytes, buffers, stream)
             buf.handle = self.memory.alloc(buf.nbytes, src.name)
             if buf.nbytes > 0:
-                if self.compression.ratio > 1.0:
-                    stream.h2d(self.compression.wire_bytes(buf.nbytes),
-                               self.host_memory, tag=f"input.{src.name}")
-                    rows = max(1, rel.num_rows)
-                    stream.kernel(
-                        self.compression.decompress_spec(
-                            rows, max(1, buf.nbytes // rows), self.device),
-                        tag=f"decompress.{src.name}")
-                else:
-                    stream.h2d(buf.nbytes, self.host_memory,
-                               tag=f"input.{src.name}")
+                rows = max(1, rel.num_rows)
+                self.compression.upload(
+                    stream, buf.nbytes, rows, max(1, buf.nbytes // rows),
+                    self.host_memory, self.device, tag=src.name)
             buffers[src.name] = buf
         sink_names = {n.name for n in plan.sinks()}
 
@@ -376,7 +372,7 @@ class GpuRuntime:
             if rel.nbytes > 0:
                 pre.h2d(rel.nbytes, self.host_memory, tag=f"input.{s.name}")
         for kc in kchains:
-            side_sizes = {getattr(n, "name", str(n)): sources[n.name].num_rows
+            side_sizes = {n.name: sources[n.name].num_rows
                           for _, n in kc.side_kernels}
             for spec in kc.side_launch_specs(self.device, side_sizes):
                 pre.kernel(spec, tag=spec.name)
@@ -555,12 +551,9 @@ class GpuRuntime:
         first = region.nodes[0]
         primary = first.inputs[0] if first.inputs else first
         n_in = node_results[primary.name].num_rows
-        if region.is_barrier_op:
-            chain = chain_for_node(first, self.costs, n_in_hint=max(n_in, 2))
-        else:
-            chain = chain_for_region(region.nodes, self.costs)
+        chain = lower_region(region, self.costs, n_in)
         side_sizes = {
-            getattr(n, "name", str(n)): node_results[n.name].num_rows
+            n.name: node_results[n.name].num_rows
             for _, n in chain.side_kernels
         }
         for spec in chain.side_launch_specs(self.device, side_sizes):

@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..core.fission import FissionConfig
+from ..simgpu.compression import NONE, CompressionScheme
 from ..simgpu.pcie import HostMemory
 
 #: the host-interpreter label (never a :class:`Strategy` member)
@@ -61,3 +62,8 @@ class ExecutionConfig:
     include_transfers: bool = True
     #: device-memory safety margin for chunked serial execution
     memory_safety: float = 0.9
+    #: PCIe codec, by the rule GpuRuntime shares: every source upload of
+    #: a serial run (SERIAL, FUSED, WITH_ROUND_TRIP, or a fission run that
+    #: falls back to serial) ships compressed and pays a decompress
+    #: kernel; round-trip spills and the fission path's uploads ship raw
+    compression: CompressionScheme = NONE

@@ -31,7 +31,7 @@ from ..core.multifusion import (
     find_shared_select_groups,
     split_group_by_registers,
 )
-from ..core.opmodels import chain_for_region, out_row_nbytes
+from ..core.opmodels import chain_for_node, out_row_nbytes
 from ..errors import PlanError
 from ..faults import as_injector
 from ..plans.plan import OpType, Plan, PlanNode
@@ -134,7 +134,6 @@ class WorkloadScheduler:
         """Queue every non-fused kernel of `plan` onto `stream` (a
         :class:`SimStream` or pooled stream).  `only_prefix` restricts the
         emission to nodes of one query in a merged workload plan."""
-        from ..core.opmodels import FUSABLE_OPS, chain_for_node
         for node in plan.topological():
             if node.op is OpType.SOURCE or node.name in skip:
                 continue
@@ -142,16 +141,11 @@ class WorkloadScheduler:
                 continue
             primary = node.inputs[0]
             n_in = sizes[primary.name]
-            if node.op in FUSABLE_OPS:
-                chain = chain_for_region([node])
-            else:
-                chain = chain_for_node(node, n_in_hint=max(n_in, 2))
-            side_sizes = {getattr(x, "name", str(x)): sizes[x.name]
-                          for _, x in chain.side_kernels}
+            chain = chain_for_node(node, n_in_hint=max(n_in, 2))
             reads = tuple(i.name for i in node.inputs)
             if chain.side_kernels:
                 reads += (f"{node.name}.build",)
-            for spec in chain.side_launch_specs(self.device, side_sizes):
+            for spec in chain.side_launch_specs(self.device, sizes):
                 stream.kernel(spec, tag=spec.name,
                               reads=tuple(i.name for i in node.inputs[1:]),
                               writes=(f"{node.name}.build",))

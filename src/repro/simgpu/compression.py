@@ -4,10 +4,11 @@ The paper's related work notes that He et al. "suggest the use of data
 compression techniques to reduce the amount of transfered data" as a
 response to the same PCIe bottleneck fusion/fission attack.  This module
 models that alternative so the ablation bench can compare and *combine*
-the two approaches: transfers move ``bytes / ratio``; a decompression
-kernel is charged on the device after each download (and a host-side
-compression cost before each upload, if the data is not stored
-compressed).
+the two approaches.  Columns are stored compressed on the host, so an
+upload moves ``bytes / ratio`` over the wire and a decompression kernel
+then unpacks the buffer on the device (:meth:`CompressionScheme.upload`,
+the one rule both the Executor and the GpuRuntime queue source uploads
+through).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 from .compute import KernelLaunchSpec, default_grid
 from .device import DeviceSpec
+from .pcie import HostMemory
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class CompressionScheme:
     name: str
     ratio: float                      # uncompressed / compressed bytes
     decompress_insts_per_elem: float  # GPU-side unpack cost
-    host_compress_bw: float = 3.0e9   # host-side pack throughput (bytes/s)
 
     def __post_init__(self):
         if self.ratio < 1.0:
@@ -55,11 +56,20 @@ class CompressionScheme:
             instructions=self.decompress_insts_per_elem * n_elements,
         )
 
-    def host_compress_time(self, nbytes: float) -> float:
-        """Host CPU time to pack a buffer before upload."""
-        if self.ratio == 1.0:
-            return 0.0
-        return nbytes / self.host_compress_bw
+    def upload(self, stream, nbytes: float, rows: int, row_nbytes: int,
+               memory: HostMemory, device: DeviceSpec, tag: str,
+               writes: tuple[str, ...] = ()) -> None:
+        """Queue one source upload onto `stream` (a SimStream): the H2D
+        ``input.<tag>`` of the wire bytes into buffers `writes`, then --
+        when this scheme compresses -- the ``decompress.<tag>`` kernel
+        over `rows` rows of `row_nbytes`, in place.  An identity codec
+        queues `nbytes` itself, unchanged in value and type."""
+        compressed = self.ratio > 1.0
+        stream.h2d(self.wire_bytes(nbytes) if compressed else nbytes, memory,
+                   tag=f"input.{tag}", writes=writes)
+        if compressed:
+            stream.kernel(self.decompress_spec(rows, row_nbytes, device),
+                          tag=f"decompress.{tag}", reads=writes, writes=writes)
 
 
 NONE = CompressionScheme("none", ratio=1.0, decompress_insts_per_elem=0.0)

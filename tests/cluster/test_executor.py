@@ -4,6 +4,7 @@ partition scheme, the timing path must actually scale (4 devices strictly
 beat 1 on both queries), summaries must be byte-stable across reruns, and
 device loss must recover without changing anything."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.cluster import (
 )
 from repro.faults import FaultPlan
 from repro.plans import evaluate_sinks
+from repro.simgpu import DeviceSpec
 from repro.tpch import (
     TpchConfig,
     build_q1_plan,
@@ -223,6 +225,26 @@ class TestRunResult:
             assert res.exchange_out_bytes > 0
             rel = abs(res.exchange_out_bytes - res.exchange_in_bytes)
             assert rel <= 0.02 * res.exchange_out_bytes
+
+    @pytest.mark.no_chaos  # compares makespans of separately faulted runs
+    @pytest.mark.parametrize("preagg", [True, False],
+                             ids=["preagg", "plain"])
+    def test_host_suffix_priced_on_the_device_cpu(self, preagg):
+        """The host suffix runs on the cluster host's CPU, so a slower CPU
+        calibration must lengthen the run (it was once priced with the
+        default calibration whatever the device said)."""
+        base = DeviceSpec()
+        cpu = dataclasses.replace(base.calib.cpu,
+                                  write_bw=base.calib.cpu.write_bw / 4)
+        slow = dataclasses.replace(
+            base, calib=dataclasses.replace(base.calib, cpu=cpu))
+        cfg = ClusterConfig(num_devices=4, preagg=preagg, check=True)
+        fast_res, slow_res = (
+            ClusterExecutor(dev, config=cfg).run(build_q21_plan(), q21_rows())
+            for dev in (base, slow))
+        assert fast_res.dist.suffix_mode == "host"
+        assert (fast_res.dist.preagg is not None) == preagg
+        assert slow_res.makespan > fast_res.makespan
 
     def test_summary_is_byte_stable(self):
         def run_summary():
