@@ -11,10 +11,10 @@ reproducible.
 
 from .injector import FaultInjector, InjectedFault, as_injector
 from .plan import ALL_KINDS, FaultKind, FaultPlan, RetryPolicy, parse_chaos
-from .recovery import ladder, spurious_oom
+from .recovery import ladder, run_with_ladder, spurious_oom
 
 __all__ = [
     "FaultKind", "FaultPlan", "RetryPolicy", "ALL_KINDS", "parse_chaos",
     "FaultInjector", "InjectedFault", "as_injector",
-    "ladder", "spurious_oom",
+    "ladder", "run_with_ladder", "spurious_oom",
 ]

@@ -3,9 +3,9 @@ device keeps reporting OOM or retries run out.
 
 The paper's strategies assume the device cooperates; a production engine
 must keep answering when it does not.  :func:`ladder` gives one fallback
-order, used by both interpreters of a plan -- the timing
-:class:`~repro.runtime.executor.Executor` and the functional
-:class:`~repro.runtime.gpu_rt.GpuRuntime`:
+order, and :func:`run_with_ladder` walks it for both callers of the
+:class:`~repro.runtime.executor.Executor`'s program: timed runs and the
+functional :class:`~repro.runtime.gpu_rt.GpuRuntime`:
 
 * a **fission** strategy first drops fission and keeps its fusion
   setting (FUSED_FISSION -> FUSED, FISSION -> SERIAL): pipelined segments
@@ -25,9 +25,9 @@ the shard (docs/CLUSTER.md).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from ..errors import DeviceOOMError
+from ..errors import DeviceOOMError, FaultError
 
 if TYPE_CHECKING:
     from ..runtime.strategies import Strategy
@@ -53,6 +53,33 @@ def ladder(strategy: "Strategy | str") -> "tuple[Strategy | str, ...]":
         steps.append(Strategy.WITH_ROUND_TRIP)
     steps.append(CPU_BASELINE)
     return tuple(steps)
+
+
+def run_with_ladder(strategy: "Strategy | str",
+                    attempt: "Callable[[Strategy | str], object]",
+                    injector, degrade: bool | None):
+    """``attempt(step)`` down :func:`ladder` (only ``strategy`` unless
+    ``degrade``; ``None``: iff ``injector`` is set) until a rung survives
+    OOM / exhausted retries; stamps ``degraded_to`` and the injector
+    counters on its result, or re-raises the last rung's error."""
+    if degrade is None:
+        degrade = injector is not None
+    last_err: Exception | None = None
+    for step in ladder(strategy) if degrade else (strategy,):
+        try:
+            result = attempt(step)
+        except (DeviceOOMError, FaultError) as err:
+            last_err = err
+            continue
+        if step != strategy:
+            result.degraded_to = step if isinstance(step, str) else step.value
+        if injector is not None:
+            result.faults_injected = injector.faults_injected
+            result.retries = injector.retries
+            result.reissues = injector.reissues
+        return result
+    assert last_err is not None
+    raise last_err
 
 
 def spurious_oom(injector, site: str, capacity: int) -> None:

@@ -6,8 +6,9 @@ Two construction paths:
   timing path's input), widths taken from the plan's source declarations;
 * :meth:`DataStats.from_relations` -- observed from real relations
   (rows, widths, per-column distinct counts, and skew measured as the
-  heaviest value's frequency share), subsuming what
-  :mod:`repro.runtime.estimates` profiles.
+  heaviest value's frequency share).  Per-node observed rows, to audit
+  the plan's annotations against, are an observed
+  :class:`~repro.runtime.sizes.PlanShape`'s ``sizes``.
 
 ``digest()`` is the stats component of every optimizer cache key: any
 change in cardinality, width, group count, or skew re-keys the entry.

@@ -1,16 +1,14 @@
 """Plan execution on the simulated platform: strategies, executor, metrics."""
 
-from .estimates import EstimateProfile, profile_estimates
 from .executor import Executor, RunResult
 from .hybrid import HybridRunResult, balance_split, run_hybrid_select
-from .gpu_rt import DeviceBuffer, FunctionalRunResult, GpuRuntime
+from .gpu_rt import FunctionalRunResult, GpuRuntime
 from .sizes import estimate_sizes
 from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
 
 __all__ = [
-    "Executor", "RunResult", "DeviceBuffer", "FunctionalRunResult",
+    "Executor", "RunResult", "FunctionalRunResult",
     "GpuRuntime", "estimate_sizes", "ExecutionConfig", "Strategy",
     "CPU_BASELINE",
     "HybridRunResult", "balance_split", "run_hybrid_select",
-    "EstimateProfile", "profile_estimates",
 ]

@@ -10,9 +10,9 @@ Responsibilities:
   (the regime of Fig 14 / Fig 16),
 * account every simulated event in a :class:`repro.simgpu.timeline.Timeline`.
 
-The executor is *timing only*: functional results come from
-:mod:`repro.plans.interp`, which the tests cross-check against the fused
-lowering's semantics.
+Sizes come from a :class:`~repro.runtime.sizes.PlanShape`: the plan's
+annotations, or one real evaluation when :mod:`repro.runtime.gpu_rt` runs
+the same program on observed rows and bytes.
 """
 
 from __future__ import annotations
@@ -21,18 +21,18 @@ from dataclasses import dataclass, replace
 
 from ..core.fission import Segment, run_fissioned, split_for_fission
 from ..core.fusion import FusionResult, Region
-from ..core.opmodels import lower_region, out_row_nbytes
+from ..core.opmodels import lower_region
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import host_plan_time
-from ..errors import DeviceOOMError, FaultError, PlanError
-from ..faults import (FaultInjector, FaultPlan, as_injector, ladder,
+from ..errors import DeviceOOMError, PlanError
+from ..faults import (FaultInjector, FaultPlan, as_injector, run_with_ladder,
                       spurious_oom)
 from ..plans.plan import OpType, Plan, PlanNode
 from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
 from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import EventKind, Timeline
-from .sizes import PlanShape, chunk_count, footprint, node_bytes, region_bytes
+from .sizes import PlanShape, chunk_count, footprint
 from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
 
 
@@ -104,7 +104,6 @@ class _LoweredRegion:
     region: Region
     chain: object  # KernelChain
     n_in: int
-    n_out: int
     out_bytes: float
     primary_input: PlanNode
 
@@ -154,34 +153,21 @@ class Executor:
                 self._analyzer().run(plan, strict=True))
             self._memory_preflight(plan, source_rows, config)
         injector = as_injector(self.faults)
-        degrade = self.degrade if self.degrade is not None else injector is not None
-        steps = ladder(config.strategy) if degrade else (config.strategy,)
-        last_err: Exception | None = None
-        for step in steps:
-            try:
-                result = self._run_once(shape, source_rows, config, step,
-                                        injector)
-            except (DeviceOOMError, FaultError) as err:
-                last_err = err
-                continue
-            if step is not config.strategy:
-                result.degraded_to = step if isinstance(step, str) else step.value
-            if injector is not None:
-                result.faults_injected = injector.faults_injected
-                result.retries = injector.retries
-                result.reissues = injector.reissues
-            if self.check:
-                from ..validate import validate_run
-                validate_run(result, self.device).raise_if_failed()
-            if self.analyze and self._analysis_reports:
-                from ..analyze import AnalysisReport
-                merged = AnalysisReport()
-                for rep in self._analysis_reports:
-                    merged.merge(rep)
-                result.analysis = merged.summary()
-            return result
-        assert last_err is not None
-        raise last_err
+        result = run_with_ladder(
+            config.strategy,
+            lambda step: self._run_once(shape, source_rows, config, step,
+                                        injector),
+            injector, self.degrade)
+        if self.check:
+            from ..validate import validate_run
+            validate_run(result, self.device).raise_if_failed()
+        if self.analyze and self._analysis_reports:
+            from ..analyze import AnalysisReport
+            merged = AnalysisReport()
+            for rep in self._analysis_reports:
+                merged.merge(rep)
+            result.analysis = merged.summary()
+        return result
 
     def _memory_preflight(self, plan: Plan,
                           source_rows: dict[str, int] | None,
@@ -210,27 +196,39 @@ class Executor:
             # the strategy's working set outright
             spurious_oom(injector, f"exec.{config.strategy.value}",
                          self.device.global_mem_bytes)
+        return self._execute(shape, source_rows, config, injector)
+
+    def _execute(self, shape: PlanShape, source_rows: dict[str, int] | None,
+                 config: ExecutionConfig, injector: FaultInjector | None,
+                 functional=None) -> RunResult:
+        """One device run of ``config.strategy`` on ``shape``'s sizes.
+        A :class:`~repro.runtime.gpu_rt.GpuRuntime` passes ``functional``:
+        its ``place(stream)`` puts each single-stream program in device
+        memory, its ``segment_thunk(prefix, driver)`` runs per segment."""
         plan = shape.plan
         sizes = shape.sizes(source_rows)
+        nbytes = shape.nbytes(source_rows)
         fusion = shape.fusion(config.strategy.uses_fusion)
         if self.analyze:
             self._analysis_reports.append(
                 self._analyzer().run(fusion, strict=True))
-        lowered = self._lower(fusion, sizes)
+        lowered = self._lower(fusion, sizes, nbytes)
         driver = self._driver_source(plan, sizes)
 
         n_in = sizes[driver.name]
-        input_bytes = node_bytes(driver, sizes)
+        input_bytes = nbytes[driver.name]
         sink_names = {n.name for n in plan.sinks()}
-        output_bytes = sum(lr.out_bytes for lr in lowered
-                           if lr.region.output_node.name in sink_names)
+        output_bytes = (sum(lr.out_bytes for lr in lowered
+                            if lr.region.output_node.name in sink_names)
+                        + sum(nbytes[n.name] for n in _source_sinks(plan)))
         n_out = sum(sizes[n.name] for n in plan.sinks())
 
         run = (self._run_fission
                if config.strategy.uses_fission and config.include_transfers
                else self._run_serial)
         timeline, num_chunks, (expected_h2d, expected_d2h) = run(
-            plan, lowered, sizes, driver, config, injector)
+            shape, lowered, sizes, nbytes, driver, config, injector,
+            functional)
         return RunResult(
             strategy=config.strategy, timeline=timeline, sizes=sizes,
             n_in=n_in, n_out=n_out, input_bytes=input_bytes,
@@ -255,32 +253,33 @@ class Executor:
         no device command left for fault injection to break."""
         plan = shape.plan
         sizes = shape.sizes(source_rows)
+        nbytes = shape.nbytes(source_rows)
         driver = self._driver_source(plan, sizes)
         duration = host_plan_time(plan.nodes, sizes, self.device.calib.cpu)
         timeline = Timeline()
         timeline.add(0.0, duration, EventKind.HOST, "cpubase")
 
         n_in = sizes[driver.name]
-        output_bytes = sum(node_bytes(n, sizes) for n in plan.sinks())
+        output_bytes = sum(nbytes[n.name] for n in plan.sinks())
         return RunResult(
             strategy=config.strategy, timeline=timeline, sizes=sizes,
             n_in=n_in, n_out=sum(sizes[n.name] for n in plan.sinks()),
-            input_bytes=node_bytes(driver, sizes),
+            input_bytes=nbytes[driver.name],
             output_bytes=output_bytes, fusion=None, num_chunks=1,
         )
 
     # -- lowering ----------------------------------------------------------
-    def _lower(self, fusion: FusionResult, sizes: dict[str, int]
-               ) -> list[_LoweredRegion]:
+    def _lower(self, fusion: FusionResult, sizes: dict[str, int],
+               nbytes: dict[str, float]) -> list[_LoweredRegion]:
         lowered: list[_LoweredRegion] = []
         for region in fusion.regions:
-            primary, _, out_bytes = region_bytes(region, sizes)
+            first = region.nodes[0]
+            primary = first.inputs[0] if first.inputs else first
             n_in = sizes[primary.name]
             lowered.append(_LoweredRegion(
                 region=region, chain=lower_region(region, self.costs, n_in),
-                n_in=n_in,
-                n_out=sizes[region.output_node.name],
-                out_bytes=out_bytes, primary_input=primary,
+                n_in=n_in, out_bytes=nbytes[region.output_node.name],
+                primary_input=primary,
             ))
         return lowered
 
@@ -292,42 +291,43 @@ class Executor:
         return max(sources, key=lambda s: sizes[s.name])
 
     # -- serial / round-trip execution ------------------------------------------
-    def _run_serial(self, plan: Plan, lowered: list[_LoweredRegion],
-                    sizes: dict[str, int], driver: PlanNode,
-                    config: ExecutionConfig,
-                    injector: FaultInjector | None
+    def _run_serial(self, shape: PlanShape, lowered: list[_LoweredRegion],
+                    sizes: dict[str, int], nbytes: dict[str, float],
+                    driver: PlanNode, config: ExecutionConfig,
+                    injector: FaultInjector | None, functional=None
                     ) -> tuple[Timeline, int, tuple[float, float]]:
         """(timeline, chunks, expected (H2D, D2H) bytes) of one serial or
         round-trip run."""
+        plan = shape.plan
         engine = SimEngine(self.device, check=self.check, faults=injector)
         num_chunks = 1
         if config.include_transfers:
-            num_chunks = self._plan_chunks(plan, lowered, sizes, driver, config)
+            num_chunks = self._plan_chunks(plan, lowered, nbytes, driver,
+                                           config)
 
         stream = SimStream(stream_id=0)
         mem = config.memory
         upload = config.compression.upload
         sink_names = {n.name for n in plan.sinks()}
         expected = self._expected_serial_bytes(
-            plan, lowered, sizes, sink_names, config)
+            plan, lowered, nbytes, sink_names, config)
 
         # side (non-driver) sources are loaded once, up front
         if config.include_transfers:
             for src in plan.sources():
                 if src is driver:
                     continue
-                nbytes = node_bytes(src, sizes)
-                if nbytes > 0:
-                    upload(stream, nbytes, sizes[src.name],
-                           out_row_nbytes(src), mem, self.device,
+                if nbytes[src.name] > 0:
+                    upload(stream, nbytes[src.name], sizes[src.name],
+                           shape.row_nbytes(src), mem, self.device,
                            tag=src.name, writes=(src.name,))
 
         for chunk in range(num_chunks):
             frac = 1.0 / num_chunks
             if config.include_transfers:
-                upload(stream, node_bytes(driver, sizes) * frac,
+                upload(stream, nbytes[driver.name] * frac,
                        max(1, int(round(sizes[driver.name] * frac))),
-                       out_row_nbytes(driver), mem, self.device,
+                       shape.row_nbytes(driver), mem, self.device,
                        tag=f"{driver.name}.c{chunk}", writes=(driver.name,))
             for lr in lowered:
                 scales = self._scales_with_driver(lr, driver, plan)
@@ -354,12 +354,12 @@ class Executor:
                 if (config.strategy is Strategy.WITH_ROUND_TRIP
                         and config.include_transfers
                         and lr.region.output_node.name not in sink_names):
-                    nbytes = lr.out_bytes * chunk_frac
-                    if nbytes > 0:
-                        stream.d2h(nbytes, config.roundtrip_memory,
+                    staged = lr.out_bytes * chunk_frac
+                    if staged > 0:
+                        stream.d2h(staged, config.roundtrip_memory,
                                    tag=f"roundtrip.out.{lr.region.name}",
                                    reads=(out_name,))
-                        stream.h2d(nbytes, config.roundtrip_memory,
+                        stream.h2d(staged, config.roundtrip_memory,
                                    tag=f"roundtrip.in.{lr.region.name}",
                                    writes=(out_name,))
             if config.include_transfers:
@@ -373,12 +373,16 @@ class Executor:
                                    tag=f"output.{lr.region.name}.c{chunk}",
                                    reads=(lr.region.output_node.name,))
 
+        if config.include_transfers:
+            _download_source_sinks(stream, plan, nbytes, mem)
         if self.analyze and config.include_transfers:
             # transfers off means sources are never "written", which would
             # false-positive the use-before-upload check -- skip then
             self._analysis_reports.append(
                 self._analyzer().run([stream], unit=f"serial.{plan.name}",
                                      strict=True))
+        if functional is not None:
+            stream = functional.place(stream)
         return engine.run([stream]), num_chunks, expected
 
     @staticmethod
@@ -393,14 +397,14 @@ class Executor:
         return tuple(out)
 
     def _expected_serial_bytes(self, plan: Plan, lowered: list[_LoweredRegion],
-                               sizes: dict[str, int], sink_names: set[str],
+                               nbytes: dict[str, float], sink_names: set[str],
                                config: ExecutionConfig) -> tuple[float, float]:
         """(H2D, D2H) bytes the serial schedule should move in total:
         sources at their wire size, spills raw."""
         if not config.include_transfers:
             return (0.0, 0.0)
         wire = config.compression.wire_bytes
-        h2d = sum(wire(node_bytes(s, sizes)) for s in plan.sources())
+        h2d = sum(wire(nbytes[s.name]) for s in plan.sources())
         d2h = 0.0
         for lr in lowered:
             if lr.region.output_node.name in sink_names:
@@ -409,6 +413,8 @@ class Executor:
                   and lr.out_bytes > 0):
                 h2d += lr.out_bytes
                 d2h += lr.out_bytes
+        for src in _source_sinks(plan):
+            d2h += nbytes[src.name]
         return (h2d, d2h)
 
     @staticmethod
@@ -449,13 +455,13 @@ class Executor:
         return out
 
     def _plan_chunks(self, plan: Plan, lowered: list[_LoweredRegion],
-                     sizes: dict[str, int], driver: PlanNode,
+                     nbytes: dict[str, float], driver: PlanNode,
                      config: ExecutionConfig) -> int:
         """How many chunks are needed for the working set to fit on device."""
         budget = self.device.global_mem_bytes * config.memory_safety
         side, working, has_barrier = footprint(
             plan, [lr.region for lr in lowered], driver,
-            lambda node: node_bytes(node, sizes))
+            lambda node: nbytes[node.name])
         chunks = chunk_count(side, working, budget, has_barrier)
         if chunks is not None:
             return int(chunks)
@@ -468,12 +474,14 @@ class Executor:
                              self.device.global_mem_bytes)
 
     # -- fission execution --------------------------------------------------------
-    def _run_fission(self, plan: Plan, lowered: list[_LoweredRegion],
-                     sizes: dict[str, int], driver: PlanNode,
-                     config: ExecutionConfig,
-                     injector: FaultInjector | None
+    def _run_fission(self, shape: PlanShape, lowered: list[_LoweredRegion],
+                     sizes: dict[str, int], nbytes: dict[str, float],
+                     driver: PlanNode, config: ExecutionConfig,
+                     injector: FaultInjector | None, functional=None
                      ) -> tuple[Timeline, int, tuple[float, float]]:
         """Like :meth:`_run_serial`, pipelining the driver's prefix."""
+        plan = shape.plan
+        place = functional.place if functional is not None else (lambda s: s)
         by_region = {id(lr.region): lr for lr in lowered}
         prefix, phase_a, rest = (
             [by_region[id(r)] for r in part]
@@ -481,9 +489,9 @@ class Executor:
                                           driver))
         if not prefix:
             # nothing to pipeline -- degenerate to serial, same config otherwise
-            return self._run_serial(plan, lowered, sizes, driver,
+            return self._run_serial(shape, lowered, sizes, nbytes, driver,
                                     replace(config, strategy=Strategy.SERIAL),
-                                    injector)
+                                    injector, functional)
 
         timeline = Timeline()
         engine = SimEngine(self.device, check=self.check, faults=injector)
@@ -500,16 +508,16 @@ class Executor:
         for src in plan.sources():
             if src is driver or src in co_drivers:
                 continue
-            nbytes = node_bytes(src, sizes)
-            if nbytes > 0:
-                pre.h2d(nbytes, mem_pinned, tag=f"input.{src.name}")
+            if nbytes[src.name] > 0:
+                pre.h2d(nbytes[src.name], mem_pinned, tag=f"input.{src.name}",
+                        writes=(src.name,))
         for lr in phase_a:
             self._emit_region(pre, lr, sizes, sink_names, mem_pinned)
         for lr in prefix:
             for spec in lr.chain.side_launch_specs(self.device, sizes):
                 pre.kernel(spec, tag=spec.name)
         if pre.commands:
-            timeline = engine.run([pre])
+            timeline = engine.run([place(pre)])
 
         # phase B: pipelined segments over the driver input
         whole_plan_is_prefix = not rest and len(plan.sinks()) == 1
@@ -517,7 +525,7 @@ class Executor:
         for lr in prefix:
             prefix_sel *= lr.region.selectivity
         out_node = prefix[-1].region.output_node
-        out_row = out_row_nbytes(out_node)
+        out_row = shape.row_nbytes(out_node)
         n_driver = sizes[driver.name]
 
         def kernel_builder(seg: Segment):
@@ -534,8 +542,8 @@ class Executor:
             # upload and no host gather
             fis_cfg = replace(fis_cfg, host_gather=False)
 
-        pipeline_in_row = (out_row_nbytes(driver)
-                           + sum(out_row_nbytes(s) for s in co_drivers))
+        pipeline_in_row = (shape.row_nbytes(driver)
+                           + sum(shape.row_nbytes(s) for s in co_drivers))
         pipe_tl = run_fissioned(
             self.device,
             n_rows=n_driver,
@@ -546,22 +554,28 @@ class Executor:
             config=fis_cfg,
             engine=SimEngine(self.device, check=self.check, faults=injector),
             costs=self.costs,
+            segment_thunk=(functional.segment_thunk(
+                [lr.region for lr in prefix], driver)
+                if functional is not None else None),
         )
         timeline.extend(pipe_tl, offset=timeline.end_time)
 
-        # phase C: the remaining (driver-dependent / barrier-bound) regions
-        if rest:
-            post = SimStream(stream_id=0)
-            for lr in rest:
-                self._emit_region(post, lr, sizes, sink_names, mem_pinned)
+        # phase C: the remaining (driver-dependent / barrier-bound) regions,
+        # then the sources that are also sinks
+        post = SimStream(stream_id=0)
+        for lr in rest:
+            self._emit_region(post, lr, sizes, sink_names, mem_pinned)
+        _download_source_sinks(post, plan, nbytes, mem_pinned)
+        if post.commands:
             post_tl = SimEngine(self.device, check=self.check,
-                                faults=injector).run([post])
+                                faults=injector).run([place(post)])
             timeline.extend(post_tl, offset=timeline.end_time)
 
-        expected_h2d = sum(node_bytes(s, sizes) for s in plan.sources())
+        expected_h2d = sum(nbytes[s.name] for s in plan.sources())
         expected_d2h = sum(
             lr.out_bytes for lr in [*phase_a, *rest]
             if lr.region.output_node.name in sink_names)
+        expected_d2h += sum(nbytes[s.name] for s in _source_sinks(plan))
         if whole_plan_is_prefix:
             expected_d2h += float(n_driver) * prefix_sel * out_row
         return timeline, 1, (expected_h2d, expected_d2h)
@@ -576,3 +590,16 @@ class Executor:
             stream.kernel(spec, tag=spec.name)
         if lr.region.output_node.name in sink_names and lr.out_bytes > 0:
             stream.d2h(lr.out_bytes, mem, tag=f"output.{lr.region.name}")
+
+
+def _source_sinks(plan: Plan) -> list[PlanNode]:
+    """Sources no operator consumes: each is downloaded as it is."""
+    return [n for n in plan.sinks() if n.op is OpType.SOURCE]
+
+
+def _download_source_sinks(stream: SimStream, plan: Plan,
+                           nbytes: dict[str, float], mem: HostMemory) -> None:
+    for src in _source_sinks(plan):
+        if nbytes[src.name] > 0:
+            stream.d2h(nbytes[src.name], mem, tag=f"output.{src.name}",
+                       reads=(src.name,))

@@ -21,7 +21,9 @@ from typing import Callable, Mapping
 from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import out_row_nbytes
 from ..errors import PlanError
+from ..plans.interp import evaluate
 from ..plans.plan import OpType, Plan, PlanNode
+from ..ra.relation import Relation
 
 
 def estimate_sizes(plan: Plan, source_rows: dict[str, int]) -> dict[str, int]:
@@ -35,33 +37,70 @@ def estimate_sizes(plan: Plan, source_rows: dict[str, int]) -> dict[str, int]:
 
 
 class PlanShape:
-    """One plan's size estimates and fusion regions, each computed once.
+    """One plan's sizes and fusion regions, each computed once.
 
-    The cost model, the memory verdict and every executor run of one
-    planning call share a shape instead of re-deriving the same sizes
-    and regions.  A shape lives for that one call: plan nodes are
-    mutable, so nothing here may outlive the caller that built it.
+    The sizes come from the plan's annotations (:func:`estimate_sizes` at
+    the caller's source rows) or, for a shape built by :meth:`observe`,
+    from one real evaluation; the executor builds the same stream program
+    from either.  The cost model, the memory verdict and every executor
+    run of one planning call share a shape instead of re-deriving the
+    same sizes and regions.  A shape lives for that one call: plan nodes
+    are mutable, so nothing here may outlive the caller that built it.
     Every caller gets the same size map and FusionResult objects, so
     none may mutate them.
     """
 
     def __init__(self, plan: Plan):
         self.plan = plan
-        self._sizes: dict[tuple, dict[str, int]] = {}
+        #: every node's evaluated relation when observed, else None
+        self.relations: dict[str, Relation] | None = None
+        self._sizes: dict[tuple | None, dict[str, int]] = {}
+        self._nbytes: dict[tuple | None, dict[str, float]] = {}
         self._fusion: dict[bool, FusionResult] = {}
 
     @classmethod
     def of(cls, plan: "Plan | PlanShape") -> "PlanShape":
         return plan if isinstance(plan, PlanShape) else cls(plan)
 
-    def sizes(self, source_rows: dict[str, int] | None) -> dict[str, int]:
-        """:func:`estimate_sizes` for ``source_rows``; only the rows of
-        this plan's own sources tell one row map from another."""
+    @classmethod
+    def observe(cls, plan: Plan, sources: dict[str, Relation]) -> "PlanShape":
+        """Evaluate ``plan`` on ``sources`` once: every node's rows, row
+        width and bytes are its real relation's, whatever the caller's
+        source rows."""
+        shape = cls(plan)
+        shape.relations = rels = evaluate(plan, sources)
+        shape._sizes[None] = {n: r.num_rows for n, r in rels.items()}
+        shape._nbytes[None] = {n: float(r.nbytes) for n, r in rels.items()}
+        return shape
+
+    def _key(self, source_rows: dict[str, int] | None) -> tuple | None:
+        """Only the rows of this plan's own sources tell one row map
+        from another; an observed shape has one."""
+        if self.relations is not None:
+            return None
         rows = source_rows or {}
-        key = tuple(rows.get(s.name) for s in self.plan.sources())
+        return tuple(rows.get(s.name) for s in self.plan.sources())
+
+    def sizes(self, source_rows: dict[str, int] | None) -> dict[str, int]:
+        """Output rows of every node, keyed by node name."""
+        key = self._key(source_rows)
         if key not in self._sizes:
-            self._sizes[key] = estimate_sizes(self.plan, rows)
+            self._sizes[key] = estimate_sizes(self.plan, source_rows or {})
         return self._sizes[key]
+
+    def nbytes(self, source_rows: dict[str, int] | None) -> dict[str, float]:
+        """Output bytes of every node, keyed by node name."""
+        key = self._key(source_rows)
+        if key not in self._nbytes:
+            sizes = self.sizes(source_rows)
+            self._nbytes[key] = {n.name: node_bytes(n, sizes)
+                                 for n in self.plan.nodes}
+        return self._nbytes[key]
+
+    def row_nbytes(self, node: PlanNode) -> int:
+        """Bytes per row of ``node``'s output."""
+        return (out_row_nbytes(node) if self.relations is None
+                else self.relations[node.name].row_nbytes)
 
     def fusion(self, fused: bool) -> FusionResult:
         """The fusion pass's regions (``fused=False``: one region per

@@ -106,8 +106,9 @@ class TestModeEquivalence:
             assert chunked.results[name].same_tuples(rel)
 
     def test_fission_falls_back_on_non_streamable_plans(self):
-        """An aggregate right at the sink cannot stream row-segments; the
-        fission strategies must still answer (resident execution inside)."""
+        """An aggregate right at the sink cannot stream row-segments: the
+        fission strategies pipeline the SELECT per segment and aggregate
+        the re-gathered rows on the host, and must still answer."""
         plan = Plan()
         t = plan.source("t", row_nbytes=4)
         s = plan.select(t, Field("v") < 50, selectivity=0.5, name="keep")
