@@ -28,6 +28,7 @@ from ..errors import DeviceOOMError, PlanError
 from ..faults import (FaultInjector, FaultPlan, as_injector, run_with_ladder,
                       spurious_oom)
 from ..plans.plan import OpType, Plan, PlanNode
+from ..simgpu.compute import KernelLaunchSpec
 from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
 from ..simgpu.pcie import HostMemory
@@ -527,13 +528,19 @@ class Executor:
         out_node = prefix[-1].region.output_node
         out_row = shape.row_nbytes(out_node)
         n_driver = sizes[driver.name]
+        # segments differ only in size, and one run has at most two sizes:
+        # build each size's launches once and share the frozen specs
+        templates: dict[int, list[KernelLaunchSpec]] = {}
 
         def kernel_builder(seg: Segment):
-            specs = []
-            seg_frac = seg.n_rows / max(n_driver, 1)
-            for lr in prefix:
-                n_seg_in = max(1, int(round(lr.n_in * seg_frac)))
-                specs.extend(lr.chain.main_launch_specs(n_seg_in, self.device))
+            specs = templates.get(seg.n_rows)
+            if specs is None:
+                specs = templates[seg.n_rows] = []
+                seg_frac = seg.n_rows / max(n_driver, 1)
+                for lr in prefix:
+                    n_seg_in = max(1, int(round(lr.n_in * seg_frac)))
+                    specs.extend(lr.chain.main_launch_specs(n_seg_in,
+                                                            self.device))
             return specs
 
         fis_cfg = config.fission

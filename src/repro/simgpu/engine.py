@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import (
@@ -54,6 +55,14 @@ Thunk = Callable[[], None]
 #: order (FIFO across streams), which is how the CUDA driver arbitrates
 #: same-engine work queued to different streams.
 _ENQUEUE_SEQ = itertools.count()
+
+#: a kernel's base duration and SM request are pure functions of the
+#: device and the frozen launch spec (plus the grant and whether another
+#: kernel is in flight), and a fission run launches the same few specs in
+#: every segment, so the dispatch loop looks them up.  Bounded, so a
+#: long-lived process serving many plans keeps a fixed footprint.
+kernel_base_duration = lru_cache(maxsize=4096)(kernel_duration)
+kernel_sms_wanted = lru_cache(maxsize=4096)(sms_requested)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +193,13 @@ class SimEngine:
     """Runs a set of :class:`SimStream` queues to completion.
 
     Returns a :class:`Timeline` of everything that happened.  The engine is
-    deterministic: ties are broken by stream id.  An optional
-    :class:`~repro.faults.injector.FaultInjector` makes commands fail,
+    deterministic.  Each dispatch pass snapshots the ready stream heads and
+    tries them in enqueue (``seq``) order, FIFO across streams; a head whose
+    engine or SMs are taken is skipped.  Another pass follows only when a
+    signal or wait advanced a cursor, since nothing else can make a skipped
+    head dispatchable before the next completion.  Commands that end at the
+    same simulated time complete in the order they were dispatched.  An
+    optional :class:`~repro.faults.injector.FaultInjector` makes commands fail,
     stall, or slow down on purpose; the engine then repairs the schedule
     with bounded retries (see module docstring).
     """
@@ -305,9 +319,14 @@ class SimEngine:
         num_streams = len(streams)
 
         while remaining or running:
-            dispatched = True
-            while dispatched:
-                dispatched = False
+            # Dispatch passes.  A resource dispatch blocks only its own
+            # stream and only takes an engine or SMs, and now, ready_at and
+            # signaled stay fixed here, so a head skipped in a pass stays
+            # skipped unless a zero-duration signal/wait advanced a cursor:
+            # only that starts another pass.
+            rescan = True
+            while rescan:
+                rescan = False
                 # FIFO across streams: consider stream heads in enqueue
                 # order.  seq values are globally unique, so sorting
                 # (seq, i) pairs reproduces the old lambda-keyed order
@@ -342,12 +361,10 @@ class SimEngine:
                             raise SchedulingError(f"kernel command {cmd.tag} has no spec")
                         if free_sms <= 0:
                             continue
-                        want = sms_requested(self.device, cmd.spec)
-                        grant = min(want, free_sms)
-                        concurrent = kernels_in_flight > 0
-                        dur = kernel_duration(
-                            self.device, cmd.spec,
-                            granted_sms=grant, concurrent=concurrent)
+                        grant = min(kernel_sms_wanted(self.device, cmd.spec),
+                                    free_sms)
+                        dur = kernel_base_duration(
+                            self.device, cmd.spec, grant, kernels_in_flight > 0)
                         dur, failed, stalled = self._fault_adjust(cmd, dur)
                         free_sms -= grant
                         kernels_in_flight += 1
@@ -369,7 +386,7 @@ class SimEngine:
                                stream=stream.stream_id)
                         cursors[i] += 1
                         remaining -= 1
-                        dispatched = True
+                        rescan = True
                         continue
                     elif isinstance(cmd, WaitEventCommand):
                         if cmd.event_id in signaled:
@@ -377,7 +394,7 @@ class SimEngine:
                                    stream=stream.stream_id)
                             cursors[i] += 1
                             remaining -= 1
-                            dispatched = True
+                            rescan = True
                         continue
                     else:
                         raise SchedulingError(f"unknown command type: {cmd!r}")
@@ -385,7 +402,6 @@ class SimEngine:
                     blocked_until_done[i] = True
                     run.start = now
                     heapq.heappush(running, (run.end, next(seq), run))
-                    dispatched = True
 
             if not running:
                 # streams may be idle only because of retry backoff: jump

@@ -33,13 +33,10 @@ class PcieModel:
 
     def _asymptotic_bw(self, direction: Direction, memory: HostMemory) -> float:
         c = self.calib
-        table = {
-            (Direction.H2D, HostMemory.PINNED): c.pinned_h2d_bw,
-            (Direction.D2H, HostMemory.PINNED): c.pinned_d2h_bw,
-            (Direction.H2D, HostMemory.PAGED): c.paged_h2d_bw,
-            (Direction.D2H, HostMemory.PAGED): c.paged_d2h_bw,
-        }
-        return table[(direction, memory)]
+        h2d = direction is Direction.H2D
+        if memory is HostMemory.PINNED:
+            return c.pinned_h2d_bw if h2d else c.pinned_d2h_bw
+        return c.paged_h2d_bw if h2d else c.paged_d2h_bw
 
     def peak_bandwidth(self, direction: Direction, memory: HostMemory) -> float:
         """The fastest any transfer can stream: ``transfer_time(n) >=
