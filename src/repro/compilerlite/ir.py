@@ -9,7 +9,6 @@ how PTX listings are counted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 from ..errors import CompilerError
 
@@ -119,10 +118,3 @@ class Program:
             if used or guarded:
                 out.append(k)
         return out
-
-
-def fresh_names(prefix: str) -> Iterable[str]:
-    k = 0
-    while True:
-        yield f"{prefix}{k}"
-        k += 1

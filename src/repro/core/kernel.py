@@ -60,9 +60,6 @@ class StageSpec:
     selectivity: float = 1.0
     regs: int = 0
 
-    def scaled_selectivity(self, incoming: float) -> float:
-        return incoming * self.selectivity
-
 
 @dataclass
 class Kernel:

@@ -75,10 +75,6 @@ class BoundQuery:
     correlated: dict[str, str] = field(default_factory=dict)  # __corr_x -> x
 
     @property
-    def output_fields(self) -> list[str]:
-        return [i.alias for i in self.items]
-
-    @property
     def has_aggregates(self) -> bool:
         return any(_contains_agg(i.expr) for i in self.items) or (
             self.having is not None and _pred_contains_agg(self.having))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..core.opmodels import out_row_nbytes
-from ..plans.plan import OpType, Plan
+from ..plans.plan import Plan
 from ..ra.relation import Relation
 from .fingerprint import digest
 
@@ -45,12 +45,6 @@ class TableStats:
     @property
     def nbytes(self) -> float:
         return float(self.rows) * self.row_nbytes
-
-    def distinct_of(self, column: str) -> int | None:
-        for name, count in self.distinct:
-            if name == column:
-                return count
-        return None
 
 
 @dataclass(frozen=True)
@@ -112,36 +106,8 @@ class DataStats:
         return {name: ts.rows for name, ts in self.tables}
 
     @property
-    def total_rows(self) -> int:
-        return sum(ts.rows for _, ts in self.tables)
-
-    @property
     def max_skew(self) -> float:
         return max((ts.skew for _, ts in self.tables), default=0.0)
-
-    def group_estimate(self, plan: Plan) -> int:
-        """Estimated output group count of the plan's first aggregate,
-        from observed distinct counts when available, else from the
-        plan's own ``n_groups``/``group_rate`` annotations."""
-        for node in plan.topological():
-            if node.op is not OpType.AGGREGATE:
-                continue
-            group_by = node.params.get("group_by") or []
-            est = 1
-            found = False
-            for col in group_by:
-                for _, ts in self.tables:
-                    d = ts.distinct_of(col)
-                    if d is not None:
-                        est *= d
-                        found = True
-                        break
-            if found:
-                return max(1, est)
-            n_groups = node.params.get("n_groups")
-            if n_groups:
-                return int(n_groups)
-        return 1
 
     def scaled(self, factor: float) -> "DataStats":
         """Same stats with every row count scaled (monotonicity probes)."""

@@ -89,10 +89,6 @@ class RunResult:
         """Time moving intermediate results host<->device (serial sum)."""
         return self.timeline.total_time(tag_prefix="roundtrip")
 
-    @property
-    def host_time(self) -> float:
-        return self.timeline.total_time(EventKind.HOST)
-
     def kernel_times(self) -> dict[str, float]:
         out: dict[str, float] = {}
         for ev in self.timeline.filter(EventKind.KERNEL):

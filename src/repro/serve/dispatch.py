@@ -1,6 +1,6 @@
 """One-batch dispatch simulation, extracted from the serve loop.
 
-The serving loops in :mod:`repro.serve.server` decide *what* to dispatch
+The serving loop in :mod:`repro.serve.server` decides *what* to dispatch
 and *when*; this module owns *how* a formed batch turns into a simulated
 timeline.  The split matters for the worker-pool backend
 (:mod:`repro.workers`): a dispatch outcome is a pure function of
@@ -66,11 +66,8 @@ class DispatchEngine:
     def __init__(self, device: DeviceSpec, config) -> None:
         self.device = device
         self.config = config
-        if config.devices > 1:
-            from ..cluster.host import contended_device
-            self.lane_device = contended_device(device, config.devices)
-        else:
-            self.lane_device = device
+        from ..cluster.host import contended_device
+        self.lane_device = contended_device(device, config.devices)
         from ..optimizer.fingerprint import calibration_fingerprint
         self._lane_device_fp = calibration_fingerprint(self.lane_device)
         self._wscheds = [

@@ -103,6 +103,32 @@ class ServeMetrics:
     per_device: dict[int, DeviceLaneStats] = field(default_factory=dict)
 
     # -- recording ---------------------------------------------------------
+    def with_lanes(self, devices: int) -> "ServeMetrics":
+        """Open per-lane counters for a run on `devices` lanes.  Only runs
+        with more than one lane get them, so a single-device summary has
+        no ``device.<i>.*`` keys."""
+        if devices > 1:
+            self.per_device = {dev: DeviceLaneStats()
+                               for dev in range(devices)}
+        return self
+
+    def record_dispatch(self, lane: int, size: int, makespan: float,
+                        degraded: bool, faults: int, warnings: int,
+                        nbytes: float) -> None:
+        """Account one dispatched batch of `size` queries on `lane`."""
+        self.batches += 1
+        self.batch_sizes.append(size)
+        self.busy_s += makespan
+        self.degraded_batches += int(degraded)
+        self.faults_observed += faults
+        self.analysis_warnings += warnings
+        stats = self.per_device.get(lane)
+        if stats is not None:
+            stats.batches += 1
+            stats.queries += size
+            stats.busy_s += makespan
+            stats.dispatched_bytes += nbytes
+
     def record_completion(self, tenant: str, latency_s: float,
                           within_deadline: bool) -> None:
         self.completed += 1

@@ -1,34 +1,41 @@
 """The serving loop: a discrete-event simulation over simulated time.
 
-One device serves one dispatch at a time (the batch itself may fan out
-over streams internally).  The loop interleaves, in simulated-time order:
+One loop serves every device count.  ``ServeConfig.devices`` lanes share
+one host: each lane runs one dispatch at a time (the batch itself may fan
+out over streams internally) on a
+:func:`~repro.cluster.host.contended_device` spec -- the same
+shared-host staging model as the cluster executor, and the plain device
+when there is one lane -- with its own WorkloadScheduler and Stream Pool.
+The admission queue and batch scheduler are shared.  The clock moves to
+every arrival and every batch completion, and at each such event the
+loop runs, in order:
 
 1. **ingest** -- arrivals up to "now" go through admission (bounded queue,
    backpressure shedding);
-2. **expire** -- queued queries whose deadline already passed are shed
+2. **complete** -- in-flight batches that ended by "now" pop off a
+   time-ordered heap; every query in a batch finishes at its dispatch
+   time + makespan, and latencies, SLO hits, and closed-loop follow-ups
+   are recorded;
+3. **expire** -- queued queries whose deadline already passed are shed
    rather than wasting device time;
-3. **dispatch** -- the batch scheduler forms a memory-fitting same-table
-   group; ``batched`` mode sends it down the cross-query shared-scan path
-   on the Stream Pool, ``isolated`` mode runs the head query alone;
-4. **complete** -- every query in the batch finishes at dispatch +
-   makespan; latencies, SLO hits, and closed-loop follow-ups are recorded.
+4. **dispatch** -- while a lane is idle, the batch scheduler forms a
+   memory-fitting same-table group and routes it to the idle lane with
+   the **least outstanding dispatched bytes** (ties to the lowest device
+   id); ``batched`` mode sends it down the cross-query shared-scan path
+   on the Stream Pool, ``isolated`` mode runs the head query alone.
+
+Because the clock stops at arrivals while a batch runs, expiry and
+admission see the queue as it is at each arrival, not only when a lane
+frees up.  With more than one lane, per-lane counters land in
+``ServeMetrics.per_device`` (``device.<i>.*`` summary keys); a
+single-device summary has none.
 
 Fault-aware serving: with a chaos plan configured, batch ``k`` runs under
 the plan reseeded with ``k``.  A fault that survives the engine's retry
 budget poisons only its batch: the Stream Pool is reset and the batch
-re-dispatched query-by-query through the Executor's PR-2 degradation
+re-dispatched query-by-query through the Executor's degradation
 ladder (whose last rung, the host baseline, cannot fault), so the server
 never dies -- the batch just runs degraded and the metrics say so.
-
-Multi-device serving (``devices > 1``): the admission queue and batch
-scheduler stay shared, but each formed batch is routed to the device lane
-with the **least outstanding dispatched bytes** (ties to the lowest
-device id).  Lanes run on :func:`~repro.cluster.host.contended_device`
-specs -- same shared-host staging model as the cluster executor -- each
-with its own WorkloadScheduler and Stream Pool, and completions are drained
-from a time-ordered in-flight heap, so lanes genuinely overlap in
-simulated time.  Per-lane counters land in ``ServeMetrics.per_device``
-(``device.<i>.*`` summary keys).
 """
 
 from __future__ import annotations
@@ -42,9 +49,9 @@ from ..simgpu.timeline import Timeline
 from .admission import AdmissionController, AdmissionDecision
 from .arrivals import ArrivalProcess, QueryRequest
 from .dispatch import DispatchEngine, DispatchRequest
-from .metrics import DeviceLaneStats, ServeMetrics
+from .metrics import ServeMetrics
 from .queue import BoundedPriorityQueue
-from .scheduler import BatchScheduler
+from .scheduler import BatchScheduler, request_footprint
 
 
 @dataclass(frozen=True)
@@ -147,10 +154,9 @@ class ServeResult:
     def device_timelines(self) -> dict[int, Timeline]:
         """Per-lane merged timelines on the shared clock (one trace lane
         group per device, like the cluster executor's)."""
-        devs = self.segment_devices or [0] * len(self.segments)
         out: dict[int, Timeline] = {
             d: Timeline() for d in range(self.config.devices)}
-        for dev, (t0, tl) in zip(devs, self.segments):
+        for dev, (t0, tl) in zip(self.segment_devices, self.segments):
             out[dev].extend(tl, offset=t0)
         return out
 
@@ -204,22 +210,21 @@ class QueryServer:
                 raise ValueError("need a trace or an ArrivalProcess")
             trace = arrivals.trace()
         cfg = self.config
-        if cfg.devices > 1:
-            return self._run_multi(trace, arrivals)
+        lanes = range(cfg.devices)
         #: min-heap of not-yet-arrived requests (closed-loop feedback
         #: inserts into the future)
         pending: list[tuple[float, int, QueryRequest]] = [
             (r.arrival_s, r.req_id, r) for r in trace]
         heapq.heapify(pending)
-
         queue = BoundedPriorityQueue(cfg.queue_capacity)
         admission = AdmissionController(queue, slack=cfg.backpressure_slack)
         scheduler = BatchScheduler(
-            self.device, max_batch=cfg.max_batch,
+            self.lane_device, max_batch=cfg.max_batch,
             memory_safety=cfg.memory_safety, batching=cfg.mode == "batched")
-        metrics = ServeMetrics()
+        metrics = ServeMetrics().with_lanes(cfg.devices)
         records: list[RequestRecord] = []
         segments: list[tuple[float, Timeline]] = []
+        segment_devices: list[int] = []
 
         def respond(req: QueryRequest, t: float) -> None:
             """Closed-loop feedback: any response (result or shed) lets the
@@ -230,119 +235,21 @@ class QueryServer:
             if nxt is not None:
                 heapq.heappush(pending, (nxt.arrival_s, nxt.req_id, nxt))
 
-        now = 0.0
-        batch_idx = 0
-        epoch = 0
-        while pending or len(queue):
-            if not len(queue):
-                now = max(now, pending[0][0])
-            while pending and pending[0][0] <= now:
-                req = heapq.heappop(pending)[2]
-                metrics.offered += 1
-                decision = admission.offer(req, req.arrival_s)
-                if decision is AdmissionDecision.ADMITTED:
-                    metrics.admitted += 1
-                elif decision is AdmissionDecision.SHED_QUEUE_FULL:
-                    metrics.shed_queue_full += 1
-                    records.append(RequestRecord(req, "shed_queue_full"))
-                    respond(req, req.arrival_s)
-                else:
-                    metrics.shed_backpressure += 1
-                    records.append(RequestRecord(req, "shed_backpressure"))
-                    respond(req, req.arrival_s)
-            for req in queue.drop_expired(now):
-                metrics.shed_expired += 1
-                records.append(RequestRecord(req, "shed_expired"))
-                respond(req, now)
-            batch = scheduler.next_batch(queue, now)
-            if cfg.shed_unsafe and batch:
-                safe = []
-                for req in batch:
-                    if self._statically_unsafe(req):
-                        metrics.shed_unsafe += 1
-                        records.append(RequestRecord(req, "shed_unsafe"))
-                        respond(req, now)
-                    else:
-                        safe.append(req)
-                batch = safe
-            if not batch:
-                continue
-
-            assignment = DispatchRequest(tuple(batch), batch_idx, 0)
-            epoch += 1
-            (makespan, timeline, degraded, faults_seen, warnings), = \
-                self._backend.execute_round([assignment], epoch)
-            segments.append((now, timeline))
-            metrics.batches += 1
-            metrics.batch_sizes.append(len(batch))
-            metrics.busy_s += makespan
-            metrics.degraded_batches += int(degraded)
-            metrics.faults_observed += faults_seen
-            metrics.analysis_warnings += warnings
-            admission.note_service(len(batch), makespan)
-
-            t_end = now + makespan
-            completions: list[tuple[str, float, bool]] = []
-            for req in batch:
-                ok = t_end <= req.deadline_s
-                metrics.record_completion(req.tenant, t_end - req.arrival_s, ok)
-                records.append(RequestRecord(
-                    req, "completed" if ok else "missed_deadline", t_end))
-                completions.append((req.tenant, t_end - req.arrival_s, ok))
-                respond(req, t_end)
-            self._backend.acknowledge(batch_idx, t_end, batch_idx, completions)
-            now = t_end
-            batch_idx += 1
-
-        metrics.served_s = now
-        metrics.check_finite()
-        return ServeResult(config=cfg, metrics=metrics, records=records,
-                           segments=segments,
-                           segment_devices=[0] * len(segments))
-
-    # ------------------------------------------------------------------
-    def _run_multi(self, trace: list[QueryRequest],
-                   arrivals: ArrivalProcess | None) -> ServeResult:
-        """The ``devices > 1`` loop: shared admission and batching,
-        least-outstanding-bytes routing, overlapping lane completions."""
-        from .scheduler import request_footprint
-
-        cfg = self.config
-        pending: list[tuple[float, int, QueryRequest]] = [
-            (r.arrival_s, r.req_id, r) for r in trace]
-        heapq.heapify(pending)
-        queue = BoundedPriorityQueue(cfg.queue_capacity)
-        admission = AdmissionController(queue, slack=cfg.backpressure_slack)
-        scheduler = BatchScheduler(
-            self.lane_device, max_batch=cfg.max_batch,
-            memory_safety=cfg.memory_safety, batching=cfg.mode == "batched")
-        metrics = ServeMetrics()
-        for dev in range(cfg.devices):
-            metrics.per_device[dev] = DeviceLaneStats()
-        records: list[RequestRecord] = []
-        segments: list[tuple[float, Timeline]] = []
-        segment_devices: list[int] = []
-
-        def respond(req: QueryRequest, t: float) -> None:
-            if arrivals is None:
-                return
-            nxt = arrivals.on_completion(req, t)
-            if nxt is not None:
-                heapq.heappush(pending, (nxt.arrival_s, nxt.req_id, nxt))
-
         #: lane bookkeeping: when each device frees up, and how many
         #: estimated batch bytes it still has in flight (routing signal)
-        busy_until = {dev: 0.0 for dev in range(cfg.devices)}
-        outstanding = {dev: 0.0 for dev in range(cfg.devices)}
-        #: min-heap of running batches: (t_end, seq, dev, batch, bytes)
+        busy_until = {dev: 0.0 for dev in lanes}
+        outstanding = {dev: 0.0 for dev in lanes}
+        #: min-heap of running batches: (t_end, batch_idx, lane, batch,
+        #: bytes); batch indices are issued in dispatch order, so ties on
+        #: t_end complete first-dispatched first
         inflight: list[tuple[float, int, int, list[QueryRequest], float]] = []
 
         now = 0.0
         batch_idx = 0
-        seq = 0
         epoch = 0
         last_end = 0.0
         while pending or len(queue) or inflight:
+            # 1. ingest: every arrival up to now goes through admission
             while pending and pending[0][0] <= now:
                 req = heapq.heappop(pending)[2]
                 metrics.offered += 1
@@ -357,9 +264,9 @@ class QueryServer:
                     metrics.shed_backpressure += 1
                     records.append(RequestRecord(req, "shed_backpressure"))
                     respond(req, req.arrival_s)
+            # 2. complete: batches that finished by now
             while inflight and inflight[0][0] <= now:
-                t_end, order, dev, batch, nbytes, bidx = \
-                    heapq.heappop(inflight)
+                t_end, bidx, dev, batch, nbytes = heapq.heappop(inflight)
                 outstanding[dev] -= nbytes
                 last_end = max(last_end, t_end)
                 completions: list[tuple[str, float, bool]] = []
@@ -372,19 +279,20 @@ class QueryServer:
                         t_end))
                     completions.append((req.tenant, t_end - req.arrival_s, ok))
                     respond(req, t_end)
-                self._backend.acknowledge(bidx, t_end, order, completions)
+                self._backend.acknowledge(bidx, t_end, bidx, completions)
+            # 3. expire: queued queries past their deadline are shed
             for req in queue.drop_expired(now):
                 metrics.shed_expired += 1
                 records.append(RequestRecord(req, "shed_expired"))
                 respond(req, now)
 
-            # form the whole round before executing it: routing below only
-            # depends on pre-round lane state (a routed lane leaves `idle`,
-            # and `outstanding`/`note_service` updates cannot influence the
-            # same round), so deferring execution is outcome-identical and
-            # lets the worker-pool backend fan a round out across processes
-            idle = [dev for dev in range(cfg.devices)
-                    if busy_until[dev] <= now]
+            # 4. dispatch: form the whole round before executing it.
+            # Routing only depends on pre-round lane state (a routed lane
+            # leaves `idle`, and `outstanding`/`note_service` updates cannot
+            # influence the same round), so deferring execution is
+            # outcome-identical and lets the worker-pool backend fan a
+            # round out across processes
+            idle = [dev for dev in lanes if busy_until[dev] <= now]
             assignments: list[DispatchRequest] = []
             while idle and len(queue):
                 batch = scheduler.next_batch(queue, now)
@@ -420,31 +328,22 @@ class QueryServer:
                     segments.append((now, timeline))
                     segment_devices.append(dev)
                     nbytes = sum(request_footprint(r) for r in batch)
-                    metrics.batches += 1
-                    metrics.batch_sizes.append(len(batch))
-                    metrics.busy_s += makespan
-                    metrics.degraded_batches += int(degraded)
-                    metrics.faults_observed += faults_seen
-                    metrics.analysis_warnings += warnings
-                    lane = metrics.per_device[dev]
-                    lane.batches += 1
-                    lane.queries += len(batch)
-                    lane.busy_s += makespan
-                    lane.dispatched_bytes += nbytes
-                    # the estimator sees per-query service time as before;
-                    # with N lanes the backlog drains N-wide, so the wait a
-                    # queued query faces shrinks accordingly
+                    metrics.record_dispatch(dev, len(batch), makespan,
+                                            degraded, faults_seen, warnings,
+                                            nbytes)
+                    # the estimator sees per-query service time; with N
+                    # lanes the backlog drains N-wide, so the wait a queued
+                    # query faces shrinks accordingly
                     admission.note_service(
                         len(batch) * cfg.devices, makespan)
                     t_end = now + makespan
                     busy_until[dev] = t_end
                     outstanding[dev] += nbytes
                     heapq.heappush(
-                        inflight,
-                        (t_end, seq, dev, batch, nbytes, a.batch_idx))
-                    seq += 1
+                        inflight, (t_end, a.batch_idx, dev, batch, nbytes))
                 continue
 
+            # 5. advance: the clock moves to the next arrival or completion
             horizons = []
             if pending:
                 horizons.append(pending[0][0])
@@ -482,21 +381,3 @@ class QueryServer:
                 self.lane_device, memory_safety=self.config.memory_safety)
             memo[key] = verdict.certain_oom
         return memo[key]
-
-    # ------------------------------------------------------------------
-    # thin delegates: dispatch simulation lives in
-    # :class:`repro.serve.dispatch.DispatchEngine` so worker processes can
-    # own an identical engine without importing the serve loop's state
-    def _dispatch(self, batch: list[QueryRequest], batch_idx: int,
-                  lane: int = 0) -> tuple[float, Timeline, bool, int, int]:
-        return self.engine.dispatch(batch, batch_idx, lane)
-
-    def _dispatch_key(self, batch: list[QueryRequest],
-                      fault_plan: FaultPlan | None) -> str:
-        return self.engine.dispatch_key(batch, fault_plan)
-
-    def _dispatch_degraded(self, batch: list[QueryRequest],
-                           fault_plan: FaultPlan | None,
-                           warnings: int = 0
-                           ) -> tuple[float, Timeline, bool, int, int]:
-        return self.engine.dispatch_degraded(batch, fault_plan, warnings)

@@ -14,9 +14,9 @@ Byte-identity needs the float operations replayed in the master's order:
 * dispatch-side counters (``busy_s``, per-lane sums, batch sizes) apply
   in ``batch_idx`` order -- the order the serve loop applied them;
 * completion-side samples replay in ``(t_end, order)`` order -- exactly
-  the serve loop's completion-processing order (single-device: dispatch
-  order; multi-device: the in-flight heap's pop order) -- with each
-  record's per-query completions kept in batch order.
+  the serve loop's completion-processing order (the in-flight heap's pop
+  order) -- with each record's per-query completions kept in batch
+  order.
 
 Latency percentiles in the merged summary are nearest-rank over the
 merged sample set (``LatencyStats`` sorts at percentile time), the same
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..serve.metrics import DeviceLaneStats, ServeMetrics
+from ..serve.metrics import ServeMetrics
 from .records import (CompletionRecord, DispatchRecord, RespawnEvent,
                       WorkerPartial)
 from .router import Assignment
@@ -42,24 +42,14 @@ def admission_partial(master: ServeMetrics) -> ServeMetrics:
     m.shed_queue_full = master.shed_queue_full
     m.shed_backpressure = master.shed_backpressure
     m.shed_expired = master.shed_expired
+    m.shed_unsafe = master.shed_unsafe
     m.served_s = master.served_s
     return m
 
 
-def _apply_dispatch(m: ServeMetrics, rec: DispatchRecord,
-                    devices: int) -> None:
-    m.batches += 1
-    m.batch_sizes.append(rec.size)
-    m.busy_s += rec.makespan
-    m.degraded_batches += int(rec.degraded)
-    m.faults_observed += rec.faults
-    m.analysis_warnings += rec.warnings
-    if devices > 1:
-        lane = m.per_device[rec.lane]
-        lane.batches += 1
-        lane.queries += rec.size
-        lane.busy_s += rec.makespan
-        lane.dispatched_bytes += rec.nbytes
+def _apply_dispatch(m: ServeMetrics, rec: DispatchRecord) -> None:
+    m.record_dispatch(rec.lane, rec.size, rec.makespan, rec.degraded,
+                      rec.faults, rec.warnings, rec.nbytes)
 
 
 def _apply_completions(m: ServeMetrics,
@@ -73,12 +63,9 @@ def worker_metrics(partial: WorkerPartial, devices: int) -> ServeMetrics:
     """One worker's shard of the metrics (admission side left zero; the
     parent owns it).  ``served_s`` stays 0, so rate-type deriveds read 0
     in per-worker summaries -- only the merged view has a horizon."""
-    m = ServeMetrics()
-    if devices > 1:
-        for dev in range(devices):
-            m.per_device[dev] = DeviceLaneStats()
+    m = ServeMetrics().with_lanes(devices)
     for rec in sorted(partial.dispatches, key=lambda r: r.batch_idx):
-        _apply_dispatch(m, rec, devices)
+        _apply_dispatch(m, rec)
     _apply_completions(m, partial.completions)
     return m
 
@@ -86,13 +73,10 @@ def worker_metrics(partial: WorkerPartial, devices: int) -> ServeMetrics:
 def merge_metrics(partials: list[WorkerPartial], master: ServeMetrics,
                   devices: int) -> ServeMetrics:
     """Rebuild the run's full metrics from worker logs + admission side."""
-    m = admission_partial(master)
-    if devices > 1:
-        for dev in range(devices):
-            m.per_device[dev] = DeviceLaneStats()
+    m = admission_partial(master).with_lanes(devices)
     dispatches = [rec for p in partials for rec in p.dispatches]
     for rec in sorted(dispatches, key=lambda r: r.batch_idx):
-        _apply_dispatch(m, rec, devices)
+        _apply_dispatch(m, rec)
     _apply_completions(
         m, [rec for p in partials for rec in p.completions])
     return m

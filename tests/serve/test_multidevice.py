@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.serve import ArrivalProcess, QueryServer, ServeConfig, TenantSpec
+from repro.serve import (ArrivalProcess, QueryRequest, QueryServer,
+                         ServeConfig, TenantSpec)
 from repro.validate import validate_timeline
 
 LOOSE_TENANTS = (
@@ -90,3 +91,99 @@ class TestDeterminism:
             for field in ("batches", "queries", "busy_s",
                           "dispatched_bytes", "utilization"):
                 assert f"device.{dev}.{field}" in s
+
+
+#: heavy open-loop reports keep lanes busy while a closed-loop tier with a
+#: tight SLO queues behind them: with a 4-deep queue both queue-full
+#: shedding and expiry fire at every device count
+CONTENDED_TENANTS = (
+    TenantSpec("reporting", mix=(("q1", 0.5), ("q21", 0.5)), weight=1.0,
+               priority=0, deadline_s=4.0, elements=4_000_000),
+    TenantSpec("loop", mix=(("q6", 1.0),), priority=1, deadline_s=0.1,
+               elements=2_000_000, closed_loop_clients=3, think_s=0.02),
+)
+
+
+def contended_run(device, devices):
+    arrivals = ArrivalProcess(qps=40, duration_s=1.0,
+                              tenants=CONTENDED_TENANTS, seed=3)
+    server = QueryServer(device, ServeConfig(devices=devices,
+                                             queue_capacity=4))
+    return server.run(arrivals=arrivals)
+
+
+def lane_intervals(res):
+    """{lane: [(dispatch, end), ...]} in dispatch order."""
+    out = {}
+    for dev, (t0, tl) in zip(res.segment_devices, res.segments):
+        out.setdefault(dev, []).append((t0, t0 + tl.makespan))
+    return out
+
+
+@pytest.mark.parametrize("devices", (1, 2, 4))
+class TestLaneInvariants:
+    """The serving loop's invariants at every device count, on a load that
+    sheds and expires."""
+
+    @pytest.mark.no_chaos
+    def test_load_sheds_and_expires(self, device, devices):
+        m = contended_run(device, devices).metrics
+        assert m.shed_queue_full > 0
+        assert m.shed_expired > 0
+
+    def test_one_batch_in_flight_per_lane(self, device, devices):
+        """A lane's busy intervals are disjoint: it takes a batch only
+        once the previous one has ended."""
+        res = contended_run(device, devices)
+        assert set(res.segment_devices) <= set(range(devices))
+        for intervals in lane_intervals(res).values():
+            for (_, end), (start, _) in zip(intervals, intervals[1:]):
+                assert start >= end
+
+    def test_completed_plus_shed_is_offered(self, device, devices):
+        m = contended_run(device, devices).metrics
+        assert m.completed + m.shed == m.offered
+
+    def test_every_offered_id_recorded_once(self, device, devices):
+        res = contended_run(device, devices)
+        ids = [r.request.req_id for r in res.records]
+        assert len(ids) == len(set(ids)) == res.metrics.offered
+
+
+class OneFollowUp:
+    """Closed-loop stub with a fixed think time: the client of request 1
+    issues one follow-up after its response, whatever that response is."""
+
+    THINK_S = 0.01
+
+    def __init__(self, trace):
+        self._trace = trace
+
+    def trace(self):
+        return list(self._trace)
+
+    def on_completion(self, req, t):
+        if req.req_id != 1:
+            return None
+        return QueryRequest(99, req.tenant, "q6", t + self.THINK_S, 0,
+                            t + self.THINK_S + 60.0, 1_000_000, client=0)
+
+
+@pytest.mark.no_chaos
+def test_expiry_runs_at_arrivals_during_a_batch(device):
+    """One device: a queued closed-loop request whose deadline passes
+    while a long batch runs expires at the next arrival, so its client
+    thinks from there -- not from the batch's end."""
+    trace = [
+        QueryRequest(0, "reporting", "q21", 0.0, 0, 60.0, 4_000_000),
+        QueryRequest(1, "loop", "q6", 0.001, 0, 0.003, 1_000_000, client=0),
+        QueryRequest(2, "reporting", "q6", 0.005, 1, 60.0, 1_000_000),
+    ]
+    res = QueryServer(device, ServeConfig(queue_capacity=4)).run(
+        arrivals=OneFollowUp(trace))
+    by_id = {r.request.req_id: r for r in res.records}
+    # the first batch is still running when the second arrival lands
+    assert by_id[0].completion_s > trace[2].arrival_s
+    assert by_id[1].status == "shed_expired"
+    assert by_id[99].request.arrival_s == pytest.approx(
+        trace[2].arrival_s + OneFollowUp.THINK_S, abs=1e-12)

@@ -9,10 +9,11 @@ import json
 import pytest
 
 from repro.faults import FaultKind, FaultPlan
-from repro.serve import ArrivalProcess, QueryServer, ServeConfig
+from repro.serve import ArrivalProcess, QueryServer, ServeConfig, TenantSpec
 from repro.serve.dispatch import DispatchRequest, batch_fingerprint
 from repro.validate import validate_pool
 from repro.workers import WorkerPool, build_pool_report, merge_metrics
+from tests.analyze.test_memory_check import small_device
 
 
 def trace(qps=60, duration=1.0, seed=5):
@@ -48,6 +49,21 @@ class TestByteIdentity:
         merged = merge_metrics(server.pool.partials, pooled.metrics,
                                devices=1)
         assert merged.summary() == pooled.metrics.summary()
+
+    def test_shed_unsafe_survives_the_merge(self):
+        # a 16 MiB device: the static memory check sheds the oversized
+        # queries at dispatch, a counter only the parent sees
+        tenants = (TenantSpec("mixed", mix=(("q1", 0.5), ("q6", 0.5))),)
+        tr = ArrivalProcess(qps=20, duration_s=0.5, tenants=tenants,
+                            seed=1).trace()
+        config = ServeConfig(mode="isolated", shed_unsafe=True, workers=2,
+                             queue_capacity=4096)
+        server = QueryServer(small_device(1 << 24), config)
+        result = server.run(trace=tr)
+        server.close()
+        assert result.metrics.shed_unsafe > 0
+        report = build_pool_report(result.metrics, server.pool, config)
+        assert report.identical
 
     def test_backend_stats_conserve(self):
         server, _ = serve(trace(), workers=2)
