@@ -18,7 +18,6 @@ from ..simgpu.device import DeviceSpec
 from .cost import FusionCostModel
 from .fusion import FusionResult, fuse_plan
 from .kernel import KernelChain
-from .opmodels import lower_region
 from .stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 
 
@@ -79,6 +78,7 @@ def compile_plan(plan: Plan, source_rows: dict[str, int],
                  options: PipelineOptions = PipelineOptions(),
                  costs: StageCostParams = DEFAULT_STAGE_COSTS) -> CompiledPlan:
     """Run the full pipeline on a logical plan."""
+    from ..runtime.executor import LoweredRegion
     from ..runtime.sizes import estimate_sizes
     from ..runtime.strategies import Strategy
 
@@ -91,11 +91,8 @@ def compile_plan(plan: Plan, source_rows: dict[str, int],
     fusion = fuse_plan(optimized, cost_model=cost_model, enable=options.fuse)
 
     sizes = estimate_sizes(optimized, source_rows)
-    chains: list[KernelChain] = []
-    for region in fusion.regions:
-        first = region.nodes[0]
-        primary = first.inputs[0] if first.inputs else first
-        chains.append(lower_region(region, costs, sizes[primary.name]))
+    chains = [LoweredRegion.of(region, sizes, costs).chain
+              for region in fusion.regions]
 
     if options.auto_strategy:
         from ..optimizer import Optimizer

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 from ..core.fission import Segment, run_fissioned, split_for_fission
 from ..core.fusion import FusionResult, Region
+from ..core.kernel import KernelChain
 from ..core.opmodels import lower_region
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import host_plan_time
@@ -97,12 +98,61 @@ class RunResult:
 
 
 @dataclass
-class _LoweredRegion:
+class LoweredRegion:
+    """A fusion region lowered to its kernel chain, with the plan-level
+    buffers its kernels read."""
+
     region: Region
-    chain: object  # KernelChain
+    chain: KernelChain
     n_in: int
-    out_bytes: float
     primary_input: PlanNode
+    #: buffers the region consumes besides its primary input
+    side_inputs: tuple[str, ...]
+    #: buffers the main kernels write (every output of a shared scan)
+    writes: tuple[str, ...]
+    #: bytes of the region's output (what a sink downloads)
+    out_bytes: float = 0.0
+
+    @classmethod
+    def of(cls, region: Region, sizes: dict[str, int],
+           costs: StageCostParams = DEFAULT_STAGE_COSTS,
+           out_bytes: float = 0.0) -> "LoweredRegion":
+        first = region.nodes[0]
+        primary = first.inputs[0] if first.inputs else first
+        n_in = sizes[primary.name]
+        in_region = {id(n) for n in region.nodes}
+        side: list[str] = []
+        for node in region.nodes:
+            for inp in node.inputs[1:]:
+                if id(inp) not in in_region and inp.name not in side:
+                    side.append(inp.name)
+        return cls(region, lower_region(region, costs, n_in), n_in, primary,
+                   tuple(side), (region.output_node.name,), out_bytes)
+
+
+def emit_region(stream: SimStream, lr: LoweredRegion, device: DeviceSpec,
+                sizes: dict[str, int], build: bool = True,
+                frac: float | None = 1.0) -> None:
+    """Queue one lowered region's kernels onto ``stream``.
+
+    The build kernels (when ``build``) read the side inputs and write
+    ``<region>.build``.  The main kernels run over ``frac`` of the
+    region's input rows, at least one (none when ``frac`` is None); they
+    read the primary input plus the build buffer -- or the side inputs
+    when there is no build, e.g. a gather join -- and write ``lr.writes``.
+    """
+    build_buf = f"{lr.region.name}.build"
+    if build:
+        for spec in lr.chain.side_launch_specs(device, sizes):
+            stream.kernel(spec, tag=spec.name, reads=lr.side_inputs,
+                          writes=(build_buf,))
+    if frac is None:
+        return
+    reads = (lr.primary_input.name,) + (
+        (build_buf,) if lr.chain.side_kernels else lr.side_inputs)
+    n_rows = max(1, int(round(lr.n_in * frac)))
+    for spec in lr.chain.main_launch_specs(n_rows, device):
+        stream.kernel(spec, tag=spec.name, reads=reads, writes=lr.writes)
 
 
 class Executor:
@@ -209,7 +259,9 @@ class Executor:
         if self.analyze:
             self._analysis_reports.append(
                 self._analyzer().run(fusion, strict=True))
-        lowered = self._lower(fusion, sizes, nbytes)
+        lowered = [LoweredRegion.of(r, sizes, self.costs,
+                                    nbytes[r.output_node.name])
+                   for r in fusion.regions]
         driver = self._driver_source(plan, sizes)
 
         n_in = sizes[driver.name]
@@ -265,21 +317,6 @@ class Executor:
             output_bytes=output_bytes, fusion=None, num_chunks=1,
         )
 
-    # -- lowering ----------------------------------------------------------
-    def _lower(self, fusion: FusionResult, sizes: dict[str, int],
-               nbytes: dict[str, float]) -> list[_LoweredRegion]:
-        lowered: list[_LoweredRegion] = []
-        for region in fusion.regions:
-            first = region.nodes[0]
-            primary = first.inputs[0] if first.inputs else first
-            n_in = sizes[primary.name]
-            lowered.append(_LoweredRegion(
-                region=region, chain=lower_region(region, self.costs, n_in),
-                n_in=n_in, out_bytes=nbytes[region.output_node.name],
-                primary_input=primary,
-            ))
-        return lowered
-
     @staticmethod
     def _driver_source(plan: Plan, sizes: dict[str, int]) -> PlanNode:
         sources = plan.sources()
@@ -288,7 +325,7 @@ class Executor:
         return max(sources, key=lambda s: sizes[s.name])
 
     # -- serial / round-trip execution ------------------------------------------
-    def _run_serial(self, shape: PlanShape, lowered: list[_LoweredRegion],
+    def _run_serial(self, shape: PlanShape, lowered: list[LoweredRegion],
                     sizes: dict[str, int], nbytes: dict[str, float],
                     driver: PlanNode, config: ExecutionConfig,
                     injector: FaultInjector | None, functional=None
@@ -319,6 +356,7 @@ class Executor:
                            shape.row_nbytes(src), mem, self.device,
                            tag=src.name, writes=(src.name,))
 
+        scales = [self._scales_with_driver(lr, driver) for lr in lowered]
         for chunk in range(num_chunks):
             frac = 1.0 / num_chunks
             if config.include_transfers:
@@ -326,31 +364,18 @@ class Executor:
                        max(1, int(round(sizes[driver.name] * frac))),
                        shape.row_nbytes(driver), mem, self.device,
                        tag=f"{driver.name}.c{chunk}", writes=(driver.name,))
-            for lr in lowered:
-                scales = self._scales_with_driver(lr, driver, plan)
-                runs_this_chunk = chunk == 0 or scales
-                chunk_frac = frac if scales else 1.0
-                if not runs_this_chunk:
+            for lr, scaled in zip(lowered, scales):
+                if chunk > 0 and not scaled:
                     continue
-                side_reads = self._region_side_inputs(lr)
-                out_name = lr.region.output_node.name
-                if chunk == 0:  # build kernels run once, not per chunk
-                    for spec in lr.chain.side_launch_specs(self.device, sizes):
-                        stream.kernel(spec, tag=spec.name, reads=side_reads,
-                                      writes=(f"{lr.region.name}.build",))
-                main_reads = (lr.primary_input.name,)
-                if lr.chain.side_kernels:
-                    main_reads += (f"{lr.region.name}.build",)
-                else:
-                    main_reads += side_reads  # e.g. gather joins: no build
-                n_region_in = max(1, int(round(lr.n_in * chunk_frac)))
-                for spec in lr.chain.main_launch_specs(n_region_in, self.device):
-                    stream.kernel(spec, tag=spec.name, reads=main_reads,
-                                  writes=(out_name,))
+                chunk_frac = frac if scaled else 1.0
+                # build kernels run once, not per chunk
+                emit_region(stream, lr, self.device, sizes, build=chunk == 0,
+                            frac=chunk_frac)
                 # round trip: stage each intermediate (non-sink) result out/in
+                out_name = lr.region.output_node.name
                 if (config.strategy is Strategy.WITH_ROUND_TRIP
                         and config.include_transfers
-                        and lr.region.output_node.name not in sink_names):
+                        and out_name not in sink_names):
                     staged = lr.out_bytes * chunk_frac
                     if staged > 0:
                         stream.d2h(staged, config.roundtrip_memory,
@@ -360,15 +385,10 @@ class Executor:
                                    tag=f"roundtrip.in.{lr.region.name}",
                                    writes=(out_name,))
             if config.include_transfers:
-                for lr in lowered:
-                    if lr.region.output_node.name in sink_names and lr.out_bytes > 0:
-                        scales = self._scales_with_driver(lr, driver, plan)
-                        if chunk > 0 and not scales:
-                            continue
-                        chunk_frac = frac if scales else 1.0
-                        stream.d2h(lr.out_bytes * chunk_frac, mem,
-                                   tag=f"output.{lr.region.name}.c{chunk}",
-                                   reads=(lr.region.output_node.name,))
+                for lr, scaled in zip(lowered, scales):
+                    if chunk == 0 or scaled:
+                        _download_sink(stream, lr, sink_names, mem,
+                                       frac if scaled else 1.0, f".c{chunk}")
 
         if config.include_transfers:
             _download_source_sinks(stream, plan, nbytes, mem)
@@ -382,18 +402,7 @@ class Executor:
             stream = functional.place(stream)
         return engine.run([stream]), num_chunks, expected
 
-    @staticmethod
-    def _region_side_inputs(lr: _LoweredRegion) -> tuple[str, ...]:
-        """Plan-level buffers a region consumes besides its primary input."""
-        in_region = {id(n) for n in lr.region.nodes}
-        out: list[str] = []
-        for node in lr.region.nodes:
-            for inp in node.inputs[1:]:
-                if id(inp) not in in_region and inp.name not in out:
-                    out.append(inp.name)
-        return tuple(out)
-
-    def _expected_serial_bytes(self, plan: Plan, lowered: list[_LoweredRegion],
+    def _expected_serial_bytes(self, plan: Plan, lowered: list[LoweredRegion],
                                nbytes: dict[str, float], sink_names: set[str],
                                config: ExecutionConfig) -> tuple[float, float]:
         """(H2D, D2H) bytes the serial schedule should move in total:
@@ -415,7 +424,7 @@ class Executor:
         return (h2d, d2h)
 
     @staticmethod
-    def _scales_with_driver(lr: _LoweredRegion, driver: PlanNode, plan: Plan) -> bool:
+    def _scales_with_driver(lr: LoweredRegion, driver: PlanNode) -> bool:
         """Does this region's size scale when the driver input is chunked?
 
         True when the region (transitively, through any input edge) consumes
@@ -436,7 +445,7 @@ class Executor:
         return False
 
     @staticmethod
-    def _co_driver_sources(prefix: list[_LoweredRegion], driver: PlanNode,
+    def _co_driver_sources(prefix: list[LoweredRegion], driver: PlanNode,
                            sizes: dict[str, int]) -> list[PlanNode]:
         """Sources that must stream with the driver: column arrays read
         positionally by gather joins inside the pipelined prefix."""
@@ -451,7 +460,7 @@ class Executor:
                     out.append(node.inputs[1])
         return out
 
-    def _plan_chunks(self, plan: Plan, lowered: list[_LoweredRegion],
+    def _plan_chunks(self, plan: Plan, lowered: list[LoweredRegion],
                      nbytes: dict[str, float], driver: PlanNode,
                      config: ExecutionConfig) -> int:
         """How many chunks are needed for the working set to fit on device."""
@@ -471,7 +480,7 @@ class Executor:
                              self.device.global_mem_bytes)
 
     # -- fission execution --------------------------------------------------------
-    def _run_fission(self, shape: PlanShape, lowered: list[_LoweredRegion],
+    def _run_fission(self, shape: PlanShape, lowered: list[LoweredRegion],
                      sizes: dict[str, int], nbytes: dict[str, float],
                      driver: PlanNode, config: ExecutionConfig,
                      injector: FaultInjector | None, functional=None
@@ -509,10 +518,10 @@ class Executor:
                 pre.h2d(nbytes[src.name], mem_pinned, tag=f"input.{src.name}",
                         writes=(src.name,))
         for lr in phase_a:
-            self._emit_region(pre, lr, sizes, sink_names, mem_pinned)
+            emit_region(pre, lr, self.device, sizes)
+            _download_sink(pre, lr, sink_names, mem_pinned)
         for lr in prefix:
-            for spec in lr.chain.side_launch_specs(self.device, sizes):
-                pre.kernel(spec, tag=spec.name)
+            emit_region(pre, lr, self.device, sizes, frac=None)
         if pre.commands:
             timeline = engine.run([place(pre)])
 
@@ -567,7 +576,8 @@ class Executor:
         # then the sources that are also sinks
         post = SimStream(stream_id=0)
         for lr in rest:
-            self._emit_region(post, lr, sizes, sink_names, mem_pinned)
+            emit_region(post, lr, self.device, sizes)
+            _download_sink(post, lr, sink_names, mem_pinned)
         _download_source_sinks(post, plan, nbytes, mem_pinned)
         if post.commands:
             post_tl = SimEngine(self.device, check=self.check,
@@ -583,21 +593,21 @@ class Executor:
             expected_d2h += float(n_driver) * prefix_sel * out_row
         return timeline, 1, (expected_h2d, expected_d2h)
 
-    def _emit_region(self, stream: SimStream, lr: _LoweredRegion,
-                     sizes: dict[str, int], sink_names: set[str],
-                     mem: HostMemory) -> None:
-        """Queue one region's kernels (and sink upload) onto a stream."""
-        for spec in lr.chain.side_launch_specs(self.device, sizes):
-            stream.kernel(spec, tag=spec.name)
-        for spec in lr.chain.main_launch_specs(lr.n_in, self.device):
-            stream.kernel(spec, tag=spec.name)
-        if lr.region.output_node.name in sink_names and lr.out_bytes > 0:
-            stream.d2h(lr.out_bytes, mem, tag=f"output.{lr.region.name}")
-
 
 def _source_sinks(plan: Plan) -> list[PlanNode]:
     """Sources no operator consumes: each is downloaded as it is."""
     return [n for n in plan.sinks() if n.op is OpType.SOURCE]
+
+
+def _download_sink(stream: SimStream, lr: LoweredRegion,
+                   sink_names: set[str], mem: HostMemory, frac: float = 1.0,
+                   suffix: str = "") -> None:
+    """Download ``frac`` of a sink region's output, tagged
+    ``output.<region><suffix>`` (fault sites are keyed by tag)."""
+    out_name = lr.region.output_node.name
+    if out_name in sink_names and lr.out_bytes > 0:
+        stream.d2h(lr.out_bytes * frac, mem,
+                   tag=f"output.{lr.region.name}{suffix}", reads=(out_name,))
 
 
 def _download_source_sinks(stream: SimStream, plan: Plan,

@@ -11,7 +11,9 @@ them, and adds two things:
   single-stream program reads and writes in the 6 GB budget and spills
   what does not fit back to the host -- why *with round trip* is forced
   in the paper (SS III-A).  Fusion eliminates intermediates, so a fused
-  plan spills less (Fig 7(a)/(b), `bench_ablation_memory_pressure.py`);
+  plan spills less (Fig 7(a)/(b), `bench_ablation_memory_pressure.py`).
+  Under fission the pass places phases A and C; the pipelined segments
+  and the prefix output are not placed, so a fission run's peak is a floor;
 * **segment results** -- under fission each segment evaluates the
   prefix's leading run of :data:`STREAMABLE_OPS` on its slice of the
   driver; the host re-gather concatenates the slices in segment order and

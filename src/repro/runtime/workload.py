@@ -23,15 +23,15 @@ scheduler compares three regimes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..core.fusion import Region
 from ..core.multifusion import (
-    SharedScanGroup,
     chain_for_shared_scan,
     find_shared_select_groups,
     split_group_by_registers,
 )
-from ..core.opmodels import chain_for_node, out_row_nbytes
+from ..core.opmodels import out_row_nbytes
 from ..errors import PlanError
 from ..faults import as_injector
 from ..plans.plan import OpType, Plan, PlanNode
@@ -39,6 +39,7 @@ from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
 from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import Timeline
+from .executor import LoweredRegion, emit_region
 from .sizes import estimate_sizes
 
 
@@ -132,26 +133,15 @@ class WorkloadScheduler:
                             skip: set[str] = frozenset(),
                             only_prefix: str | None = None) -> None:
         """Queue every non-fused kernel of `plan` onto `stream` (a
-        :class:`SimStream` or pooled stream).  `only_prefix` restricts the
-        emission to nodes of one query in a merged workload plan."""
+        :class:`SimStream` or pooled stream), one region per node.
+        `only_prefix` restricts it to one query of a merged workload."""
         for node in plan.topological():
             if node.op is OpType.SOURCE or node.name in skip:
                 continue
             if only_prefix is not None and not node.name.startswith(only_prefix):
                 continue
-            primary = node.inputs[0]
-            n_in = sizes[primary.name]
-            chain = chain_for_node(node, n_in_hint=max(n_in, 2))
-            reads = tuple(i.name for i in node.inputs)
-            if chain.side_kernels:
-                reads += (f"{node.name}.build",)
-            for spec in chain.side_launch_specs(self.device, sizes):
-                stream.kernel(spec, tag=spec.name,
-                              reads=tuple(i.name for i in node.inputs[1:]),
-                              writes=(f"{node.name}.build",))
-            for spec in chain.main_launch_specs(max(n_in, 1), self.device):
-                stream.kernel(spec, tag=spec.name, reads=reads,
-                              writes=(node.name,))
+            emit_region(stream, LoweredRegion.of(Region([node]), sizes),
+                        self.device, sizes)
 
     def _upload(self, stream, plan: Plan,
                 sizes: dict[str, int]) -> float:
@@ -197,13 +187,11 @@ class WorkloadScheduler:
             for group in split_group_by_registers(raw_group):
                 if len(group.selects) < 2:
                     continue  # singleton remainder: leave to the per-query path
-                chain = chain_for_shared_scan(group)
-                n_in = sizes[group.producer.name]
                 select_names = tuple(s.name for s in group.selects)
-                for spec in chain.main_launch_specs(max(n_in, 1), self.device):
-                    stream.kernel(spec, tag=spec.name,
-                                  reads=(group.producer.name,),
-                                  writes=select_names)
+                emit_region(stream, LoweredRegion(
+                    Region(list(group.selects)), chain_for_shared_scan(group),
+                    sizes[group.producer.name], group.producer,
+                    side_inputs=(), writes=select_names), self.device, sizes)
                 fused_names.update(select_names)
         return fused_names
 

@@ -187,7 +187,7 @@ class DispatchEngine:
         """
         return [simulate_dispatch(self, a) for a in assignments]
 
-    def acknowledge(self, batch_idx: int, t_end: float, order: int,
+    def acknowledge(self, batch_idx: int, t_end: float,
                     completions: list[tuple[str, float, bool]]) -> None:
         """Completion callback (no-op in process; the pool uses it to ack
         outbox entries and ship per-worker completion records)."""

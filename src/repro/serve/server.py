@@ -279,7 +279,7 @@ class QueryServer:
                         t_end))
                     completions.append((req.tenant, t_end - req.arrival_s, ok))
                     respond(req, t_end)
-                self._backend.acknowledge(bidx, t_end, bidx, completions)
+                self._backend.acknowledge(bidx, t_end, completions)
             # 3. expire: queued queries past their deadline are shed
             for req in queue.drop_expired(now):
                 metrics.shed_expired += 1

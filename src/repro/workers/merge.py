@@ -13,7 +13,7 @@ Byte-identity needs the float operations replayed in the master's order:
 
 * dispatch-side counters (``busy_s``, per-lane sums, batch sizes) apply
   in ``batch_idx`` order -- the order the serve loop applied them;
-* completion-side samples replay in ``(t_end, order)`` order -- exactly
+* completion-side samples replay in ``(t_end, batch_idx)`` order -- exactly
   the serve loop's completion-processing order (the in-flight heap's pop
   order) -- with each record's per-query completions kept in batch
   order.
@@ -54,7 +54,7 @@ def _apply_dispatch(m: ServeMetrics, rec: DispatchRecord) -> None:
 
 def _apply_completions(m: ServeMetrics,
                        records: list[CompletionRecord]) -> None:
-    for rec in sorted(records, key=lambda r: (r.t_end, r.order)):
+    for rec in sorted(records, key=lambda r: (r.t_end, r.batch_idx)):
         for tenant, latency_s, ok in rec.completions:
             m.record_completion(tenant, latency_s, ok)
 

@@ -66,7 +66,7 @@ class OutboxEntry:
     hits: int = 0
     #: times the entry was acknowledged (the sanitizer wants exactly 1)
     ack_count: int = 0
-    #: completion payload attached at ack time: (t_end, order, completions)
+    #: completion payload attached at ack time: (t_end, completions)
     ack_payload: Any = None
     #: times the entry was replayed into a respawned worker
     replays: int = 0

@@ -242,18 +242,18 @@ class WorkerPool:
             outcomes[idx] = self.outbox.entries[key].result
         return outcomes
 
-    def acknowledge(self, batch_idx: int, t_end: float, order: int,
+    def acknowledge(self, batch_idx: int, t_end: float,
                     completions) -> None:
         """The serve loop processed this dispatch's completion: ack the
         outbox entry and ship the completion record to the owning worker."""
         key = self._key_by_bidx[batch_idx]
-        payload = (t_end, order, tuple(completions))
+        payload = (t_end, tuple(completions))
         entry = self.outbox.ack(key, payload)
         _request, _epoch, nbytes = self._requests[key]
         self.router.note_ack(entry.worker, nbytes)
         try:
             self._conns[entry.worker].send(
-                ("ack", key, t_end, order, tuple(completions)))
+                ("ack", key, t_end, tuple(completions)))
         except (BrokenPipeError, OSError):  # pragma: no cover - real crash
             pass  # next dispatch to this worker recovers; restore
             # re-injects the completion from entry.ack_payload

@@ -40,14 +40,14 @@ class DispatchRecord:
 class CompletionRecord:
     """One acknowledged batch completion: the merge's completion-side row.
 
-    ``(t_end, order)`` is the master loop's completion-processing order;
+    ``(t_end, batch_idx)`` is the master loop's completion-processing order;
     replaying records in that order (completions within a record keep
     their list order) reproduces the master's latency-sample ordering
     exactly, floats and all.
     """
 
     t_end: float
-    order: int
+    batch_idx: int
     #: (tenant, latency_s, within_deadline) per query, in batch order
     completions: tuple[tuple[str, float, bool], ...]
 

@@ -20,7 +20,7 @@ Message protocol (parent -> worker, replies worker -> parent):
     worker: adopt the result verbatim (no execution), re-log the
     dispatch record (marked ``restored``) and the completion record so
     collect-time partials stay complete.  Reply: ``("restored",)``.
-``("ack", key, t_end, order, completions)``
+``("ack", key, t_end, completions)``
     Fire-and-forget: the serve loop processed this dispatch's
     completion; log it for the metrics merge.  No reply.
 ``("replay_budget", n)``
@@ -105,9 +105,9 @@ def worker_main(conn, worker_id: int, device, config) -> None:
             outbox[key] = result
             dispatches.append(record)
             if ack_payload is not None:
-                t_end, order, comps = ack_payload
-                completions.append(CompletionRecord(
-                    t_end=t_end, order=order, completions=tuple(comps)))
+                t_end, comps = ack_payload
+                completions.append(
+                    CompletionRecord(t_end, key.sequence, tuple(comps)))
             conn.send(("restored",))
 
         elif kind == "replay_budget":
@@ -116,9 +116,9 @@ def worker_main(conn, worker_id: int, device, config) -> None:
             replay_budget += msg[1]
 
         elif kind == "ack":
-            _, key, t_end, order, comps = msg
-            completions.append(CompletionRecord(
-                t_end=t_end, order=order, completions=tuple(comps)))
+            _, key, t_end, comps = msg
+            completions.append(
+                CompletionRecord(t_end, key.sequence, tuple(comps)))
 
         elif kind == "ping":
             conn.send(("pong", worker_id, executed))

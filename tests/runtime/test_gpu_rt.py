@@ -9,6 +9,12 @@ from repro.ra import AggSpec, Field, Relation
 from repro.runtime import GpuRuntime, Strategy
 from repro.simgpu import EventKind
 from repro.tpch import build_q1_plan, q1_column_relations, build_q21_plan
+from repro.tpch.catalog import compile_tpch, tpch_dataset
+
+
+@pytest.fixture(scope="module")
+def tpch_sf002():
+    return tpch_dataset(scale_factor=0.002)
 
 
 @pytest.fixture
@@ -134,6 +140,31 @@ class TestMemoryManagement:
     def test_peak_tracked(self, rel):
         res = GpuRuntime().run(chain_plan(), {"t": rel})
         assert res.peak_device_bytes >= rel.nbytes
+
+    @pytest.mark.no_chaos  # an injected fault would raise first
+    @pytest.mark.parametrize("strategy", [Strategy.SERIAL, Strategy.FISSION],
+                             ids=lambda s: s.value)
+    def test_output_that_cannot_fit_raises_under_fission_too(
+            self, strategy, tpch_sf002):
+        """q17 at 0.6x the data: a 576,096 B buffer exceeds the device.
+        The serial program uploads it; under fission it is a phase-C
+        kernel's output, placed now that those kernels declare their
+        buffers (the run used to finish with a 7,600 B peak)."""
+        limit = int(0.6 * sum(r.nbytes for r in tpch_sf002.values()))
+        assert limit == 430_713
+        with pytest.raises(DeviceOOMError):
+            GpuRuntime(strategy=strategy, memory_limit=limit).run(
+                compile_tpch("q17", 0.002).plan, tpch_sf002)
+
+    @pytest.mark.parametrize("strategy",
+                             [Strategy.FISSION, Strategy.FUSED_FISSION],
+                             ids=lambda s: s.value)
+    def test_fission_phases_are_placed(self, strategy, tpch_sf002):
+        """q1's sources all stream with the driver in phase B, so without
+        the phase-A/C kernels' buffers nothing was placed (the peak read 0)."""
+        res = GpuRuntime(strategy=strategy).run(
+            compile_tpch("q1", 0.002).plan, tpch_sf002)
+        assert res.peak_device_bytes > 0
 
     def test_buffers_released_after_last_use(self, rel):
         """With generous memory, the peak should stay below the sum of all
