@@ -131,10 +131,10 @@ class MemoryCheckPass:
     def _run_cluster(self, target: MemoryTarget, dist: DistributedPlan,
                      device: DeviceSpec) -> list[Diagnostic]:
         diags: list[Diagnostic] = []
-        local = (dist.preagg_plan() if dist.preagg is not None
-                 else dist.local_plan())
-        shard_rows = self._shard0_rows(dist, local, target.source_rows)
-        envs = plan_envelopes(local, shard_rows, target.stats)
+        local = dist.phases(states=dist.preagg is not None).local
+        # shard 0 holds the largest slice, so its verdict bounds every
+        # shard's
+        envs = plan_envelopes(local, dist.shard_rows(local, 0), target.stats)
         strategies = [s for s in target.strategies if s != CPU_BASELINE]
         for strategy in strategies:
             fp = strategy_footprint(local, strategy, envs, device,
@@ -144,26 +144,6 @@ class MemoryCheckPass:
         diags.extend(self._savings_diag(target.unit, local, envs))
         diags.extend(self._exchange_diags(target, dist, device))
         return diags
-
-    def _shard0_rows(self, dist: DistributedPlan, local: Plan,
-                     source_rows: dict[str, int] | None
-                     ) -> dict[str, int]:
-        """Shard 0's source slice -- the largest shard (`even_counts`
-        gives the remainder rows to the lowest shards), so its verdict
-        bounds every shard's."""
-        from ..cluster.partition import even_counts
-        rows: dict[str, int] = {}
-        given = source_rows or {}
-        needed = {s.name for s in local.sources()}
-        for src in dist.sources:
-            if src.name not in needed:
-                continue
-            total = int(given.get(src.name, src.rows))
-            if src.kind == "replicated":
-                rows[src.name] = total
-            else:
-                rows[src.name] = even_counts(total, dist.num_shards)[0]
-        return rows
 
     def _exchange_diags(self, target: MemoryTarget, dist: DistributedPlan,
                         device: DeviceSpec) -> list[Diagnostic]:

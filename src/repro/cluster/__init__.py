@@ -17,10 +17,8 @@ The plan-side distribution rewrite lives in
 package.
 """
 
-from .exchange import (EXCHANGE_CHUNK_ROWS, combine_partial_states,
-                       merge_concat, merge_concat_tree, merge_group_sorted,
-                       merge_group_sorted_tree, repartition,
-                       repartition_chunked)
+from .exchange import (EXCHANGE_CHUNK_ROWS, merge_concat, merge_group_sorted,
+                       repartition)
 from .executor import (ClusterConfig, ClusterExecutor, ClusterRunResult,
                        ShardRun, single_device_makespan)
 from .host import ClusterSpec, contended_calibration, contended_device
@@ -35,6 +33,5 @@ __all__ = [
     "Partitioner", "PartitionScheme", "parse_scheme", "hash_shard",
     "range_boundaries", "range_shard", "even_counts", "skew", "concat",
     "merge_concat", "merge_group_sorted", "repartition",
-    "merge_concat_tree", "merge_group_sorted_tree", "repartition_chunked",
-    "combine_partial_states", "EXCHANGE_CHUNK_ROWS",
+    "EXCHANGE_CHUNK_ROWS",
 ]

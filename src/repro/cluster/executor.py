@@ -1,17 +1,25 @@
 """The ClusterExecutor: N simulated devices, one query.
 
+Both paths walk one phase program,
+:meth:`DistributedPlan.phases <repro.plans.distribute.DistributedPlan.phases>`:
+every shard runs its local plan on its slice of the sources
+(:meth:`~repro.plans.distribute.DistributedPlan.shard_rows` on the timing
+path), sends a buffer across the cut, and the plan past the cut runs on
+what arrives.  When the distribution carries a
+:class:`~repro.plans.distribute.PreAggSpec`, the local plan is the
+*lowered* one (suffix chain + partial aggregate below the cut), so what
+crosses the exchange is blocks of partial aggregate states, not raw
+frontier rows, and the plan past the cut is the combine -- per-device
+exchange volume then *shrinks* as devices are added
+(``ceil(shard_rows / PREAGG_FLUSH_ROWS)`` state blocks each).
+
 Timing path (``run``): the plan is distributed
-(:func:`repro.plans.distribute.distribute_plan`), each shard's local
-subplan runs through the existing single-device
+(:func:`repro.plans.distribute.distribute_plan`), and each shard's local
+plan runs through the existing single-device
 :class:`~repro.runtime.executor.Executor` (so fusion, fission, chunking,
 the degradation ladder, and fault injection all apply unchanged) on a
 :func:`~repro.cluster.host.contended_device` whose staging throughput is
-capped at its share of host DRAM bandwidth.  When the distribution
-carries a :class:`~repro.plans.distribute.PreAggSpec`, the local phase
-runs the *lowered* plan (suffix chain + partial aggregate below the cut),
-so what crosses the exchange is blocks of partial aggregate states, not
-raw frontier rows -- per-device exchange volume then *shrinks* as devices
-are added (``ceil(shard_rows / PREAGG_FLUSH_ROWS)`` state blocks each).
+capped at its share of host DRAM bandwidth.
 
 The exchange itself is **pipelined**, not barrier-then-shuffle: each
 shard's outbound buffer is cut into chunks (flush blocks under pre-agg,
@@ -50,14 +58,14 @@ a survivor too.  Results are unaffected: the functional path below is
 loss-agnostic by construction.
 
 Functional path (``functional``): real relations are partitioned with the
-same deterministic partitioner, the local subplan is interpreted per
-shard, the frontier is exchanged/merged under the byte-identity rules of
-:mod:`repro.cluster.exchange` (chunk-streamed, and through the partial /
-tree-combine split whenever it is bit-exact), and the suffix is
-interpreted per destination (exchange) or on the host (host mode).  The
-result is byte-identical to :func:`repro.plans.interp.evaluate_sinks` on
-the unsharded inputs -- asserted by the cluster test suite for TPC-H
-Q1/Q21.
+same deterministic partitioner, the local plan is interpreted per shard,
+and what the shards send is repartitioned and merged by the rules of
+:mod:`repro.cluster.exchange` (which give the same bytes under the tree
+and the flat merge), then the plan past the cut is interpreted per
+destination (exchange) or on the host (host mode).  States cross the cut
+only when the partial/combine split is bit-exact.  The result is
+byte-identical to :func:`repro.plans.interp.evaluate_sinks` on the
+unsharded inputs -- asserted by the cluster test suite for TPC-H Q1/Q21.
 """
 
 from __future__ import annotations
@@ -70,8 +78,7 @@ from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import cpu_select_time, host_plan_time
 from ..core.opmodels import out_row_nbytes
 from ..faults import FaultInjector, FaultPlan, as_injector
-from ..plans.distribute import (DistributedPlan, combine_agg_specs,
-                                distribute_plan)
+from ..plans.distribute import DistributedPlan, distribute_plan
 from ..plans.interp import evaluate
 from ..plans.plan import OpType, Plan
 from ..ra.relation import Relation
@@ -82,8 +89,7 @@ from ..simgpu.device import DeviceSpec
 from ..simgpu.timeline import EventKind, Timeline
 from . import exchange as xchg
 from .host import ClusterSpec, contended_device
-from .partition import (Partitioner, even_counts, hash_shard, parse_scheme,
-                        range_boundaries)
+from .partition import Partitioner, hash_shard, parse_scheme, range_boundaries
 
 
 @dataclass(frozen=True)
@@ -333,8 +339,8 @@ class ClusterExecutor:
                                   f"fault.device_loss.device.{dev_id}")
 
         # -- phase 1: shard-local plans ---------------------------------
-        local = (dist.preagg_plan() if dist.preagg is not None
-                 else dist.local_plan())
+        phases = dist.phases(states=dist.preagg is not None)
+        local = phases.local
         has_local = any(nd.op is not OpType.SOURCE for nd in local.nodes)
         # every shard runs the same local plan: size and fuse it once
         local_shape = PlanShape(local)
@@ -355,7 +361,7 @@ class ClusterExecutor:
             for shard in range(n):
                 dev_id = owner[shard]
                 res = self._run_executor(
-                    local_shape, shard_rows(dist, local, shard), injector)
+                    local_shape, dist.shard_rows(local, shard), injector)
                 t0 = clock[dev_id]
                 timelines[dev_id].extend(res.timeline, offset=t0)
                 h2d, d2h, out = _phase_bytes(res.timeline)
@@ -398,7 +404,7 @@ class ClusterExecutor:
             for shard in range(n):
                 t0, mk, out, f_rows = local_info.get(
                     shard, (0.0, 0.0, 0.0, 0.0))
-                if dist.preagg is not None:
+                if phases.states:
                     k_n = dist.preagg.flushes(f_rows)
                     sizes_k = [float(dist.preagg.state_block_nbytes)] * k_n
                 else:
@@ -445,12 +451,9 @@ class ClusterExecutor:
                             f"fault.device_loss.device.{dev_id}.suffix")
 
             # every destination runs the same suffix plan
-            suffix = PlanShape(dist.combine_plan() if dist.preagg is not None
-                               else dist.suffix_plan())
-            src_name = (f"{dist.preagg.agg}.partial"
-                        if dist.preagg is not None else ex.buffer)
-            unit = float(dist.preagg.state_row_nbytes
-                         if dist.preagg is not None else ex.row_nbytes)
+            suffix = PlanShape(phases.past)
+            [src_name] = phases.sent
+            unit = float(phases.row_nbytes)
             ends: list[float] = []
             slot_out: list[float] = []
             suffix_assigned = {d: 0 for d in alive}
@@ -498,7 +501,7 @@ class ClusterExecutor:
         elif dist.suffix_mode == "host":
             sizes = shape.sizes(source_rows)
             cpu = self.base_device.calib.cpu
-            if dist.preagg is not None:
+            if phases.states:
                 # per-shard partial-state blocks combine pairwise up a
                 # device-level tree; the host ingests only the root and
                 # runs the combine + post chain there
@@ -558,14 +561,7 @@ class ClusterExecutor:
             merge_bytes=merge_bytes,
             exchange_out_per_device=exchange_out_per_device,
             notes=tuple(notes))
-        if injector is not None:
-            result.faults_injected = injector.faults_injected
-            result.retries = injector.retries
-            result.reissues = injector.reissues
-        if cfg.check:
-            from ..validate.cluster import validate_cluster
-            validate_cluster(result, self.device).raise_if_failed()
-        return result
+        return self._finish(result, injector)
 
     # ------------------------------------------------------------------
     def _run_single(self, dist: DistributedPlan, shape: PlanShape,
@@ -593,11 +589,17 @@ class ClusterExecutor:
             lost_devices=(), exchange_out_bytes=0.0, exchange_in_bytes=0.0,
             merge_bytes=0.0, exchange_out_per_device=0.0,
             notes=tuple(notes))
+        return self._finish(result, injector)
+
+    def _finish(self, result: ClusterRunResult,
+                injector: FaultInjector | None) -> ClusterRunResult:
+        """Copy the run's fault counters onto `result` and, under
+        ``check``, validate it."""
         if injector is not None:
             result.faults_injected = injector.faults_injected
             result.retries = injector.retries
             result.reissues = injector.reissues
-        if cfg.check:
+        if self.config.check:
             from ..validate.cluster import validate_cluster
             validate_cluster(result, self.device).raise_if_failed()
         return result
@@ -661,10 +663,10 @@ class ClusterExecutor:
 
         Loss-agnostic: the data path always uses all ``num_shards`` shards
         and destinations; device losses only reroute *where* a shard's
-        timing runs, never what it computes.  The exchange streams in
-        chunks (:func:`repro.cluster.exchange.repartition_chunked`) and,
-        when the partial/combine split is bit-exact, shards really do
-        exchange partial aggregate states and tree-combine them.
+        timing runs, never what it computes.  Merge-agnostic too: the
+        tree and flat merges give the same bytes.  When the
+        partial/combine split is bit-exact, shards really do send
+        partial aggregate states and the combine plan runs on them.
         """
         dist = self._as_dist(
             plan, {name: rel.num_rows for name, rel in sources.items()})
@@ -704,9 +706,13 @@ class ClusterExecutor:
 
         # the exact partial/combine split really runs on the data path;
         # a non-exact split (float sums re-associate) is timing-only and
-        # the referee keeps the raw whole-group exchange
-        exact_preagg = dist.preagg is not None and dist.preagg.exact
-        local = dist.preagg_plan() if exact_preagg else dist.local_plan()
+        # the referee keeps the raw whole-group exchange.  A lone shard's
+        # states are already final, and a combine over no rows types its
+        # counts float64 (ra.arithmetic._aggregate_empty), so one shard
+        # sends its raw frontier
+        phases = dist.phases(states=dist.preagg is not None
+                             and dist.preagg.exact and n > 1)
+        local = phases.local
         local_sources = {s.name for s in local.sources()}
         shard_results: list[dict[str, Relation]] = []
         for shard in range(n):
@@ -720,57 +726,27 @@ class ClusterExecutor:
         if dist.suffix_mode == "none":
             return outputs
 
+        past = phases.past
         if dist.suffix_mode == "exchange":
-            ex = dist.exchange
-            if exact_preagg:
-                partial = f"{dist.preagg.agg}.partial"
-                dest_parts = xchg.repartition_chunked(
-                    [r[partial] for r in shard_results],
-                    dist.preagg.group_by, n, dist.seed)
-                suffix = dist.combine_plan()
-                per_dest = [evaluate(suffix, {partial: dp})
-                            for dp in dest_parts]
-            else:
-                suffix = dist.suffix_plan()
-                dest_parts = xchg.repartition_chunked(
-                    [r[ex.buffer] for r in shard_results], ex.key, n,
-                    dist.seed)
-                per_dest = [evaluate(suffix, {ex.buffer: dp})
-                            for dp in dest_parts]
-            merge_groups = (xchg.merge_group_sorted_tree
-                            if dist.merge == "tree"
-                            else xchg.merge_group_sorted)
-            for sink in suffix.sinks():
-                group_by = sink.params.get("group_by") or []
-                outputs[sink.name] = merge_groups(
-                    [r[sink.name] for r in per_dest], group_by)
+            [sent] = phases.sent
+            dest_parts = xchg.repartition(
+                [r[sent] for r in shard_results], phases.key, n, dist.seed)
+            per_dest = [evaluate(past, {sent: dp}) for dp in dest_parts]
+            for sink in past.sinks():
+                outputs[sink.name] = xchg.merge_group_sorted(
+                    [r[sink.name] for r in per_dest],
+                    sink.params.get("group_by") or [])
             return outputs
 
-        # host mode
-        if exact_preagg:
-            agg_name = dist.preagg.agg
-            combined = xchg.combine_partial_states(
-                [r[f"{agg_name}.partial"] for r in shard_results],
-                list(dist.preagg.group_by),
-                combine_agg_specs(dist.node(agg_name)))
-            post = dist.post_plan()
-            res = evaluate(post, {agg_name: combined})
-            for sink in post.sinks():
-                outputs[sink.name] = res[sink.name]
-            return outputs
-        suffix = dist.suffix_plan()
-        bound: dict[str, Relation] = {}
-        merge_all = (xchg.merge_concat_tree if dist.merge == "tree"
-                     else xchg.merge_concat)
-        for name in dist.frontier:
+        # host mode: gather what the shards sent, evaluate the rest here
+        bound = {name: sources[name] for name in dist.suffix_sources}
+        for name in phases.sent:
             parts_f = [r[name] for r in shard_results]
-            bound[name] = (parts_f[0]
-                           if self._is_replicated(dist, name)
-                           else merge_all(parts_f))
-        for name in dist.suffix_sources:
-            bound[name] = sources[name]
-        res = evaluate(suffix, bound)
-        for sink in suffix.sinks():
+            bound[name] = (parts_f[0] if not phases.states
+                           and self._is_replicated(dist, name)
+                           else xchg.merge_concat(parts_f))
+        res = evaluate(past, bound)
+        for sink in past.sinks():
             outputs[sink.name] = res[sink.name]
         return outputs
 
@@ -809,24 +785,6 @@ class ClusterExecutor:
             return xchg.merge_group_sorted(
                 parts, node.params.get("group_by") or [])
         return xchg.merge_concat(parts)
-
-
-def shard_rows(dist: DistributedPlan, local: Plan,
-               shard: int) -> dict[str, int]:
-    """Virtual row counts of shard `shard`'s slice of each source of the
-    shard-local plan `local`: replicated sources keep every row, the
-    others split evenly."""
-    rows: dict[str, int] = {}
-    needed = {s.name for s in local.sources()}
-    for src in dist.sources:
-        if src.name not in needed:
-            continue
-        if src.kind == "replicated":
-            rows[src.name] = src.rows
-        else:
-            rows[src.name] = even_counts(
-                src.rows, dist.num_shards)[shard]
-    return rows
 
 
 def single_device_makespan(plan: Plan, source_rows: dict[str, int],

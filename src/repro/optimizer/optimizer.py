@@ -348,18 +348,16 @@ class Optimizer:
                     + spilled / pcie.peak_bandwidth(Direction.D2H,
                                                     HostMemory.PAGED))
             return bound
-        from ..cluster.executor import shard_rows
         from ..cluster.host import ClusterSpec, contended_device
-        local = (dist.preagg_plan()
-                 if option.preagg and dist.preagg is not None
-                 else dist.local_plan())
+        local = dist.phases(
+            states=option.preagg and dist.preagg is not None).local
         if all(n.op is OpType.SOURCE for n in local.nodes):
             return 0.0  # no shard-local phase runs at all
         sharers = ClusterSpec(num_devices=option.devices,
                               pcie_sharers=self.pcie_sharers).sharers
         pcie = PcieModel(contended_device(self.device, sharers).calib.pcie)
         busiest = max(
-            sum(node_bytes(s, shard_rows(dist, local, shard))
+            sum(node_bytes(s, dist.shard_rows(local, shard))
                 for s in local.sources())
             for shard in range(option.devices))
         return busiest / pcie.peak_bandwidth(Direction.H2D,

@@ -38,6 +38,7 @@ and the functional paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import PlanError
 from .plan import OpType, Plan, PlanNode
@@ -200,6 +201,24 @@ class DistributedPlan:
                      if n.name in self.local_names
                      and n.op is not OpType.SOURCE)
 
+    # -- the cluster phase program -------------------------------------
+    def phases(self, states: bool) -> "Phases":
+        """What runs before the cut, what crosses it and what runs past
+        it: partial-aggregate states when `states` (needs :attr:`preagg`),
+        else the raw frontier."""
+        return Phases(self, states)
+
+    def shard_rows(self, local: Plan, shard: int) -> dict[str, int]:
+        """Row counts of shard `shard`'s slice of each source of the
+        shard-local plan `local`: replicated sources keep every row, the
+        others split by :func:`~repro.cluster.partition.even_counts`
+        (which gives the remainder rows to the lowest shards)."""
+        from ..cluster.partition import even_counts
+        needed = {s.name for s in local.sources()}
+        return {src.name: (src.rows if src.kind == "replicated"
+                           else even_counts(src.rows, self.num_shards)[shard])
+                for src in self.sources if src.name in needed}
+
     # -- subplan extraction --------------------------------------------
     def local_plan(self) -> Plan:
         """The shard-local subplan every shard runs (frontier nodes and
@@ -214,15 +233,8 @@ class DistributedPlan:
                     needed.add(inp.name)
                     stack.append(inp.name)
         sub = Plan(name=f"{self.plan.name}.local")
-        mapped: dict[str, PlanNode] = {}
-        for node in self.plan.topological():
-            if node.name not in needed:
-                continue
-            mapped[node.name] = sub._add(PlanNode(
-                node.op, node.name,
-                [mapped[i.name] for i in node.inputs],
-                params=dict(node.params), selectivity=node.selectivity,
-                out_row_nbytes=node.out_row_nbytes))
+        _copy_nodes(sub, (n for n in self.plan.topological()
+                          if n.name in needed), {})
         return sub
 
     def suffix_plan(self) -> Plan:
@@ -240,15 +252,14 @@ class DistributedPlan:
             mapped[name] = sub.source(
                 name, row_nbytes=out_row_nbytes(node),
                 n_rows=node.params.get("n_rows"))
-        for node in self.plan.topological():
-            if node.name in self.local_names or node.op is OpType.SOURCE:
-                continue
-            mapped[node.name] = sub._add(PlanNode(
-                node.op, node.name,
-                [mapped[i.name] for i in node.inputs],
-                params=dict(node.params), selectivity=node.selectivity,
-                out_row_nbytes=node.out_row_nbytes))
+        _copy_nodes(sub, self._past_nodes(), mapped)
         return sub
+
+    def _past_nodes(self, skip: frozenset[str] = frozenset()):
+        """Global non-source nodes not in `skip`, in topological order."""
+        return (n for n in self.plan.topological()
+                if n.name not in self.local_names
+                and n.op is not OpType.SOURCE and n.name not in skip)
 
     # -- pre-aggregation subplans --------------------------------------
     def preagg_plan(self) -> Plan:
@@ -260,16 +271,11 @@ class DistributedPlan:
             raise PlanError(f"plan {self.plan.name!r} has no pre-agg")
         sub = self.local_plan()
         sub.name = f"{self.plan.name}.preagg"
-        byname = {n.name: n for n in sub.nodes}
-        for name in (*self.preagg.lowered, self.preagg.agg):
-            node = self.node(name)
-            new_name = (f"{name}.partial" if name == self.preagg.agg
-                        else name)
-            byname[name] = sub._add(PlanNode(
-                node.op, new_name,
-                [byname[i.name] for i in node.inputs],
-                params=dict(node.params), selectivity=node.selectivity,
-                out_row_nbytes=node.out_row_nbytes))
+        agg = self.preagg.agg
+        _copy_nodes(sub, (self.node(name)
+                          for name in (*self.preagg.lowered, agg)),
+                    {n.name: n for n in sub.nodes},
+                    rename={agg: f"{agg}.partial"})
         return sub
 
     def combine_plan(self) -> Plan:
@@ -290,41 +296,65 @@ class DistributedPlan:
                     "aggs": combine_aggs,
                     "n_groups": agg_node.params.get("n_groups")},
             selectivity=agg_node.selectivity))}
-        skip = set(self.preagg.lowered) | {self.preagg.agg}
-        for node in self.plan.topological():
-            if (node.name in self.local_names or node.op is OpType.SOURCE
-                    or node.name in skip):
-                continue
-            mapped[node.name] = sub._add(PlanNode(
-                node.op, node.name,
-                [mapped[i.name] for i in node.inputs],
-                params=dict(node.params), selectivity=node.selectivity,
-                out_row_nbytes=node.out_row_nbytes))
+        _copy_nodes(sub, self._past_nodes(
+            frozenset(self.preagg.lowered) | {self.preagg.agg}), mapped)
         return sub
 
-    def post_plan(self) -> Plan:
-        """Suffix nodes strictly past the split aggregate, with the
-        aggregate's output as a SOURCE (the functional combine path binds
-        the tree-combined states there).  With no such nodes the plan is
-        just the source and the aggregate output is the sink."""
-        from ..core.opmodels import out_row_nbytes
-        if self.preagg is None:
-            raise PlanError(f"plan {self.plan.name!r} has no pre-agg")
-        agg_node = self.node(self.preagg.agg)
-        sub = Plan(name=f"{self.plan.name}.post")
-        mapped: dict[str, PlanNode] = {self.preagg.agg: sub.source(
-            self.preagg.agg, row_nbytes=out_row_nbytes(agg_node))}
-        skip = set(self.preagg.lowered) | {self.preagg.agg}
-        for node in self.plan.topological():
-            if (node.name in self.local_names or node.op is OpType.SOURCE
-                    or node.name in skip):
-                continue
-            mapped[node.name] = sub._add(PlanNode(
-                node.op, node.name,
-                [mapped[i.name] for i in node.inputs],
-                params=dict(node.params), selectivity=node.selectivity,
-                out_row_nbytes=node.out_row_nbytes))
-        return sub
+
+@dataclass(frozen=True)
+class Phases:
+    """The cluster phase program of one distribution, shared by the
+    timing path, the functional referee, the optimizer's bound and the
+    memory check: every shard runs :attr:`local` on its slice, sends
+    :attr:`sent` across the cut, and :attr:`past` runs on what arrives
+    (per destination in exchange mode, on the host in host mode)."""
+
+    dist: DistributedPlan
+    #: partial-aggregate states cross the cut (else raw frontier rows)
+    states: bool
+
+    @cached_property
+    def local(self) -> Plan:
+        return (self.dist.preagg_plan() if self.states
+                else self.dist.local_plan())
+
+    @cached_property
+    def past(self) -> Plan:
+        return (self.dist.combine_plan() if self.states
+                else self.dist.suffix_plan())
+
+    @property
+    def sent(self) -> tuple[str, ...]:
+        """The buffers each shard sends (the past plan's shard-fed
+        sources)."""
+        return ((f"{self.dist.preagg.agg}.partial",) if self.states
+                else self.dist.frontier)
+
+    @property
+    def key(self) -> tuple[str, ...]:
+        """Exchange mode: the key the sent buffer repartitions on."""
+        return (self.dist.preagg.group_by if self.states
+                else self.dist.exchange.key)
+
+    @property
+    def row_nbytes(self) -> int:
+        """Exchange mode: bytes per row of the sent buffer."""
+        return (self.dist.preagg.state_row_nbytes if self.states
+                else self.dist.exchange.row_nbytes)
+
+
+def _copy_nodes(sub: Plan, nodes, mapped: dict[str, PlanNode],
+                rename: dict[str, str] | None = None) -> None:
+    """Copy `nodes` (topologically ordered) into `sub`, wiring each to the
+    copies in `mapped` by input name and recording its own copy there;
+    `rename` gives a copy a new name."""
+    rename = rename or {}
+    for node in nodes:
+        mapped[node.name] = sub._add(PlanNode(
+            node.op, rename.get(node.name, node.name),
+            [mapped[i.name] for i in node.inputs],
+            params=dict(node.params), selectivity=node.selectivity,
+            out_row_nbytes=node.out_row_nbytes))
 
 
 def combine_agg_specs(agg_node: PlanNode) -> dict:

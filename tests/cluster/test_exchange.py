@@ -1,8 +1,9 @@
 """The exchange operator's byte-identity invariants: whole key-groups per
 destination, original row order restored through the shuffle, the
-group-sorted merge reproducing the single-device aggregate order, the
-chunk-streamed shuffle matching the materialized one bit-for-bit, and the
-tree merges matching their flat counterparts."""
+group-sorted merge reproducing the single-device aggregate order, and the
+two timing-only shapes -- a chunk-streamed exchange and a pairwise tree
+merge -- leaving every byte unchanged, which is why the functional path
+has one shuffle and one merge per rule."""
 
 import numpy as np
 import pytest
@@ -13,13 +14,10 @@ from repro.cluster import (
     ClusterExecutor,
     Partitioner,
     PartitionScheme,
-    combine_partial_states,
+    concat,
     merge_concat,
-    merge_concat_tree,
     merge_group_sorted,
-    merge_group_sorted_tree,
     repartition,
-    repartition_chunked,
 )
 from repro.ra import Relation
 from repro.ra.arithmetic import AggSpec
@@ -116,10 +114,23 @@ def assert_relations_equal(got, want, ctx=""):
         assert np.array_equal(a, b), (ctx, f)
 
 
+def chunked(parts, chunk_rows):
+    """`parts` cut into `chunk_rows`-row pieces, in order -- the stream
+    the pipelined exchange puts on the wire."""
+    return [p.take(np.arange(lo, min(lo + chunk_rows, p.num_rows)))
+            for p in parts for lo in range(0, p.num_rows, chunk_rows)]
+
+
+def pairwise(parts):
+    """One tree-merge round: adjacent pairs concatenated, in order."""
+    return [concat(parts[i:i + 2]) for i in range(0, len(parts), 2)]
+
+
 class TestChunkedRepartition:
-    """The pipelined (chunk-streamed) exchange must be byte-identical to
-    the materialized shuffle for every partition scheme and seed --
-    including tiny chunk sizes that force many chunks per destination."""
+    """Streaming the shuffle in chunks must not change a byte: the
+    shuffle of the chunk stream equals the shuffle of the whole buffer,
+    for every partition scheme and seed -- including tiny chunk sizes
+    that force many chunks per destination."""
 
     @settings(max_examples=60, deadline=None)
     @given(keys=keys_st,
@@ -129,8 +140,8 @@ class TestChunkedRepartition:
     def test_matches_materialized(self, keys, num_dest, seed, chunk_rows):
         rel = buffer_rel(keys)
         want = repartition([rel], ("g",), num_dest, seed)
-        got = repartition_chunked([rel], ("g",), num_dest, seed,
-                                  chunk_rows=chunk_rows)
+        got = repartition(chunked([rel], chunk_rows), ("g",), num_dest,
+                          seed)
         assert len(got) == len(want)
         for d, (g, w) in enumerate(zip(got, want)):
             assert_relations_equal(g, w, ctx=f"dest {d}")
@@ -138,30 +149,34 @@ class TestChunkedRepartition:
     @pytest.mark.parametrize("scheme", ["hash", "range", "rr"])
     @pytest.mark.parametrize("seed", range(20))
     def test_all_schemes_twenty_seeds(self, scheme, seed):
-        """Shard through the real partitioner first, then exchange: the
-        streamed path must agree with the materialized path however the
-        rows arrived on the shards."""
+        """Shard through the real partitioner first, then stream: the
+        destinations must not depend on how the rows arrived on the
+        shards or how the wire cut them."""
         rng = np.random.default_rng(seed)
         rel = buffer_rel(rng.integers(0, 30, size=300))
         shards, _ = Partitioner(
             3, PartitionScheme(scheme), seed).split(rel, "g")
-        want = repartition(shards, ("g",), 4, seed)
-        got = repartition_chunked(shards, ("g",), 4, seed, chunk_rows=37)
+        want = repartition([rel], ("g",), 4, seed)
+        got = repartition(chunked(shards, 37), ("g",), 4, seed)
         for d, (g, w) in enumerate(zip(got, want)):
             assert_relations_equal(g, w, ctx=f"{scheme}/{seed}/dest{d}")
 
     def test_empty_input(self):
-        got = repartition_chunked([buffer_rel([])], ("g",), 3)
+        got = repartition([buffer_rel([])], ("g",), 3)
+        assert len(got) == 3
         assert all(p.num_rows == 0 for p in got)
 
 
 class TestTreeMerges:
+    """A pairwise merge round must not change a byte of the merged
+    result: the tree merge is a timing-path shape only."""
+
     @settings(max_examples=40, deadline=None)
     @given(keys=keys_st, num_parts=st.integers(min_value=1, max_value=7))
     def test_concat_tree_equals_flat(self, keys, num_parts):
         rel = buffer_rel(keys)
         shards, _ = Partitioner(num_parts, PartitionScheme.ROUND_ROBIN).split(rel)
-        assert_relations_equal(merge_concat_tree(shards),
+        assert_relations_equal(merge_concat(pairwise(shards)),
                                merge_concat(shards))
 
     @settings(max_examples=40, deadline=None)
@@ -169,33 +184,35 @@ class TestTreeMerges:
            seed=st.integers(min_value=0, max_value=20))
     def test_group_sorted_tree_equals_flat(self, keys, num_parts, seed):
         parts = repartition([buffer_rel(keys)], ("g",), num_parts, seed)
-        assert_relations_equal(merge_group_sorted_tree(list(parts), ["g"]),
-                               merge_group_sorted(list(parts), ["g"]))
+        assert_relations_equal(
+            merge_group_sorted(pairwise(list(parts)), ["g"]),
+            merge_group_sorted(list(parts), ["g"]))
 
     @settings(max_examples=40, deadline=None)
     @given(keys=keys_st, num_parts=st.integers(min_value=1, max_value=7))
     def test_count_states_tree_combine_is_exact(self, keys, num_parts):
-        """Partial count states combined up a pairwise tree must equal
-        the single-shot aggregate: integer sums re-associate freely."""
+        """Partial count states combined by the combine half of the
+        split (counts re-add) must equal the single-shot aggregate, one
+        round at a time or all at once: integer sums re-associate
+        freely."""
         from repro.ra.arithmetic import aggregate
         rel = buffer_rel(keys, with_rowid=False)
         aggs = {"n": AggSpec("count", "x")}
+        combine = {"n": AggSpec("sum", "n")}
         want = aggregate(rel, ["g"], aggs)
         shards, _ = Partitioner(num_parts, PartitionScheme.ROUND_ROBIN).split(rel)
-        states = [aggregate(s, ["g"], aggs) for s in shards
-                  if s.num_rows or num_parts == 1]
-        if not states:
-            states = [aggregate(shards[0], ["g"], aggs)]
-        combined = combine_partial_states(
-            states, ["g"], {"n": AggSpec("sum", "n")})
-        assert_relations_equal(combined, want)
+        states = [aggregate(s, ["g"], aggs) for s in shards]
+        assert_relations_equal(aggregate(concat(states), ["g"], combine),
+                               want)
+        rounds = [aggregate(p, ["g"], combine) for p in pairwise(states)]
+        assert_relations_equal(aggregate(concat(rounds), ["g"], combine),
+                               want)
 
 
 class TestChunkedExchangeEndToEnd:
-    """The full cluster data path with the chunk-streamed exchange must
-    stay byte-identical to the unsharded interpreter across schemes and
-    seeds (the executor now routes every exchange through
-    repartition_chunked)."""
+    """The full cluster data path -- the exchange the timing path streams
+    in chunks -- must stay byte-identical to the unsharded interpreter
+    across schemes and seeds."""
 
     @pytest.mark.parametrize("scheme", ["hash", "range", "rr"])
     @pytest.mark.parametrize("seed", range(7))

@@ -30,6 +30,10 @@ from repro.tpch import (
 
 N = 2_000_000
 SCHEMES = ("hash", "range", "rr")
+#: every scheme under the default merge (tree, since pre-aggregation
+#: applies), then under the flat one
+SCHEME_MERGES = ([pytest.param(s, None, id=s) for s in SCHEMES]
+                 + [pytest.param(s, "flat", id=f"{s}-flat") for s in SCHEMES])
 
 
 def q1_rows():
@@ -72,22 +76,34 @@ def kill_device(idx, phase=""):
     return FaultPlan(seed=0, site_rates={site: 1.0}, budget=1)
 
 
+def functional_dist(plan, sources, scheme, merge):
+    """The executor and the distribution its functional path walks."""
+    cx = ClusterExecutor(config=ClusterConfig(
+        num_devices=4, scheme=scheme, merge=merge))
+    dist = cx.distribute(plan, {n: r.num_rows for n, r in sources.items()})
+    assert dist.merge == (merge or "tree")
+    return cx, dist
+
+
 class TestFunctionalByteIdentity:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_q1(self, q1_sources, scheme):
+    @pytest.mark.parametrize("scheme,merge", SCHEME_MERGES)
+    def test_q1(self, q1_sources, scheme, merge):
+        """Raw frontier rows cross the exchange (Q1's float sums make its
+        pre-aggregation timing-only)."""
         plan = build_q1_plan()
         want = evaluate_sinks(plan, q1_sources)
-        cx = ClusterExecutor(config=ClusterConfig(
-            num_devices=4, scheme=scheme))
-        assert_bytes_identical(cx.functional(plan, q1_sources), want)
+        cx, dist = functional_dist(plan, q1_sources, scheme, merge)
+        assert dist.suffix_mode == "exchange" and not dist.preagg.exact
+        assert_bytes_identical(cx.functional(dist, q1_sources), want)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_q21(self, q21_sources, scheme):
+    @pytest.mark.parametrize("scheme,merge", SCHEME_MERGES)
+    def test_q21(self, q21_sources, scheme, merge):
+        """Exact partial count states combine on the host."""
         plan = build_q21_plan()
         want = evaluate_sinks(plan, q21_sources)
-        cx = ClusterExecutor(config=ClusterConfig(
-            num_devices=4, scheme=scheme))
-        assert_bytes_identical(cx.functional(plan, q21_sources), want)
+        cx, dist = functional_dist(plan, q21_sources, scheme, merge)
+        assert dist.suffix_mode == "host" and dist.preagg.exact
+        assert_bytes_identical(cx.functional(dist, q21_sources), want)
 
     @pytest.mark.parametrize("devices", [1, 2, 3, 8])
     def test_q21_any_cluster_size(self, q21_sources, devices):
@@ -95,6 +111,24 @@ class TestFunctionalByteIdentity:
         want = evaluate_sinks(plan, q21_sources)
         cx = ClusterExecutor(config=ClusterConfig(num_devices=devices))
         assert_bytes_identical(cx.functional(plan, q21_sources), want)
+
+    @pytest.mark.parametrize("devices", [
+        1, pytest.param(2, marks=pytest.mark.xfail(
+            strict=True,
+            reason="combining count states over no rows types the counts "
+                   "float64 (ra.arithmetic._aggregate_empty); the "
+                   "single-device count is int64"))])
+    def test_q21_empty_result(self, devices):
+        """At sf 0.002 Q21 qualifies no supplier: the empty result must
+        keep the single-device dtypes too."""
+        data = generate(TpchConfig(scale_factor=0.002))
+        sources = {"lineitem": data.lineitem, "orders": data.orders,
+                   "supplier": data.supplier, "nation": data.nation}
+        plan = build_q21_plan()
+        want = evaluate_sinks(plan, sources)
+        assert all(rel.num_rows == 0 for rel in want.values())
+        cx = ClusterExecutor(config=ClusterConfig(num_devices=devices))
+        assert_bytes_identical(cx.functional(plan, sources), want)
 
     def test_q1_under_device_loss(self, q1_sources):
         """The data path is loss-agnostic: a chaos plan that kills a
