@@ -48,16 +48,20 @@ def _bench_json_target(request):
 
 @pytest.fixture(scope="session", autouse=True)
 def _sanitize_benchmark_schedules(request):
-    """When --validate is given, audit every engine run in the session."""
+    """When --validate is given, audit every engine run in the session,
+    and every :class:`GpuRuntime` run's byte conservation (spills
+    included)."""
     if not request.config.getoption("--validate", default=False):
         yield
         return
 
+    from repro.runtime import GpuRuntime
     from repro.simgpu.engine import SimEngine
-    from repro.validate import validate_timeline
+    from repro.validate import validate_run, validate_timeline
 
     mp = pytest.MonkeyPatch()
     engine_run = SimEngine.run
+    runtime_run = GpuRuntime.run
 
     def checked_run(self, streams, timeline=None, start_time=0.0):
         tl = engine_run(self, streams, timeline, start_time)
@@ -65,7 +69,13 @@ def _sanitize_benchmark_schedules(request):
             validate_timeline(tl, self.device).raise_if_failed()
         return tl
 
+    def checked_runtime_run(self, plan, sources):
+        result = runtime_run(self, plan, sources)
+        validate_run(result, self.device).raise_if_failed()
+        return result
+
     mp.setattr(SimEngine, "run", checked_run)
+    mp.setattr(GpuRuntime, "run", checked_runtime_run)
     yield
     mp.undo()
 

@@ -3,8 +3,6 @@
 from .arithmetic import AGG_FUNCS, AggSpec, aggregate, arith
 from .gpu_sort import SortStats, expected_merge_passes, staged_sort, staged_unique
 from .hash_join import HashTable, build_hash_table, staged_hash_join
-from .io import load_relation, save_relation
-from .streaming import host_gather, split_rows, streamed_select_chain
 from .expr import (
     And,
     BinOp,
@@ -50,6 +48,4 @@ __all__ = [
     "gather_stage", "partition", "staged_select", "unfused_select_chain",
     "SortStats", "expected_merge_passes", "staged_sort", "staged_unique",
     "HashTable", "build_hash_table", "staged_hash_join",
-    "load_relation", "save_relation", "host_gather", "split_rows",
-    "streamed_select_chain",
 ]

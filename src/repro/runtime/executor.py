@@ -29,6 +29,7 @@ from ..errors import DeviceOOMError, PlanError
 from ..faults import (FaultInjector, FaultPlan, as_injector, run_with_ladder,
                       spurious_oom)
 from ..plans.plan import OpType, Plan, PlanNode
+from ..ra.relation import Relation
 from ..simgpu.compute import KernelLaunchSpec
 from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
@@ -42,7 +43,8 @@ from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
 class RunResult:
     """Timeline plus derived metrics of one simulated execution."""
 
-    strategy: Strategy
+    #: a :class:`Strategy`, or ``CPU_BASELINE`` for the host rung
+    strategy: Strategy | str
     timeline: Timeline
     sizes: dict[str, int]
     n_in: int
@@ -65,6 +67,11 @@ class RunResult:
     #: merged :meth:`~repro.analyze.diagnostics.AnalysisReport.summary`
     #: of the static pre-flight (populated when ``analyze=True``)
     analysis: dict | None = None
+    #: a :class:`~repro.runtime.gpu_rt.GpuRuntime` run's sink relations,
+    #: its device-memory spills (``spill.*`` transfers) and peak bytes
+    results: dict[str, Relation] | None = None
+    spill_count: int = 0
+    peak_device_bytes: int = 0
 
     @property
     def makespan(self) -> float:
@@ -87,8 +94,10 @@ class RunResult:
 
     @property
     def roundtrip_time(self) -> float:
-        """Time moving intermediate results host<->device (serial sum)."""
-        return self.timeline.total_time(tag_prefix="roundtrip")
+        """Time moving intermediate results host<->device: WITH_ROUND_TRIP
+        staging plus device-memory spills (serial sum)."""
+        return (self.timeline.total_time(tag_prefix="roundtrip")
+                + self.timeline.total_time(tag_prefix="spill"))
 
     def kernel_times(self) -> dict[str, float]:
         out: dict[str, float] = {}
@@ -250,8 +259,9 @@ class Executor:
                  functional=None) -> RunResult:
         """One device run of ``config.strategy`` on ``shape``'s sizes.
         A :class:`~repro.runtime.gpu_rt.GpuRuntime` passes ``functional``:
-        its ``place(stream)`` puts each single-stream program in device
-        memory, its ``segment_thunk(prefix, driver)`` runs per segment."""
+        its ``place(stream, nbytes)`` puts each single-stream program in
+        device memory (a chunked program at its chunk sizes), its
+        ``segment_thunk(prefix, driver)`` runs per segment."""
         plan = shape.plan
         sizes = shape.sizes(source_rows)
         nbytes = shape.nbytes(source_rows)
@@ -399,7 +409,16 @@ class Executor:
                 self._analyzer().run([stream], unit=f"serial.{plan.name}",
                                      strict=True))
         if functional is not None:
-            stream = functional.place(stream)
+            placed = nbytes
+            if num_chunks > 1:
+                # the sizes the chunk planner admitted: the driver and
+                # every buffer a driver-scaled region writes hold a chunk
+                chunked = [driver.name] + [
+                    name for lr, scaled in zip(lowered, scales) if scaled
+                    for name in lr.writes]
+                placed = {**nbytes, **{n: nbytes[n] / num_chunks
+                                       for n in chunked}}
+            stream = functional.place(stream, placed)
         return engine.run([stream]), num_chunks, expected
 
     def _expected_serial_bytes(self, plan: Plan, lowered: list[LoweredRegion],

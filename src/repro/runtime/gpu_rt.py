@@ -12,8 +12,13 @@ them, and adds two things:
   what does not fit back to the host -- why *with round trip* is forced
   in the paper (SS III-A).  Fusion eliminates intermediates, so a fused
   plan spills less (Fig 7(a)/(b), `bench_ablation_memory_pressure.py`).
-  Under fission the pass places phases A and C; the pipelined segments
-  and the prefix output are not placed, so a fission run's peak is a floor;
+  The Executor's chunk planner is the size rule: a chunked serial program
+  is placed at the sizes it admitted (the driver and every buffer a
+  driver-scaled region writes hold one chunk); the placement checks
+  that rule rather than adding its own.
+  Under fission the pass places phases A and C, which the planner does
+  not size; the pipelined segments and the prefix output are not placed,
+  so a fission run's peak is a floor;
 * **segment results** -- under fission each segment evaluates the
   prefix's leading run of :data:`STREAMABLE_OPS` on its slice of the
   driver; the host re-gather concatenates the slices in segment order and
@@ -24,14 +29,14 @@ them, and adds two things:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from ..core.fission import FissionConfig, Segment
-from ..core.fusion import FusionResult, Region
+from ..core.fusion import Region
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..errors import DeviceOOMError
 from ..faults import (FaultInjector, FaultPlan, as_injector, ladder,
@@ -45,8 +50,7 @@ from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimStream, TransferCommand
 from ..simgpu.memory import DeviceMemory
 from ..simgpu.pcie import HostMemory
-from ..simgpu.timeline import Timeline
-from .executor import Executor
+from .executor import Executor, RunResult
 from .sizes import PlanShape
 from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
 
@@ -55,37 +59,6 @@ from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
 #: equals the whole evaluation (fission)
 STREAMABLE_OPS = frozenset({OpType.SELECT, OpType.PROJECT, OpType.ARITH,
                             OpType.SEMI_JOIN, OpType.ANTI_JOIN})
-
-
-@dataclass
-class FunctionalRunResult:
-    """Functional answers + the simulated timeline that produced them."""
-
-    results: dict[str, Relation]
-    timeline: Timeline
-    fusion: FusionResult
-    spill_count: int
-    peak_device_bytes: int
-    #: strategy that actually produced the answers (a :class:`Strategy`
-    #: or ``CPU_BASELINE``), and -- when the fault ladder had to step
-    #: down -- its label, as in :attr:`RunResult.degraded_to`
-    strategy: Strategy | str = Strategy.FUSED
-    degraded_to: str | None = None
-    #: injector counters (zero when fault injection is off)
-    faults_injected: int = 0
-    retries: int = 0
-    reissues: int = 0
-
-    @property
-    def makespan(self) -> float:
-        return self.timeline.makespan
-
-    @property
-    def roundtrip_time(self) -> float:
-        """Time moving intermediates host<->device: pressure spills plus
-        WITH_ROUND_TRIP staging (serial sum)."""
-        return (self.timeline.total_time(tag_prefix="spill")
-                + self.timeline.total_time(tag_prefix="roundtrip"))
 
 
 class DevicePlacement:
@@ -99,7 +72,9 @@ class DevicePlacement:
     ``spill.out`` D2H; others go for free.  A kernel output that cannot
     fit beside its inputs streams to the host after its last writer; an
     upload that cannot fit, or a buffer larger than the device, raises
-    :class:`DeviceOOMError`.  One run's programs share one placement.
+    :class:`DeviceOOMError`.  One run's programs share one placement;
+    ``spilled_h2d`` / ``spilled_d2h`` total the bytes of its ``spill.*``
+    transfers.
     """
 
     def __init__(self, memory: DeviceMemory, nbytes: dict[str, float],
@@ -115,9 +90,16 @@ class DevicePlacement:
         #: buffers spilled or streamed to the host that are read again
         self.on_host: set[str] = set()
         self.spills = 0
+        self.spilled_h2d = 0.0
+        self.spilled_d2h = 0.0
 
-    def place(self, stream: SimStream) -> SimStream:
-        """``stream``'s commands with the spill transfers this run needs."""
+    def place(self, stream: SimStream,
+              nbytes: dict[str, float] | None = None) -> SimStream:
+        """``stream``'s commands with the spill transfers this run needs;
+        ``nbytes`` sizes this program's buffers (default: the
+        placement's), e.g. a chunked program's at one chunk."""
+        if nbytes is not None:
+            self.nbytes = nbytes
         cmds = stream.commands
         # a kernel needs what it reads on the device; a download ships
         # whichever copy exists, so it holds nothing resident
@@ -136,6 +118,7 @@ class DevicePlacement:
                     if self.nbytes[name] > 0:
                         out.h2d(self.nbytes[name], self.host_memory,
                                 tag=f"spill.in.{name}")
+                        self.spilled_h2d += self.nbytes[name]
             for name in cmd.writes:
                 if (name not in self.nbytes or name in self.handles
                         or name in self.on_host):
@@ -190,6 +173,7 @@ class DevicePlacement:
             out.d2h(self.nbytes[name], self.host_memory,
                     tag=f"spill.out.{name}")
             self.spills += 1
+            self.spilled_d2h += self.nbytes[name]
 
 
 def _streamable_run(prefix: list[Region], driver: PlanNode) -> list[PlanNode]:
@@ -260,8 +244,18 @@ class GpuRuntime:
 
     ``strategy`` is a :class:`Strategy` or ``CPU_BASELINE``; every one
     produces identical tuples, only the simulated schedule differs.
-    ``memory_limit`` overrides the device-memory budget (for
-    memory-pressure studies).  ``faults`` is a
+    :meth:`run` returns the Executor's :class:`RunResult` with the sink
+    ``results``, ``spill_count`` and ``peak_device_bytes`` filled in, its
+    ``strategy`` the ladder rung that produced them, and the spill bytes
+    counted in its expected PCIe bytes.
+
+    ``memory_limit`` caps the placement's capacity below ``device``'s
+    memory, which the Executor still plans for: a budget the chunk
+    planner does not chunk for, so intermediates that do not fit
+    round-trip through the host -- the paper's forced round trip
+    (SS III-A, `bench_ablation_memory_pressure.py`).  A smaller
+    ``device`` instead makes the Executor chunk, and then nothing
+    spills.  ``faults`` is a
     :class:`~repro.faults.FaultPlan` (or shared injector) that the engine
     and the ``alloc.<buffer>`` sites honor, and ``degrade`` falls back
     down :func:`repro.faults.ladder` when faults defeat a strategy
@@ -292,8 +286,7 @@ class GpuRuntime:
         self.compression = compression
         self.fission = fission
 
-    def run(self, plan: Plan, sources: dict[str, Relation]
-            ) -> FunctionalRunResult:
+    def run(self, plan: Plan, sources: dict[str, Relation]) -> RunResult:
         shape = PlanShape.observe(plan, sources)
         injector = as_injector(self.faults)
         executor = Executor(self.device, self.costs)
@@ -301,7 +294,7 @@ class GpuRuntime:
                                  fission=self.fission,
                                  compression=self.compression)
 
-        def attempt(step: Strategy | str) -> FunctionalRunResult:
+        def attempt(step: Strategy | str) -> RunResult:
             functional = _FunctionalRun(shape, sources, self.memory,
                                         self.host_memory, injector)
             if step == CPU_BASELINE:
@@ -310,10 +303,13 @@ class GpuRuntime:
                 timed = executor._execute(
                     shape, None, replace(config, strategy=step), injector,
                     functional)
-            return FunctionalRunResult(
-                results=functional.results(), timeline=timed.timeline,
-                fusion=timed.fusion or shape.fusion(False),
-                spill_count=functional.spills,
-                peak_device_bytes=self.memory.peak, strategy=step)
+            timed.strategy = step
+            timed.results = functional.results()
+            timed.spill_count = functional.spills
+            timed.peak_device_bytes = self.memory.peak
+            if timed.expected_h2d_bytes is not None:
+                timed.expected_h2d_bytes += functional.spilled_h2d
+                timed.expected_d2h_bytes += functional.spilled_d2h
+            return timed
 
         return run_with_ladder(self.strategy, attempt, injector, self.degrade)

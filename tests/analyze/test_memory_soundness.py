@@ -13,6 +13,10 @@ The matrix covers the hand-built TPC-H Q1/Q6/Q21 plans, all 22
 frontend-compiled TPC-H queries at sf 0.01 / 1 / 30, a fuzzed plan
 population, several row scales, and device budgets from 16 MB up to the
 default 6 GB.
+
+On observed shapes the Executor's chunk planner is also the rule the
+functional runtime's device placement follows: a run the Executor admits
+must place on the same device without a spill.
 """
 
 import dataclasses
@@ -21,11 +25,15 @@ import pytest
 
 from repro.analyze.memory_check import check_strategy
 from repro.errors import DeviceOOMError
+from repro.plans import evaluate_sinks
 from repro.plans.fuzz import random_plan_case
 from repro.runtime.executor import ExecutionConfig, Executor
+from repro.runtime.gpu_rt import GpuRuntime
+from repro.runtime.sizes import PlanShape
 from repro.runtime.strategies import Strategy
 from repro.simgpu.device import DEFAULT_CALIBRATION, DeviceSpec
-from repro.tpch.catalog import QUERIES, compile_tpch, tpch_source_rows
+from repro.tpch.catalog import (QUERIES, compile_tpch, tpch_dataset,
+                                tpch_source_rows)
 from repro.tpch.q1 import build_q1_plan, q1_source_rows
 from repro.tpch.q6 import build_q6_plan
 from repro.tpch.q21 import build_q21_plan, q21_source_rows
@@ -141,6 +149,53 @@ class TestFissionFallback:
             with pytest.raises(DeviceOOMError):
                 Executor(device).run(plan, {"t": rows}, ExecutionConfig(
                     strategy=strategy, memory_safety=0.5))
+
+
+@pytest.fixture(scope="module")
+def sf002():
+    data = tpch_dataset(scale_factor=0.002, seed=1992)
+    assert sum(r.nbytes for r in data.values()) == 717_856
+    return data
+
+
+def place_admitted_run(query, factor, strategy, data):
+    """The Executor admits ``query`` on the observed shape of ``data`` with
+    ``factor`` x the data's bytes of device memory; the functional
+    runtime then places it on that device without a spill, and its sinks
+    are the interpreter's."""
+    device = device_of(int(factor * sum(r.nbytes for r in data.values())))
+    plan = compile_tpch(query, 0.002).plan
+    timed = Executor(device).run(PlanShape.observe(plan, data), None,
+                                 ExecutionConfig(strategy=strategy))
+    ran = GpuRuntime(device=device, strategy=strategy).run(plan, data)
+    assert ran.spill_count == 0
+    for name, rel in evaluate_sinks(plan, data).items():
+        got = ran.results[name]
+        assert got.fields == rel.fields
+        for f in rel.fields:
+            assert got.column(f).tobytes() == rel.column(f).tobytes(), f
+    return timed
+
+
+class TestObservedShapeAgreement:
+    @pytest.mark.parametrize("strategy", [Strategy.WITH_ROUND_TRIP,
+                                          Strategy.SERIAL, Strategy.FUSED],
+                             ids=lambda s: s.value)
+    @pytest.mark.parametrize("factor", [0.3, 0.6])
+    @pytest.mark.parametrize("query", ["q6", "q14", "q17", "q19"])
+    def test_chunked_run_places(self, query, factor, strategy, sf002):
+        """The Executor chunks ``lineitem`` here; the placement holds one
+        chunk of it, not the whole 576,096 B source."""
+        timed = place_admitted_run(query, factor, strategy, sf002)
+        assert timed.num_chunks > 1
+
+    @pytest.mark.xfail(strict=True, raises=DeviceOOMError,
+                       reason="Executor._run_fission never sizes phases A "
+                              "and C, so it admits fission runs whose phase "
+                              "buffers exceed the device")
+    @pytest.mark.parametrize("query,factor", [("q7", 0.6), ("q21", 1.0)])
+    def test_fission_run_places(self, query, factor, sf002):
+        place_admitted_run(query, factor, Strategy.FISSION, sf002)
 
 
 class TestCoverage:

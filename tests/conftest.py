@@ -76,16 +76,19 @@ def _env_chaos(request, monkeypatch):
 def _sanitize_schedules(monkeypatch):
     """Audit every simulated schedule the suite produces.
 
-    Wraps :meth:`SimEngine.run` and :meth:`Executor.run` so each timeline
-    is checked against the device-model invariants (engine exclusivity,
-    SM capacity, stream order, sync matching, byte conservation); any
+    Wraps :meth:`SimEngine.run`, :meth:`Executor.run` and
+    :meth:`GpuRuntime.run` so each timeline is checked against the
+    device-model invariants (engine exclusivity, SM capacity, stream
+    order, sync matching, byte conservation -- spills included); any
     violation fails the test with a ScheduleInvariantError.
     """
     from repro.runtime.executor import Executor
+    from repro.runtime.gpu_rt import GpuRuntime
     from repro.runtime.strategies import ExecutionConfig
 
     engine_run = SimEngine.run
     executor_run = Executor.run
+    runtime_run = GpuRuntime.run
 
     def checked_engine_run(self, streams, timeline=None, start_time=0.0):
         tl = engine_run(self, streams, timeline, start_time)
@@ -100,8 +103,14 @@ def _sanitize_schedules(monkeypatch):
             validate_run(result, self.device).raise_if_failed()
         return result
 
+    def checked_runtime_run(self, plan, sources):
+        result = runtime_run(self, plan, sources)
+        validate_run(result, self.device).raise_if_failed()
+        return result
+
     monkeypatch.setattr(SimEngine, "run", checked_engine_run)
     monkeypatch.setattr(Executor, "run", checked_executor_run)
+    monkeypatch.setattr(GpuRuntime, "run", checked_runtime_run)
     yield
 
 

@@ -133,6 +133,21 @@ class TestMemoryManagement:
         assert fused.spill_count < unfused.spill_count
         assert fused.makespan < unfused.makespan
 
+    @pytest.mark.no_chaos  # counts exact transfer bytes
+    def test_spills_are_expected_bytes(self, rel):
+        """Every H2D byte beyond the input is a spill, and the result's
+        expected bytes -- what the schedule sanitizer checks -- count it."""
+        tight = int(rel.nbytes * 1.3)
+        res = GpuRuntime(strategy=Strategy.SERIAL, memory_limit=tight).run(
+            chain_plan(), {"t": rel})
+        h2d = res.timeline.filter(EventKind.H2D)
+        spilled = sum(e.nbytes for e in h2d if e.tag.startswith("spill."))
+        moved = sum(e.nbytes for e in h2d)
+        assert spilled > 0 and moved - spilled == rel.nbytes
+        assert res.expected_h2d_bytes == pytest.approx(moved)
+        assert res.expected_d2h_bytes == pytest.approx(
+            sum(e.nbytes for e in res.timeline.filter(EventKind.D2H)))
+
     def test_single_buffer_exceeding_capacity_raises(self, rel):
         with pytest.raises(DeviceOOMError):
             GpuRuntime(memory_limit=rel.nbytes // 2).run(chain_plan(), {"t": rel})
