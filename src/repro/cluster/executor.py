@@ -76,14 +76,13 @@ import numpy as np
 
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..cpubase.select import cpu_select_time, host_plan_time
-from ..core.opmodels import out_row_nbytes
 from ..faults import FaultInjector, FaultPlan, as_injector
 from ..plans.distribute import DistributedPlan, distribute_plan
 from ..plans.interp import evaluate
 from ..plans.plan import OpType, Plan
 from ..ra.relation import Relation
 from ..runtime.executor import Executor, RunResult
-from ..runtime.sizes import PlanShape
+from ..runtime.sizes import PlanShape, node_bytes
 from ..runtime.strategies import ExecutionConfig, Strategy
 from ..simgpu.device import DeviceSpec
 from ..simgpu.timeline import EventKind, Timeline
@@ -535,8 +534,7 @@ class ClusterExecutor:
                     (n for n in dist.plan.nodes
                      if n.name not in dist.local_names), sizes, cpu)
                 merge_bytes = sum(
-                    float(sizes[s.name]) * out_row_nbytes(s)
-                    for s in dist.plan.sinks()
+                    node_bytes(s, sizes) for s in dist.plan.sinks()
                     if s.name not in dist.local_names)
                 host_tl.add(t_barrier, t_barrier + suffix_s,
                             EventKind.HOST, "cluster.merge",
@@ -706,12 +704,9 @@ class ClusterExecutor:
 
         # the exact partial/combine split really runs on the data path;
         # a non-exact split (float sums re-associate) is timing-only and
-        # the referee keeps the raw whole-group exchange.  A lone shard's
-        # states are already final, and a combine over no rows types its
-        # counts float64 (ra.arithmetic._aggregate_empty), so one shard
-        # sends its raw frontier
+        # the referee keeps the raw whole-group exchange
         phases = dist.phases(states=dist.preagg is not None
-                             and dist.preagg.exact and n > 1)
+                             and dist.preagg.exact)
         local = phases.local
         local_sources = {s.name for s in local.sources()}
         shard_results: list[dict[str, Relation]] = []

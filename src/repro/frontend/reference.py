@@ -61,8 +61,13 @@ def _aggregate(rel: Relation, group_by: list[str],
         for name, spec in aggs.items():
             if spec.func in ("count", "count_distinct"):
                 cols[name] = np.empty(0, dtype=np.int64)
-            else:
-                cols[name] = rel.column(spec.field)[:0].astype(np.float64)
+                continue
+            col = rel.column(spec.field)[:0]
+            if spec.func == "sum":
+                col = col.astype(np.asarray(_sum(col)).dtype)
+            elif spec.func == "mean" and col.dtype.kind != "f":
+                col = col.astype(np.float64)
+            cols[name] = col  # float mean, min and max: the column's type
         return Relation(cols, key=group_by[0])
 
     if group_by:

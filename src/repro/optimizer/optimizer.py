@@ -68,9 +68,8 @@ class PricedOption:
 
     option: StrategyOption
     est: CostEstimate
-    #: the simulator's authoritative makespan; None when pricing was
-    #: analytic-only (``simulate=False``), the option was infeasible, or
-    #: branch and bound never confirmed it
+    #: the simulator's authoritative makespan; None when the option was
+    #: infeasible or branch and bound never confirmed it
     sim_makespan_s: float | None = None
     feasible: bool = True
     notes: tuple[str, ...] = ()
@@ -121,12 +120,11 @@ class Decision:
     chosen: PricedOption
     #: every candidate, in enumeration order
     candidates: tuple[PricedOption, ...]
-    simulated: bool = True
     cache_key: str = ""
     cache_hit: bool = False
     #: the simulator run that confirmed `chosen`, for
-    #: :meth:`Optimizer.run` to reuse; None on a cache hit or without
-    #: simulation, and never stored in the cache
+    #: :meth:`Optimizer.run` to reuse; None on a cache hit, and never
+    #: stored in the cache
     confirmed_run: object = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
@@ -186,7 +184,6 @@ class Decision:
             "optimizer.max_devices": self.max_devices,
             "optimizer.chosen": self.chosen.label,
             "optimizer.chosen_price_s": round(self.chosen.price_s, 9),
-            "optimizer.simulated": int(self.simulated),
             "optimizer.candidates": len(self.candidates),
             "optimizer.confirmed": sum(
                 1 for c in self.candidates
@@ -209,7 +206,6 @@ class Optimizer:
     def __init__(self, device: DeviceSpec | None = None,
                  costs: StageCostParams = DEFAULT_STAGE_COSTS,
                  cache: PlanCache | None = None,
-                 simulate: bool = True,
                  cluster_seed: int = 0,
                  pcie_sharers: int | None = None):
         self.device = device or DeviceSpec()
@@ -218,8 +214,6 @@ class Optimizer:
         #: the cluster executors this optimizer spawns reuse it for their
         #: distribution rewrites
         self.cache = cache
-        #: refine analytic prices with the simulator (authoritative)
-        self.simulate = simulate
         self.cluster_seed = cluster_seed
         self.pcie_sharers = pcie_sharers
         self.cost_model = CostModel(self.device, costs)
@@ -248,7 +242,7 @@ class Optimizer:
             "decision", plan_fp, stats_dg, calib_fp,
             cluster_fingerprint(max_devices, "/".join(schemes),
                                 self.cluster_seed, self.pcie_sharers),
-            include_cpubase, self.simulate)
+            include_cpubase)
         if self.cache is not None:
             hit = self.cache.get(cache_key)
             if hit is not None:
@@ -272,7 +266,7 @@ class Optimizer:
                 priced[-1] = dataclasses.replace(
                     priced[-1], feasible=False,
                     notes=(f"MEM701 certain OOM: {verdict.detail}",))
-            elif self.simulate:
+            else:
                 bound = self._lower_bound(shape, stats, option, est, dist)
                 pending.append((bound, _rank(option), len(priced) - 1))
 
@@ -296,17 +290,15 @@ class Optimizer:
             if feasible and (best is None or (sim, rank, i) < best):
                 best, best_run = (sim, rank, i), run
 
-        feasible = [c for c in priced if c.feasible]
-        if not feasible:
+        # every feasible option was confirmed or pruned against `best`
+        if best is None:
             raise PlanError(
                 f"no feasible execution strategy for plan {plan.name!r}")
-        chosen = (priced[best[2]] if best is not None else
-                  min(feasible, key=lambda c: (c.price_s, _rank(c.option))))
         decision = Decision(
             plan_name=plan.name, plan_fp=plan_fp, stats_digest=stats_dg,
-            calibration_fp=calib_fp, max_devices=max_devices, chosen=chosen,
-            candidates=tuple(priced), simulated=self.simulate,
-            cache_key=cache_key)
+            calibration_fp=calib_fp, max_devices=max_devices,
+            chosen=priced[best[2]],
+            candidates=tuple(priced), cache_key=cache_key)
         if self.cache is not None:
             self.cache.put(cache_key, decision)
         return dataclasses.replace(decision, confirmed_run=best_run)

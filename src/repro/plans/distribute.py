@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import PlanError
-from .plan import OpType, Plan, PlanNode
+from .plan import OpType, Plan, PlanNode, derive, source_node
 
 #: sources no bigger than this fraction of the driver are replicated
 REPLICATE_FRACTION = 0.125
@@ -223,6 +223,11 @@ class DistributedPlan:
     def local_plan(self) -> Plan:
         """The shard-local subplan every shard runs (frontier nodes and
         local sinks are its sinks)."""
+        return derive(f"{self.plan.name}.local", self._local_nodes())
+
+    def _local_nodes(self) -> list[PlanNode]:
+        """The frontier nodes, the local sinks and every node they read,
+        in topological order."""
         byname = {n.name: n for n in self.plan.nodes}
         needed: set[str] = set(self.frontier) | set(self.local_sinks())
         stack = list(needed)
@@ -232,28 +237,23 @@ class DistributedPlan:
                 if inp.name not in needed:
                     needed.add(inp.name)
                     stack.append(inp.name)
-        sub = Plan(name=f"{self.plan.name}.local")
-        _copy_nodes(sub, (n for n in self.plan.topological()
-                          if n.name in needed), {})
-        return sub
+        return [n for n in self.plan.topological() if n.name in needed]
 
     def suffix_plan(self) -> Plan:
         """The global subplan past the frontier.  Frontier buffers and
         suffix-read sources become its SOURCE nodes (same names, so the
         interpreter binds merged frontier relations directly)."""
         from ..core.opmodels import out_row_nbytes
-        sub = Plan(name=f"{self.plan.name}.suffix")
-        mapped: dict[str, PlanNode] = {}
+        read: dict[PlanNode, PlanNode] = {}
         for name in self.frontier:
             node = self.node(name)
-            mapped[name] = sub.source(name, row_nbytes=out_row_nbytes(node))
+            read[node] = source_node(name, row_nbytes=out_row_nbytes(node))
         for name in self.suffix_sources:
             node = self.node(name)
-            mapped[name] = sub.source(
-                name, row_nbytes=out_row_nbytes(node),
-                n_rows=node.params.get("n_rows"))
-        _copy_nodes(sub, self._past_nodes(), mapped)
-        return sub
+            read[node] = source_node(name, row_nbytes=out_row_nbytes(node),
+                                     n_rows=node.params.get("n_rows"))
+        return derive(f"{self.plan.name}.suffix",
+                      [*read.values(), *self._past_nodes()], aliases=read)
 
     def _past_nodes(self, skip: frozenset[str] = frozenset()):
         """Global non-source nodes not in `skip`, in topological order."""
@@ -269,14 +269,12 @@ class DistributedPlan:
         buffer is consumed on-device, so only state blocks leave."""
         if self.preagg is None:
             raise PlanError(f"plan {self.plan.name!r} has no pre-agg")
-        sub = self.local_plan()
-        sub.name = f"{self.plan.name}.preagg"
-        agg = self.preagg.agg
-        _copy_nodes(sub, (self.node(name)
-                          for name in (*self.preagg.lowered, agg)),
-                    {n.name: n for n in sub.nodes},
-                    rename={agg: f"{agg}.partial"})
-        return sub
+        agg = self.node(self.preagg.agg)
+        return derive(f"{self.plan.name}.preagg",
+                      [*self._local_nodes(),
+                       *(self.node(name) for name in self.preagg.lowered),
+                       agg],
+                      {agg: {"name": f"{agg.name}.partial"}})
 
     def combine_plan(self) -> Plan:
         """The global half when :attr:`preagg` is set: a SOURCE of
@@ -286,19 +284,18 @@ class DistributedPlan:
         if self.preagg is None:
             raise PlanError(f"plan {self.plan.name!r} has no pre-agg")
         agg_node = self.node(self.preagg.agg)
-        combine_aggs = combine_agg_specs(agg_node)
-        sub = Plan(name=f"{self.plan.name}.combine")
-        src = sub.source(f"{self.preagg.agg}.partial",
-                         row_nbytes=self.preagg.state_row_nbytes)
-        mapped: dict[str, PlanNode] = {self.preagg.agg: sub._add(PlanNode(
-            OpType.AGGREGATE, self.preagg.agg, [src],
+        src = source_node(f"{self.preagg.agg}.partial",
+                          row_nbytes=self.preagg.state_row_nbytes)
+        combine = PlanNode(
+            OpType.AGGREGATE, self.preagg.agg, (src,),
             params={"group_by": list(self.preagg.group_by),
-                    "aggs": combine_aggs,
+                    "aggs": combine_agg_specs(agg_node),
                     "n_groups": agg_node.params.get("n_groups")},
-            selectivity=agg_node.selectivity))}
-        _copy_nodes(sub, self._past_nodes(
-            frozenset(self.preagg.lowered) | {self.preagg.agg}), mapped)
-        return sub
+            selectivity=agg_node.selectivity)
+        return derive(f"{self.plan.name}.combine",
+                      [src, combine, *self._past_nodes(
+                          frozenset(self.preagg.lowered) | {self.preagg.agg})],
+                      aliases={agg_node: combine})
 
 
 @dataclass(frozen=True)
@@ -343,20 +340,6 @@ class Phases:
                 else self.dist.exchange.row_nbytes)
 
 
-def _copy_nodes(sub: Plan, nodes, mapped: dict[str, PlanNode],
-                rename: dict[str, str] | None = None) -> None:
-    """Copy `nodes` (topologically ordered) into `sub`, wiring each to the
-    copies in `mapped` by input name and recording its own copy there;
-    `rename` gives a copy a new name."""
-    rename = rename or {}
-    for node in nodes:
-        mapped[node.name] = sub._add(PlanNode(
-            node.op, rename.get(node.name, node.name),
-            [mapped[i.name] for i in node.inputs],
-            params=dict(node.params), selectivity=node.selectivity,
-            out_row_nbytes=node.out_row_nbytes))
-
-
 def combine_agg_specs(agg_node: PlanNode) -> dict:
     """The combine half of a decomposable aggregate's (partial, combine)
     split: partial states combine field-wise -- counts and sums add,
@@ -370,14 +353,6 @@ def combine_agg_specs(agg_node: PlanNode) -> dict:
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
-
-def _source_rows(node: PlanNode, source_rows: dict[str, int]) -> int:
-    if node.name in source_rows:
-        return int(source_rows[node.name])
-    if node.params.get("n_rows") is not None:
-        return int(node.params["n_rows"])
-    raise PlanError(f"no row count for source {node.name!r}")
-
 
 def _reaches_through_unary(plan: Plan, src: PlanNode, node: PlanNode) -> bool:
     """Is `node` derived from `src` through row-preserving unary ops only?"""
@@ -470,12 +445,13 @@ def _node_dist(node: PlanNode, ins: list, sort_local: bool = False):
 
 
 def _classify(plan: Plan, driver: PlanNode, key: tuple[str, ...] | None,
-              source_rows: dict[str, int], replicate_fraction: float):
-    """Per-node distribution map for one candidate partition key."""
-    driver_rows = _source_rows(driver, source_rows)
+              src_rows: dict[str, int], replicate_fraction: float):
+    """Per-node distribution map for one candidate partition key
+    (`src_rows`: every source's rows)."""
+    driver_rows = src_rows[driver.name]
     dist: dict[str, object] = {}
     for src in plan.sources():
-        rows = _source_rows(src, source_rows)
+        rows = src_rows[src.name]
         if src is driver:
             dist[src.name] = ("partitioned", key)
         elif rows <= replicate_fraction * driver_rows:
@@ -617,19 +593,19 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
         raise PlanError(f"unknown partition scheme {scheme!r}")
     from ..cluster.partition import even_counts
     from ..core.opmodels import out_row_nbytes
-    from ..runtime.sizes import estimate_sizes
+    from ..runtime.sizes import estimate_sizes, source_node_rows
 
     sources = plan.sources()
     if not sources:
         raise PlanError(f"plan {plan.name!r} has no sources")
-    driver = max(sources,
-                 key=lambda s: _source_rows(s, source_rows) * out_row_nbytes(s))
+    src_rows = {s.name: source_node_rows(s, source_rows) for s in sources}
+    driver = max(sources, key=lambda s: src_rows[s.name] * out_row_nbytes(s))
 
     best_key: tuple[str, ...] | None = None
     best_dist: dict | None = None
     best_score = -1
     for key in _candidate_keys(plan):
-        dist = _classify(plan, driver, key, source_rows, replicate_fraction)
+        dist = _classify(plan, driver, key, src_rows, replicate_fraction)
         score = sum(1 for n in plan.nodes
                     if n.op is not OpType.SOURCE and dist[n.name] is not None)
         if score > best_score:
@@ -649,7 +625,7 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
         else:
             kind, skey = "partitioned", d[1]
         source_dists.append(SourceDist(
-            src.name, kind, skey, _source_rows(src, source_rows)))
+            src.name, kind, skey, src_rows[src.name]))
 
     frontier: list[str] = []
     suffix_sources: list[str] = []
@@ -694,8 +670,8 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
         sources=tuple(source_dists), local_names=local_names,
         frontier=tuple(frontier), suffix_sources=tuple(suffix_sources),
         suffix_mode=suffix_mode, exchange=exchange,
-        driver_shard_rows=tuple(even_counts(
-            _source_rows(driver, source_rows), num_shards)),
+        driver_shard_rows=tuple(even_counts(src_rows[driver.name],
+                                            num_shards)),
         notes=tuple(notes), merge=merge or "flat")
     if preagg:
         spec = find_preagg(dist)

@@ -5,14 +5,18 @@ executor runs.  Nodes carry the operator type, its parameters (predicate,
 fields, expressions, ...), and an output-cardinality estimate used when the
 workload is *virtual* (timing-only, no materialized arrays -- needed for
 the paper's multi-billion-element experiments).
+
+Plans are values: nodes are frozen, a plan freezes when it validates, and
+a pass that changes a plan derives a new one (:func:`derive`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import PlanError
 from ..ra.expr import Expr, Predicate
@@ -45,13 +49,14 @@ FUSION_BARRIER_OPS = frozenset({OpType.SORT, OpType.UNIQUE, OpType.TOP_N,
                                 OpType.UNION_ALL, OpType.EXCEPT_ALL})
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PlanNode:
-    """One operator application in a plan DAG."""
+    """One operator application in a plan DAG (frozen: derive a changed
+    node with :func:`dataclasses.replace`)."""
 
     op: OpType
     name: str
-    inputs: list["PlanNode"] = field(default_factory=list)
+    inputs: tuple["PlanNode", ...] = ()
     params: dict[str, Any] = field(default_factory=dict)
     #: estimated ratio of output rows to (left) input rows
     selectivity: float = 1.0
@@ -61,6 +66,8 @@ class PlanNode:
     def __post_init__(self):
         if self.selectivity < 0:
             raise PlanError(f"negative selectivity on {self.name}")
+        if not isinstance(self.inputs, tuple):
+            object.__setattr__(self, "inputs", tuple(self.inputs))
 
     @property
     def predicate(self) -> Predicate | None:
@@ -71,21 +78,44 @@ class PlanNode:
         return f"PlanNode({self.op.value}:{self.name} <- [{ins}])"
 
 
+def source_node(name: str, row_nbytes: int = 4, n_rows: int | None = None,
+                fields: list[str] | None = None) -> PlanNode:
+    """A SOURCE node (see :meth:`Plan.source`)."""
+    params: dict[str, Any] = {"n_rows": n_rows}
+    if fields is not None:
+        params["fields"] = list(fields)
+    return PlanNode(OpType.SOURCE, name, params=params,
+                    out_row_nbytes=row_nbytes)
+
+
 class Plan:
     """A DAG of :class:`PlanNode` built through a fluent API.
 
     >>> plan = Plan()
     >>> src = plan.source("lineitem", row_nbytes=4)
     >>> sel = plan.select(src, Field("f0") < 10, selectivity=0.5)
+
+    The first successful :meth:`validate` freezes the plan: its node list
+    becomes a tuple, and adding a node or setting an attribute raises
+    :class:`~repro.errors.PlanError`.
     """
 
     def __init__(self, name: str = "plan"):
         self.name = name
-        self.nodes: list[PlanNode] = []
+        self.nodes: list[PlanNode] | tuple[PlanNode, ...] = []
         self._counter = itertools.count()
+        self._frozen = False
+
+    def __setattr__(self, attr: str, value: Any) -> None:
+        if getattr(self, "_frozen", False):
+            raise PlanError(f"plan {self.name!r} is frozen: cannot set {attr}")
+        super().__setattr__(attr, value)
 
     # -- builders -------------------------------------------------------------
     def _add(self, node: PlanNode) -> PlanNode:
+        if self._frozen:
+            raise PlanError(f"plan {self.name!r} is frozen: cannot add "
+                            f"{node.name!r}")
         for inp in node.inputs:
             if inp not in self.nodes:
                 raise PlanError(f"input {inp.name} of {node.name} not in this plan")
@@ -100,12 +130,7 @@ class Plan:
         """`fields`, when given, declares the source's column schema; the
         static analyzer's column-flow lints only fire downstream of a
         declared schema (undeclared sources are treated as unknown)."""
-        params: dict[str, Any] = {"n_rows": n_rows}
-        if fields is not None:
-            params["fields"] = list(fields)
-        return self._add(PlanNode(
-            OpType.SOURCE, name, [],
-            params=params, out_row_nbytes=row_nbytes))
+        return self._add(source_node(name, row_nbytes, n_rows, fields))
 
     def select(self, input_node: PlanNode, predicate: Predicate,
                selectivity: float = 0.5, name: str | None = None) -> PlanNode:
@@ -316,10 +341,42 @@ class Plan:
 
     def validate(self) -> None:
         """Raise PlanError on structural problems, naming the offending
-        node (and input index, where one is involved)."""
+        node (and input index, where one is involved); else freeze the
+        plan.  A frozen plan cannot change, so validating it again
+        returns at once."""
+        if self._frozen:
+            return
         issues = self.structural_issues()
         if issues:
             raise PlanError(issues[0].message)
+        self.nodes = tuple(self.nodes)
+        self._frozen = True
+
+
+def derive(name: str, nodes: Iterable[PlanNode],
+           changes: Mapping[PlanNode, Mapping[str, Any]] | None = None,
+           aliases: Mapping[PlanNode, PlanNode] | None = None) -> Plan:
+    """A new plan `name` holding a copy of each of `nodes` (topologically
+    ordered), ``dataclasses.replace``-d with ``changes[node]`` and wired to
+    the copies of its inputs.  An input that is not copied stands for
+    ``aliases[input]`` (aliases may chain): how a rewrite drops a node and
+    how a sub-plan reads an outside node from a new SOURCE."""
+    changes = changes or {}
+    aliases = aliases or {}
+    plan = Plan(name)
+    copies: dict[PlanNode, PlanNode] = {}
+
+    def copy_of(node: PlanNode) -> PlanNode:
+        while node not in copies:
+            node = aliases[node]
+        return copies[node]
+
+    for node in nodes:
+        copies[node] = dataclasses.replace(
+            node, inputs=tuple(copy_of(i) for i in node.inputs),
+            **changes.get(node, {}))
+        plan.nodes.append(copies[node])
+    return plan
 
 
 #: expected input count per operator

@@ -11,7 +11,7 @@ feeds fusion with better input:
   predicate (the logical counterpart of fusing two filter stages);
 * **project pruning** -- adjacent PROJECTs collapse to the outermost one.
 
-Each rewrite returns a *new* plan (the input is never mutated) and
+Each rewrite derives a new plan (:func:`~repro.plans.plan.derive`) and
 preserves functional semantics -- property-tested against the interpreter.
 """
 
@@ -19,24 +19,7 @@ from __future__ import annotations
 
 from ..errors import PlanError
 from ..ra.expr import And
-from .plan import OpType, Plan, PlanNode
-
-
-def _clone_plan(plan: Plan) -> tuple[Plan, dict[int, PlanNode]]:
-    """Deep-copy the plan graph; returns the copy and old-id -> new node."""
-    new = Plan(name=plan.name)
-    mapping: dict[int, PlanNode] = {}
-    for node in plan.topological():
-        clone = PlanNode(
-            op=node.op, name=node.name,
-            inputs=[mapping[id(i)] for i in node.inputs],
-            params=dict(node.params),
-            selectivity=node.selectivity,
-            out_row_nbytes=node.out_row_nbytes,
-        )
-        new.nodes.append(clone)
-        mapping[id(node)] = clone
-    return new, mapping
+from .plan import OpType, Plan, PlanNode, derive
 
 
 def _select_chains(plan: Plan) -> list[list[PlanNode]]:
@@ -71,69 +54,61 @@ def reorder_selects(plan: Plan) -> Plan:
     """Sort each SELECT chain by ascending selectivity (most selective
     first).  Legal because conjunctive filters commute; profitable because
     every later stage sees fewer elements."""
-    new, mapping = _clone_plan(plan)
-    for chain in _select_chains(new):
+    changes: dict[PlanNode, dict] = {}
+    for chain in _select_chains(plan):
         ordered = sorted(chain, key=lambda n: n.selectivity)
         if ordered == chain:
             continue
         # rewire: the head keeps the original upstream input; predicates,
         # selectivities and names rotate into the sorted order
-        attrs = [(n.predicate, n.selectivity, n.name) for n in ordered]
-        for node, (pred, sel, name) in zip(chain, attrs):
-            node.params = dict(node.params, predicate=pred)
-            node.selectivity = sel
-            node.name = name
-    return new
+        for node, src in zip(chain, ordered):
+            changes[node] = {
+                "params": dict(node.params, predicate=src.predicate),
+                "selectivity": src.selectivity, "name": src.name}
+    return derive(plan.name, plan.topological(), changes)
 
 
 def merge_selects(plan: Plan) -> Plan:
     """Collapse each SELECT chain into one conjunctive SELECT."""
-    new, _ = _clone_plan(plan)
-    for chain in _select_chains(new):
+    changes: dict[PlanNode, dict] = {}
+    dropped: dict[PlanNode, PlanNode] = {}
+    for chain in _select_chains(plan):
         head, rest = chain[0], chain[1:]
         pred = head.predicate
         sel = head.selectivity
         for node in rest:
             pred = And(pred, node.predicate)
             sel *= node.selectivity
-        tail = rest[-1]
-        merged_name = "+".join(n.name for n in chain)
-        head.params = dict(head.params, predicate=pred)
-        head.selectivity = sel
-        head.name = merged_name
-        # re-point the tail's consumers at the head; drop the rest
-        for consumer in new.consumers(tail):
-            consumer.inputs = [head if i is tail else i for i in consumer.inputs]
-        for node in rest:
-            new.nodes.remove(node)
-    return new
+            dropped[node] = head  # the tail's consumers now read the head
+        changes[head] = {"params": dict(head.params, predicate=pred),
+                         "selectivity": sel,
+                         "name": "+".join(n.name for n in chain)}
+    return derive(plan.name,
+                  (n for n in plan.topological() if n not in dropped),
+                  changes, dropped)
 
 
 def prune_projects(plan: Plan) -> Plan:
     """PROJECT(PROJECT(x)) -> PROJECT(x) with the outer field list (must be
     a subset of the inner's, else the plan was invalid anyway)."""
-    new, _ = _clone_plan(plan)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(new.nodes):
-            if node.op is not OpType.PROJECT:
-                continue
-            inner = node.inputs[0]
-            if (inner.op is OpType.PROJECT
-                    and len(new.consumers(inner)) == 1):
-                outer_fields = node.params["fields"]
-                inner_fields = inner.params["fields"]
-                missing = [f for f in outer_fields
-                           if isinstance(f, str) and f not in inner_fields]
-                if missing:
-                    raise PlanError(
-                        f"project {node.name} reads {missing} which "
-                        f"{inner.name} already dropped")
-                node.inputs = [inner.inputs[0]]
-                new.nodes.remove(inner)
-                changed = True
-    return new
+    dropped: dict[PlanNode, PlanNode] = {}
+    for node in plan.topological():
+        if node.op is not OpType.PROJECT:
+            continue
+        inner = node.inputs[0]
+        if inner.op is OpType.PROJECT and len(plan.consumers(inner)) == 1:
+            outer_fields = node.params["fields"]
+            inner_fields = inner.params["fields"]
+            missing = [f for f in outer_fields
+                       if isinstance(f, str) and f not in inner_fields]
+            if missing:
+                raise PlanError(
+                    f"project {node.name} reads {missing} which "
+                    f"{inner.name} already dropped")
+            dropped[inner] = inner.inputs[0]
+    return derive(plan.name,
+                  (n for n in plan.topological() if n not in dropped),
+                  aliases=dropped)
 
 
 def optimize_plan(plan: Plan) -> Plan:

@@ -122,14 +122,19 @@ def aggregate(rel: Relation, group_by: list[str],
 
 def _aggregate_empty(rel: Relation, group_by: list[str],
                      aggs: Mapping[str, AggSpec]) -> Relation:
-    """No rows: no groups under GROUP BY (empty output with the right
-    schema), else one global group over nothing (MIN/MAX raise)."""
+    """No rows: no groups under GROUP BY (empty output typed as the
+    non-empty path types it), else one global group over nothing
+    (MIN/MAX raise)."""
     cols: dict[str, np.ndarray] = {n: rel.column(n) for n in group_by}
     for name, spec in aggs.items():
         if spec.func in ("count", "count_distinct"):
             cols[name] = np.zeros(0 if group_by else 1, dtype=np.int64)
         elif group_by:
-            cols[name] = rel.column(spec.field).astype(np.float64)
+            col = rel.column(spec.field)[:0]
+            if col.dtype.kind != "f" and spec.func in ("sum", "mean"):
+                col = col.astype(col.sum().dtype if spec.func == "sum"
+                                 else np.float64)
+            cols[name] = col  # float sum and mean, min and max: as is
         elif spec.func == "mean":
             cols[name] = np.array([np.nan])
         else:

@@ -30,7 +30,7 @@ def estimate_sizes(plan: Plan, source_rows: dict[str, int]) -> dict[str, int]:
     """Estimated output rows for every node, keyed by node name."""
     sizes: dict[str, int] = {}
     for node in plan.topological():
-        sizes[node.name] = (_source_rows(node, source_rows)
+        sizes[node.name] = (source_node_rows(node, source_rows)
                             if node.op is OpType.SOURCE
                             else int(node_rows(node, sizes)))
     return sizes
@@ -44,10 +44,8 @@ class PlanShape:
     from one real evaluation; the executor builds the same stream program
     from either.  The cost model, the memory verdict and every executor
     run of one planning call share a shape instead of re-deriving the
-    same sizes and regions.  A shape lives for that one call: plan nodes
-    are mutable, so nothing here may outlive the caller that built it.
-    Every caller gets the same size map and FusionResult objects, so
-    none may mutate them.
+    same sizes and regions.  Every caller gets the same size map and
+    FusionResult objects, so none may mutate them.
     """
 
     def __init__(self, plan: Plan):
@@ -110,7 +108,9 @@ class PlanShape:
         return self._fusion[fused]
 
 
-def _source_rows(node: PlanNode, source_rows: dict[str, int]) -> int:
+def source_node_rows(node: PlanNode, source_rows: dict[str, int]) -> int:
+    """Rows of a SOURCE node: the caller's count, else its declared
+    ``n_rows``."""
     if node.name in source_rows:
         return int(source_rows[node.name])
     if node.params.get("n_rows") is not None:

@@ -31,16 +31,15 @@ from ..core.multifusion import (
     find_shared_select_groups,
     split_group_by_registers,
 )
-from ..core.opmodels import out_row_nbytes
 from ..errors import PlanError
 from ..faults import as_injector
-from ..plans.plan import OpType, Plan, PlanNode
+from ..plans.plan import OpType, Plan, PlanNode, derive
 from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
 from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import Timeline
 from .executor import LoweredRegion, emit_region
-from .sizes import estimate_sizes
+from .sizes import estimate_sizes, node_bytes
 
 
 @dataclass
@@ -56,31 +55,24 @@ class QueryWorkload:
             p.validate()
 
     def merged_plan(self) -> Plan:
-        """One plan containing every query, with same-named sources merged."""
-        merged = Plan(name="workload")
-        sources: dict[str, PlanNode] = {}
+        """One plan containing every query, with same-named sources
+        merged; query ``qi``'s other nodes are named ``q{qi}.<name>``."""
+        nodes: list[PlanNode] = []
+        shared: dict[str, PlanNode] = {}
+        dropped: dict[PlanNode, PlanNode] = {}
         for qi, plan in enumerate(self.plans):
-            mapping: dict[int, PlanNode] = {}
-            for node in plan.topological():
+            # rename a copy per query: a batch may hold one plan twice
+            query = derive(plan.name, plan.topological(), {
+                n: {"name": f"q{qi}.{n.name}"} for n in plan.nodes
+                if n.op is not OpType.SOURCE})
+            for node in query.nodes:
                 if node.op is OpType.SOURCE:
-                    if node.name not in sources:
-                        clone = PlanNode(
-                            op=node.op, name=node.name, inputs=[],
-                            params=dict(node.params),
-                            selectivity=node.selectivity,
-                            out_row_nbytes=node.out_row_nbytes)
-                        merged.nodes.append(clone)
-                        sources[node.name] = clone
-                    mapping[id(node)] = sources[node.name]
-                    continue
-                clone = PlanNode(
-                    op=node.op, name=f"q{qi}.{node.name}",
-                    inputs=[mapping[id(i)] for i in node.inputs],
-                    params=dict(node.params),
-                    selectivity=node.selectivity,
-                    out_row_nbytes=node.out_row_nbytes)
-                merged.nodes.append(clone)
-                mapping[id(node)] = clone
+                    first = shared.setdefault(node.name, node)
+                    if first is not node:
+                        dropped[node] = first
+                        continue
+                nodes.append(node)
+        merged = derive("workload", nodes, aliases=dropped)
         merged.validate()
         return merged
 
@@ -147,7 +139,7 @@ class WorkloadScheduler:
                 sizes: dict[str, int]) -> float:
         total = 0.0
         for src in plan.sources():
-            nbytes = float(sizes[src.name]) * out_row_nbytes(src)
+            nbytes = node_bytes(src, sizes)
             total += nbytes
             if nbytes > 0:
                 stream.h2d(nbytes, self.memory, tag=f"input.{src.name}",

@@ -57,24 +57,24 @@ _SQL = {
 
 @lru_cache(maxsize=None)
 def catalog_plan(kind: str) -> Plan:
-    """The (cached, immutable) logical plan for a catalog query kind.
-
-    Callers must never mutate the returned plan: it is shared by every
-    request of its kind, and :func:`request_fingerprint` memoizes its
-    fingerprint for the life of the process."""
+    """The (cached, validated and so frozen) logical plan for a catalog
+    query kind, shared by every request of that kind."""
     if kind == "q1":
-        return build_q1_plan()
-    if kind == "q6":
-        return build_q6_plan()
-    if kind == "q21":
-        return build_q21_plan()
-    if kind in _SQL:
-        return compile_sql(_SQL[kind], _SERVE_CATALOG,
+        plan = build_q1_plan()
+    elif kind == "q6":
+        plan = build_q6_plan()
+    elif kind == "q21":
+        plan = build_q21_plan()
+    elif kind in _SQL:
+        plan = compile_sql(_SQL[kind], _SERVE_CATALOG,
                            name="sql_lineitem").plan
-    if kind.startswith("tpch_q"):
+    elif kind.startswith("tpch_q"):
         from ..tpch.catalog import compile_tpch
-        return compile_tpch(kind[len("tpch_"):]).plan
-    raise KeyError(f"unknown catalog query kind {kind!r}")
+        plan = compile_tpch(kind[len("tpch_"):]).plan
+    else:
+        raise KeyError(f"unknown catalog query kind {kind!r}")
+    plan.validate()
+    return plan
 
 
 def catalog_rows(kind: str, elements: int) -> dict[str, int]:
@@ -97,12 +97,8 @@ def catalog_rows(kind: str, elements: int) -> dict[str, int]:
 def request_fingerprint(kind: str, elements: int
                         ) -> tuple[str, tuple[tuple[str, int], ...]]:
     """Content identity of a catalog request: the plan fingerprint of
-    ``kind`` plus its sorted source cardinalities at ``elements``.
-
-    Computed once per ``(kind, elements)``; sound because
-    :func:`catalog_plan` hands out one immutable plan per kind for the
-    life of the process, so the memo lives exactly as long as the plan it
-    hashes."""
+    ``kind`` plus its sorted source cardinalities at ``elements``,
+    computed once per ``(kind, elements)``."""
     from ..optimizer.fingerprint import plan_fingerprint
     return (plan_fingerprint(catalog_plan(kind)),
             tuple(sorted(catalog_rows(kind, elements).items())))

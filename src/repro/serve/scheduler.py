@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from ..core.opmodels import out_row_nbytes
 from ..plans.plan import OpType
-from ..runtime.sizes import estimate_sizes
+from ..runtime.sizes import estimate_sizes, node_bytes
 from ..simgpu.device import DeviceSpec
 from .arrivals import QueryRequest, catalog_plan, catalog_rows
 from .queue import BoundedPriorityQueue
@@ -30,15 +30,16 @@ from .queue import BoundedPriorityQueue
 @lru_cache(maxsize=None)
 def _kind_stats(kind: str, elements: int):
     """(batch key, source byte map, intermediate bytes) for a catalog
-    query at one scale -- cached, the catalog is small and plans immutable."""
+    query at one scale -- cached, the catalog is small and its plans
+    frozen."""
     plan = catalog_plan(kind)
     sizes = estimate_sizes(plan, catalog_rows(kind, elements))
     src_bytes: dict[tuple[str, int, int], float] = {}
     for src in plan.sources():
         key = (src.name, out_row_nbytes(src), sizes[src.name])
-        src_bytes[key] = float(sizes[src.name]) * out_row_nbytes(src)
+        src_bytes[key] = node_bytes(src, sizes)
     driver = max(src_bytes, key=lambda k: (src_bytes[k], k[0]))
-    inter = sum(float(sizes[n.name]) * out_row_nbytes(n)
+    inter = sum(node_bytes(n, sizes)
                 for n in plan.topological() if n.op is not OpType.SOURCE)
     return driver, src_bytes, inter
 

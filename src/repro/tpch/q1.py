@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..plans.plan import Plan, PlanNode
+from ..plans.plan import OpType, Plan, PlanNode
 from ..ra.arithmetic import AggSpec
 from ..ra.expr import Const, Field
 from ..ra.relation import Relation
@@ -55,10 +55,11 @@ def build_q1_plan() -> Plan:
     # columns are positional ("compressed row data"): 4 B per value, the
     # row id is implicit on the host and materialized by the SELECT
     src_date = plan.source("l_shipdate", row_nbytes=4)
-    node: PlanNode = plan.select(
-        src_date, Field("shipdate") <= Q1_CUTOFF,
-        selectivity=Q1_SELECT_FRACTION, name="sel_shipdate")
-    node.out_row_nbytes = 8  # survivors carry their materialized row id
+    # survivors carry their materialized row id: 8 B per row
+    node = plan._add(PlanNode(
+        OpType.SELECT, "sel_shipdate", (src_date,),
+        params={"predicate": Field("shipdate") <= Q1_CUTOFF},
+        selectivity=Q1_SELECT_FRACTION, out_row_nbytes=8))
     row_bytes = 8
     for name in Q1_VALUE_COLUMNS:
         src = plan.source(f"l_{name}", row_nbytes=4)

@@ -41,7 +41,7 @@ class TestStructural:
         plan, src = schema_plan()
         a = plan.select(src, Field("k") < 1, name="a")
         b = plan.select(a, Field("k") < 2, name="b")
-        a.inputs[0] = b
+        object.__setattr__(a, "inputs", (b,))  # force past the frozen node
         report = lint(plan)
         assert report.has_code("PLN003")
         diag = next(d for d in report.errors if d.code == "PLN003")

@@ -112,12 +112,7 @@ class TestFunctionalByteIdentity:
         cx = ClusterExecutor(config=ClusterConfig(num_devices=devices))
         assert_bytes_identical(cx.functional(plan, q21_sources), want)
 
-    @pytest.mark.parametrize("devices", [
-        1, pytest.param(2, marks=pytest.mark.xfail(
-            strict=True,
-            reason="combining count states over no rows types the counts "
-                   "float64 (ra.arithmetic._aggregate_empty); the "
-                   "single-device count is int64"))])
+    @pytest.mark.parametrize("devices", [1, 2])
     def test_q21_empty_result(self, devices):
         """At sf 0.002 Q21 qualifies no supplier: the empty result must
         keep the single-device dtypes too."""

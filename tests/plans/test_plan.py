@@ -1,9 +1,11 @@
 """Tests for the logical-plan builder and graph utilities."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import PlanError
-from repro.plans.plan import OpType, Plan, PlanNode
+from repro.plans.plan import OpType, Plan, PlanNode, derive, source_node
 from repro.ra.arithmetic import AggSpec
 from repro.ra.expr import Field
 
@@ -70,9 +72,102 @@ class TestValidation:
         s = plan.source("t")
         a = plan.select(s, Field("x") < 1)
         b = plan.select(a, Field("x") < 2)
-        a.inputs[0] = b  # create a cycle
+        # nodes are frozen, so the cycle has to be forced past the
+        # dataclass guard
+        object.__setattr__(a, "inputs", (b,))
         with pytest.raises(PlanError, match="cycle"):
             plan.validate()
+
+
+class TestFrozen:
+    """A node is frozen when built; a plan freezes when it validates."""
+
+    def _plan(self):
+        plan = Plan(name="p")
+        s = plan.source("t")
+        plan.select(s, Field("x") < 1, name="a")
+        return plan, s
+
+    @pytest.mark.parametrize("attr", [
+        "op", "name", "inputs", "params", "selectivity", "out_row_nbytes"])
+    def test_node_fields_cannot_be_assigned(self, attr):
+        plan, s = self._plan()
+        node = plan.nodes[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, attr, getattr(s, attr))
+
+    def test_node_inputs_are_a_tuple(self):
+        s = PlanNode(OpType.SOURCE, "t")
+        assert PlanNode(OpType.SELECT, "a", [s]).inputs == (s,)
+
+    def test_validated_plan_rejects_add_and_rename(self):
+        plan, s = self._plan()
+        plan.validate()
+        assert isinstance(plan.nodes, tuple)
+        with pytest.raises(PlanError, match="frozen"):
+            plan.select(s, Field("x") < 2)
+        with pytest.raises(PlanError, match="frozen"):
+            plan._add(PlanNode(OpType.SOURCE, "u"))
+        with pytest.raises(PlanError, match="frozen"):
+            plan.name = "renamed"
+        assert plan.name == "p" and len(plan.nodes) == 2
+
+    def test_plan_stays_appendable_until_validated(self):
+        plan, s = self._plan()
+        plan.nodes.append(PlanNode(OpType.JOIN, "bad", [s]))
+        with pytest.raises(PlanError, match="needs 2 inputs"):
+            plan.validate()
+        # a failed validate leaves the plan open
+        plan.nodes.remove(plan.nodes[-1])
+        plan.name = "fixed"
+        plan.select(s, Field("x") < 2, name="b")
+        plan.validate()
+        assert [n.name for n in plan.nodes] == ["t", "a", "b"]
+
+    def test_validate_once(self, monkeypatch):
+        plan, _ = self._plan()
+        calls = []
+        real = Plan.structural_issues
+        monkeypatch.setattr(Plan, "structural_issues",
+                            lambda self: calls.append(self) or real(self))
+        plan.validate()
+        plan.validate()
+        plan.validate()
+        assert calls == [plan]
+
+
+class TestDerive:
+    def test_copies_and_leaves_the_input_alone(self):
+        plan = Plan(name="p")
+        s = plan.source("t")
+        a = plan.select(s, Field("x") < 1, name="a")
+        b = plan.select(a, Field("x") < 2, name="b")
+        plan.validate()
+        new = derive("q", plan.nodes, {a: {"selectivity": 0.25}})
+        assert new.name == "q"
+        assert [n.name for n in new.nodes] == ["t", "a", "b"]
+        assert all(n is not o for n, o in zip(new.nodes, plan.nodes))
+        assert new.nodes[1].selectivity == 0.25 and a.selectivity == 0.5
+        assert new.nodes[2].inputs == (new.nodes[1],)
+        assert b.inputs == (a,)
+        new.validate()
+
+    def test_aliases_drop_nodes_and_bind_new_sources(self):
+        plan = Plan(name="p")
+        s = plan.source("t")
+        a = plan.select(s, Field("x") < 1, name="a")
+        b = plan.select(a, Field("x") < 2, name="b")
+        c = plan.select(b, Field("x") < 3, name="c")
+        # drop a and b: c reads the source through an alias chain
+        new = derive("q", [s, c], aliases={b: a, a: s})
+        assert [n.name for n in new.nodes] == ["t", "c"]
+        assert new.nodes[1].inputs == (new.nodes[0],)
+        # read b from a new SOURCE of the same name
+        src = source_node("b", row_nbytes=8)
+        sub = derive("suffix", [src, c], aliases={b: src})
+        assert sub.nodes[1].inputs == (sub.nodes[0],)
+        assert sub.nodes[0].out_row_nbytes == 8
+        sub.validate()
 
 
 class TestGraphQueries:

@@ -260,7 +260,7 @@ class TestAggregateEdgeCases:
                                      "s": AggSpec("sum", "f")})
         assert out.num_rows == 0
         assert [out[f].dtype for f in out.fields] == [
-            np.int8, np.int64, np.float64]
+            np.int8, np.int64, np.float32]
 
     def test_signed_zero_sums(self):
         # three rows: the block pads the all -0.0 group with a fourth row
@@ -309,6 +309,19 @@ class TestAggregateEdgeCases:
         assert {f: str(out[f].dtype) for f in AGG_FUNCS} == {
             "sum": sum_dtype, "mean": mean_dtype, "count": "int64",
             "count_distinct": "int64", "min": dtype, "max": dtype}
+
+    @pytest.mark.parametrize("dtype", NUMERIC)
+    @pytest.mark.parametrize("impl", [aggregate, naive_aggregate],
+                             ids=["plan", "reference"])
+    def test_empty_groups_typed_like_nonempty(self, impl, dtype):
+        rel = Relation({"g": np.array([1, 0, 1]),
+                        "v": np.array([1, 0, 1]).astype(dtype)})
+        aggs = {f: AggSpec(f, "v") for f in AGG_FUNCS}
+        full = impl(rel, ["g"], aggs)
+        empty = impl(rel.take(np.zeros(0, dtype=np.intp)), ["g"], aggs)
+        assert empty.num_rows == 0
+        assert ({f: empty[f].dtype for f in empty.fields}
+                == {f: full[f].dtype for f in full.fields})
 
     def test_non_numeric_reduction_rejected(self):
         rel = Relation({"g": [0, 1], "s": ["a", "b"]})
