@@ -23,7 +23,6 @@ OPT502    info      the host baseline prices below every GPU option:
 
 from __future__ import annotations
 
-from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..optimizer.costmodel import CostModel
 from ..optimizer.space import CPU_BASELINE, StrategyTarget, enumerate_options
 from ..optimizer.stats import DataStats
@@ -41,10 +40,9 @@ class OptimizerLintPass:
     name = "optimizer-lints"
     codes = ("OPT501", "OPT502")
 
-    def __init__(self, device: DeviceSpec | None = None,
-                 costs: StageCostParams = DEFAULT_STAGE_COSTS):
+    def __init__(self, device: DeviceSpec | None = None):
         self.device = device or DeviceSpec()
-        self.model = CostModel(self.device, costs)
+        self.model = CostModel(self.device)
 
     def run(self, target: StrategyTarget) -> list[Diagnostic]:
         plan = target.plan

@@ -1,20 +1,24 @@
 """The analytic cost model: closed-form prices over the calibration.
 
-Prices every :class:`~repro.optimizer.space.StrategyOption` from the
-same constants the simulator runs on (:mod:`repro.simgpu.calibration`)
-plus :class:`~repro.optimizer.stats.DataStats` -- no simulation.  The
+Prices a single-device or host
+:class:`~repro.optimizer.space.StrategyOption` from the same constants
+the simulator runs on (:mod:`repro.simgpu.calibration`) plus
+:class:`~repro.optimizer.stats.DataStats` -- no simulation.  The
 estimates are deliberately simple roofline-style sums (PCIe transfer
 curves + memory-bandwidth-bound kernels + launch overhead + the CPU
 calibration for host work), which buys two properties the tests pin
 down:
 
 * **monotone in row count** -- every term grows with bytes moved;
-* **fast** -- the OPT5xx analyzer lints and option pruning can price a
-  whole strategy space in microseconds.
+* **fast** -- the OPT5xx analyzer lints price a whole single-device
+  strategy space in microseconds.
 
-The optimizer itself refines these estimates by *simulating* the
-shortlisted candidates (the simulator is the authoritative price); the
-analytic model's job is ordering and explanation, not ground truth.
+It has two users.  The OPT5xx lints (:mod:`repro.analyze.opt_lints`)
+compare a forced strategy against these prices.  The optimizer reads
+only the host baseline's price, ``host_plan_time``, which is exact and
+so serves as that option's lower bound.  It does not order or explain
+the optimizer's choices: those are the simulated makespans and the
+bounds of :meth:`~repro.optimizer.optimizer.Optimizer.choose`.
 """
 
 from __future__ import annotations
@@ -22,10 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
-from ..cluster.host import contended_device
 from ..cpubase.select import host_plan_time
-from ..plans.distribute import DistributedPlan
 from ..plans.plan import Plan
 from ..runtime.sizes import PlanShape, node_bytes, region_bytes
 from ..runtime.strategies import Strategy
@@ -50,9 +51,7 @@ class CostEstimate:
     launch_s: float = 0.0
     #: intermediate host round trips (WITH_ROUND_TRIP only)
     roundtrip_s: float = 0.0
-    #: exchange staging + merge on the cluster host lane
-    exchange_s: float = 0.0
-    #: CPU work (host baseline, host-mode suffixes)
+    #: CPU work (the host baseline)
     host_s: float = 0.0
     #: time hidden by pipelining (fission overlap); subtracted
     overlap_s: float = 0.0
@@ -60,42 +59,28 @@ class CostEstimate:
     @property
     def total_s(self) -> float:
         return max(0.0, self.h2d_s + self.kernel_s + self.d2h_s
-                   + self.launch_s + self.roundtrip_s + self.exchange_s
-                   + self.host_s - self.overlap_s)
-
-    def components(self) -> dict[str, float]:
-        return {
-            "h2d_s": self.h2d_s, "kernel_s": self.kernel_s,
-            "d2h_s": self.d2h_s, "launch_s": self.launch_s,
-            "roundtrip_s": self.roundtrip_s, "exchange_s": self.exchange_s,
-            "host_s": self.host_s, "overlap_s": self.overlap_s,
-        }
+                   + self.launch_s + self.roundtrip_s + self.host_s
+                   - self.overlap_s)
 
 
 class CostModel:
     """Analytic strategy pricing over one device's calibration."""
 
-    def __init__(self, device: DeviceSpec | None = None,
-                 costs: StageCostParams = DEFAULT_STAGE_COSTS):
+    def __init__(self, device: DeviceSpec | None = None):
         self.device = device or DeviceSpec()
-        self.costs = costs
         self.pcie = PcieModel(self.device.calib.pcie)
 
     # ------------------------------------------------------------------
     def estimate(self, plan: "Plan | PlanShape", stats: DataStats,
-                 option: StrategyOption,
-                 dist: DistributedPlan | None = None) -> CostEstimate:
-        """Price one option; ``dist`` (when the caller already distributed
-        the plan) refines the cluster estimates with the real exchange
-        and pre-aggregation specs.  Pricing several options over one
-        :class:`PlanShape` estimates sizes and fuses the plan once."""
+                 option: StrategyOption) -> CostEstimate:
+        """Price one single-device or host option.  Pricing several
+        options over one :class:`PlanShape` estimates sizes and fuses the
+        plan once."""
         shape = PlanShape.of(plan)
         if option.kind == "cpubase":
             return CostEstimate(option=option, host_s=host_plan_time(
                 shape.plan.nodes, shape.sizes(stats.source_rows()),
                 self.device.calib.cpu))
-        if option.kind == "cluster":
-            return self._estimate_cluster(shape, stats, option, dist)
         return self._estimate_single(shape, stats, option)
 
     # -- single device ---------------------------------------------------
@@ -145,53 +130,3 @@ class CostModel:
         return CostEstimate(
             option=option, h2d_s=h2d_s, kernel_s=kernel_s, d2h_s=d2h_s,
             launch_s=launch_s, roundtrip_s=roundtrip_s, overlap_s=overlap_s)
-
-    # -- cluster ---------------------------------------------------------
-    def _estimate_cluster(self, shape: PlanShape, stats: DataStats,
-                          option: StrategyOption,
-                          dist: DistributedPlan | None) -> CostEstimate:
-        n = option.devices
-        # the straggler shard: even split, or the heaviest value's share
-        # when the data is skewed past 1/N (hash sends equal keys together)
-        shard_frac = max(1.0 / n, min(1.0, stats.max_skew))
-        shard_stats = stats.scaled(shard_frac)
-
-        # per-shard local run on a *contended* device: staging bandwidth
-        # capped at this device's share of the host (cluster/host.py)
-        cdev = contended_device(self.device, n)
-        local = CostModel(cdev, self.costs)._estimate_single(
-            shape, shard_stats,
-            StrategyOption(kind="single", strategy=option.strategy))
-
-        exchange_s = 0.0
-        if dist is not None and dist.suffix_mode == "exchange":
-            ex = dist.exchange
-            if option.preagg and dist.preagg is not None:
-                pre = dist.preagg
-                shard_rows = float(ex.est_rows) * shard_frac
-                per_shard = pre.flushes(shard_rows) * pre.state_block_nbytes
-                exchange_bytes = float(per_shard) * n
-            else:
-                exchange_bytes = float(ex.est_bytes)
-            exchange_s = exchange_bytes / self.costs.host_gather_bw
-        elif dist is not None and dist.suffix_mode == "host":
-            sizes = shape.sizes(stats.source_rows())
-            exchange_s = host_plan_time(
-                (n for n in shape.plan.nodes
-                 if n.name not in dist.local_names),
-                sizes, self.device.calib.cpu)
-
-        # host merge of per-device results: tree pays log2(N) rounds on
-        # the largest sender, flat pays the serial sum
-        merge_unit = local.d2h_s
-        merge = ((dist.merge if dist is not None else "tree") or "flat")
-        if merge == "tree":
-            merge_s = merge_unit * max(1.0, math.ceil(math.log2(n)))
-        else:
-            merge_s = merge_unit * n
-
-        return CostEstimate(
-            option=option, h2d_s=local.h2d_s, kernel_s=local.kernel_s,
-            d2h_s=local.d2h_s, launch_s=local.launch_s,
-            roundtrip_s=local.roundtrip_s, overlap_s=local.overlap_s,
-            exchange_s=exchange_s + merge_s)

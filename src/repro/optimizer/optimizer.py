@@ -1,16 +1,16 @@
 """The chooser: price every strategy, pick one, explain it, cache it.
 
 :meth:`Optimizer.choose` enumerates the registered strategy space
-(:mod:`repro.optimizer.space`) and prices every option with the analytic
-model (for explanation) and a provable lower bound on its simulated
-makespan.  It then confirms options on the calibrated simulator -- the
-authoritative price -- in branch-and-bound order: cheapest bound first,
-stopping once no remaining bound can beat the best confirmed price.  The
-returned :class:`Decision` carries every candidate's price (simulated,
-or the bound that ruled it out), so callers can ask not just *what* was
-chosen but *why* and *what it beat*.  :meth:`Optimizer.run` executes the
-winner by reusing the run that confirmed it whenever nothing about the
-execution differs from the confirmation.
+(:mod:`repro.optimizer.space`) and gives every option a provable lower
+bound on its simulated makespan.  It then confirms options on the
+calibrated simulator -- the authoritative price -- in branch-and-bound
+order: cheapest bound first, stopping once no remaining bound can beat
+the best confirmed price.  The returned :class:`Decision` carries every
+candidate's price (simulated, or the bound that ruled it out), so
+callers can ask not just *what* was chosen but *why* and *what it
+beat*.  :meth:`Optimizer.run` executes the winner by reusing the run
+that confirmed it whenever nothing about the execution differs from the
+confirmation.
 
 Decisions are content-addressed: the cache key is plan hash + stats
 digest + calibration fingerprint + cluster shape, so a repeat query
@@ -32,10 +32,11 @@ from ..errors import DeviceOOMError, FaultError, PlanError
 from ..plans.plan import OpType, Plan
 from ..runtime.executor import Executor
 from ..runtime.sizes import PlanShape, node_bytes
-from ..runtime.strategies import ExecutionConfig, Strategy
+from ..runtime.strategies import (ROUNDTRIP_MEMORY, STAGING_MEMORY,
+                                  ExecutionConfig, Strategy)
 from ..simgpu.device import DeviceSpec
-from ..simgpu.pcie import Direction, HostMemory, PcieModel
-from .costmodel import CostEstimate, CostModel
+from ..simgpu.pcie import Direction, PcieModel
+from .costmodel import CostModel
 from .fingerprint import (calibration_fingerprint, cluster_fingerprint,
                           plan_fingerprint)
 from .plancache import PlanCache
@@ -63,11 +64,10 @@ PRUNED_NOTE = "bound \u2265 best"
 
 @dataclass(frozen=True)
 class PricedOption:
-    """One candidate with its analytic, lower-bound and (optionally)
-    simulated price."""
+    """One candidate with its lower-bound and (optionally) simulated
+    price."""
 
     option: StrategyOption
-    est: CostEstimate
     #: the simulator's authoritative makespan; None when the option was
     #: infeasible or branch and bound never confirmed it
     sim_makespan_s: float | None = None
@@ -85,23 +85,19 @@ class PricedOption:
                 and self.bound_s is not None)
 
     @property
-    def price_s(self) -> float:
-        """What the chooser compares: simulated when available, the
-        lower bound for a pruned option, else the analytic estimate."""
+    def price_s(self) -> float | None:
+        """What the chooser compares: the simulated makespan, else the
+        lower bound (None when MEM701 ruled the option out first)."""
         if self.sim_makespan_s is not None:
             return self.sim_makespan_s
-        if self.pruned:
-            return self.bound_s
-        return self.est.total_s
+        return self.bound_s
 
     def price_text(self, digits: int = 3) -> str:
-        """The price in ms, saying where it came from."""
+        """The price in ms of a simulated or pruned option, saying which."""
         ms = f"{self.price_s * 1e3:.{digits}f} ms"
         if self.sim_makespan_s is not None:
             return f"{ms} simulated"
-        if self.pruned:
-            return f"\u2265 {ms} (lower bound, not simulated)"
-        return f"{ms} estimated"
+        return f"\u2265 {ms} (lower bound, not simulated)"
 
     @property
     def label(self) -> str:
@@ -155,8 +151,7 @@ class Decision:
             f"calibration {self.calibration_fp[:12]}  "
             f"max_devices {self.max_devices}"
             + ("  [cache hit]" if self.cache_hit else ""),
-            f"{'':2s}{'strategy':28s} {'est (ms)':>10s} {'sim (ms)':>10s}"
-            f"  notes",
+            f"{'':2s}{'strategy':28s} {'sim (ms)':>10s}  notes",
         ]
         for cand in self.ranked() + [c for c in self.candidates
                                      if not c.feasible]:
@@ -169,8 +164,7 @@ class Decision:
             note = "; ".join(cand.notes)
             if not cand.feasible:
                 note = ("infeasible" + (": " + note if note else ""))
-            lines.append(f"{mark:2s}{cand.label:28s} "
-                         f"{cand.est.total_s * 1e3:10.3f} {sim:>10s}  {note}")
+            lines.append(f"{mark:2s}{cand.label:28s} {sim:>10s}  {note}")
         return "\n".join(lines)
 
     def summary(self) -> dict:
@@ -191,7 +185,6 @@ class Decision:
         }
         for cand in self.candidates:
             key = f"candidate.{cand.label}"
-            out[f"{key}.est_s"] = round(cand.est.total_s, 9)
             out[f"{key}.feasible"] = int(cand.feasible)
             if cand.sim_makespan_s is not None:
                 out[f"{key}.sim_s"] = round(cand.sim_makespan_s, 9)
@@ -216,7 +209,7 @@ class Optimizer:
         self.cache = cache
         self.cluster_seed = cluster_seed
         self.pcie_sharers = pcie_sharers
-        self.cost_model = CostModel(self.device, costs)
+        self.cost_model = CostModel(self.device)
 
     # ------------------------------------------------------------------
     def choose(self, plan: "Plan | PlanShape",
@@ -226,9 +219,9 @@ class Optimizer:
                include_cpubase: bool = True) -> Decision:
         """Price the strategy space for (plan, stats) and pick a winner.
 
-        One :class:`PlanShape` feeds the cost model, the memory verdicts,
-        the bounds and every confirming run, so the plan is sized and
-        fused once per fusion flag."""
+        One :class:`PlanShape` feeds the memory verdicts, the bounds and
+        every confirming run, so the plan is sized and fused once per
+        fusion flag."""
         shape = PlanShape.of(plan)
         plan = shape.plan
         plan.validate()
@@ -254,10 +247,7 @@ class Optimizer:
         #: (bound, rank, index) of every option left to confirm
         pending: list[tuple[float, int, int]] = []
         for option in enumerate_from(ctx):
-            dist = (ctx.distributable(option.devices)
-                    if option.kind == "cluster" else None)
-            est = self.cost_model.estimate(shape, stats, option, dist=dist)
-            priced.append(PricedOption(option=option, est=est))
+            priced.append(PricedOption(option=option))
             verdict = self._memory_verdict(shape, plan_fp, stats_dg,
                                            calib_fp, option, stats)
             if verdict is not None and verdict.certain_oom:
@@ -267,7 +257,7 @@ class Optimizer:
                     priced[-1], feasible=False,
                     notes=(f"MEM701 certain OOM: {verdict.detail}",))
             else:
-                bound = self._lower_bound(shape, stats, option, est, dist)
+                bound = self._lower_bound(shape, ctx, option)
                 pending.append((bound, _rank(option), len(priced) - 1))
 
         # branch and bound: confirm the cheapest bounds first; an option
@@ -304,9 +294,8 @@ class Optimizer:
         return dataclasses.replace(decision, confirmed_run=best_run)
 
     # ------------------------------------------------------------------
-    def _lower_bound(self, shape: PlanShape, stats: DataStats,
-                     option: StrategyOption, est: CostEstimate,
-                     dist) -> float:
+    def _lower_bound(self, shape: PlanShape, ctx: EnumContext,
+                     option: StrategyOption) -> float:
         """Seconds no simulated run of `option` can beat.
 
         Every transfer takes at least ``bytes / peak_bandwidth``
@@ -316,19 +305,20 @@ class Optimizer:
         pinned H2D peak bound each single-device option.  The round-trip
         strategy always runs as one stream, so its spills (D2H) and
         re-uploads (H2D) of every non-sink result, both through pageable
-        memory, add on top.  The host baseline's price is exactly
-        ``host_plan_time``, which the analytic estimate already is.  A
+        memory, add on top.  The host baseline's bound is its exact
+        price, ``host_plan_time``, read through the one host-pricing
+        rule the OPT5xx lints use (:meth:`CostModel.estimate`).  A
         cluster option is bounded by its busiest shard's upload of the
         shard-local plan's sources on a contended device.
         """
         if option.kind == "cpubase":
-            return est.host_s
+            return self.cost_model.estimate(shape, ctx.stats, option).host_s
         if option.kind == "single":
             plan = shape.plan
-            sizes = shape.sizes(stats.source_rows())
+            sizes = shape.sizes(ctx.stats.source_rows())
             pcie = self.cost_model.pcie
             bound = (sum(node_bytes(s, sizes) for s in plan.sources())
-                     / pcie.peak_bandwidth(Direction.H2D, HostMemory.PINNED))
+                     / pcie.peak_bandwidth(Direction.H2D, STAGING_MEMORY))
             if option.strategy is Strategy.WITH_ROUND_TRIP:
                 sinks = {n.name for n in plan.sinks()}
                 spilled = sum(node_bytes(n, sizes) for n in plan.nodes
@@ -336,11 +326,12 @@ class Optimizer:
                               and n.name not in sinks)
                 bound += (
                     spilled / pcie.peak_bandwidth(Direction.H2D,
-                                                  HostMemory.PAGED)
+                                                  ROUNDTRIP_MEMORY)
                     + spilled / pcie.peak_bandwidth(Direction.D2H,
-                                                    HostMemory.PAGED))
+                                                    ROUNDTRIP_MEMORY))
             return bound
         from ..cluster.host import ClusterSpec, contended_device
+        dist = ctx.distributable(option.devices)
         local = dist.phases(
             states=option.preagg and dist.preagg is not None).local
         if all(n.op is OpType.SOURCE for n in local.nodes):
@@ -353,7 +344,7 @@ class Optimizer:
                 for s in local.sources())
             for shard in range(option.devices))
         return busiest / pcie.peak_bandwidth(Direction.H2D,
-                                              HostMemory.PINNED)
+                                              STAGING_MEMORY)
 
     # ------------------------------------------------------------------
     def _memory_verdict(self, shape: PlanShape, plan_fp: str, stats_dg: str,

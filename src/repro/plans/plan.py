@@ -274,7 +274,9 @@ class Plan:
         return [n for n in self.nodes if node in n.inputs]
 
     def sinks(self) -> list[PlanNode]:
-        return [n for n in self.nodes if not self.consumers(n)]
+        """Nodes no operator consumes, in node order."""
+        consumed = {inp for n in self.nodes for inp in n.inputs}
+        return [n for n in self.nodes if n not in consumed]
 
     def sources(self) -> list[PlanNode]:
         return [n for n in self.nodes if n.op is OpType.SOURCE]

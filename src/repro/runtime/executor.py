@@ -33,10 +33,10 @@ from ..ra.relation import Relation
 from ..simgpu.compute import KernelLaunchSpec
 from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
-from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import EventKind, Timeline
 from .sizes import PlanShape, chunk_count, footprint
-from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
+from .strategies import (CPU_BASELINE, ROUNDTRIP_MEMORY, STAGING_MEMORY,
+                         ExecutionConfig, Strategy)
 
 
 @dataclass
@@ -350,7 +350,6 @@ class Executor:
                                            config)
 
         stream = SimStream(stream_id=0)
-        mem = config.memory
         upload = config.compression.upload
         sink_names = {n.name for n in plan.sinks()}
         expected = self._expected_serial_bytes(
@@ -363,7 +362,7 @@ class Executor:
                     continue
                 if nbytes[src.name] > 0:
                     upload(stream, nbytes[src.name], sizes[src.name],
-                           shape.row_nbytes(src), mem, self.device,
+                           shape.row_nbytes(src), STAGING_MEMORY, self.device,
                            tag=src.name, writes=(src.name,))
 
         scales = [self._scales_with_driver(lr, driver) for lr in lowered]
@@ -372,7 +371,7 @@ class Executor:
             if config.include_transfers:
                 upload(stream, nbytes[driver.name] * frac,
                        max(1, int(round(sizes[driver.name] * frac))),
-                       shape.row_nbytes(driver), mem, self.device,
+                       shape.row_nbytes(driver), STAGING_MEMORY, self.device,
                        tag=f"{driver.name}.c{chunk}", writes=(driver.name,))
             for lr, scaled in zip(lowered, scales):
                 if chunk > 0 and not scaled:
@@ -388,20 +387,20 @@ class Executor:
                         and out_name not in sink_names):
                     staged = lr.out_bytes * chunk_frac
                     if staged > 0:
-                        stream.d2h(staged, config.roundtrip_memory,
+                        stream.d2h(staged, ROUNDTRIP_MEMORY,
                                    tag=f"roundtrip.out.{lr.region.name}",
                                    reads=(out_name,))
-                        stream.h2d(staged, config.roundtrip_memory,
+                        stream.h2d(staged, ROUNDTRIP_MEMORY,
                                    tag=f"roundtrip.in.{lr.region.name}",
                                    writes=(out_name,))
             if config.include_transfers:
                 for lr, scaled in zip(lowered, scales):
                     if chunk == 0 or scaled:
-                        _download_sink(stream, lr, sink_names, mem,
+                        _download_sink(stream, lr, sink_names,
                                        frac if scaled else 1.0, f".c{chunk}")
 
         if config.include_transfers:
-            _download_source_sinks(stream, plan, nbytes, mem)
+            _download_source_sinks(stream, plan, nbytes)
         if self.analyze and config.include_transfers:
             # transfers off means sources are never "written", which would
             # false-positive the use-before-upload check -- skip then
@@ -520,7 +519,6 @@ class Executor:
 
         timeline = Timeline()
         engine = SimEngine(self.device, check=self.check, faults=injector)
-        mem_pinned = HostMemory.PINNED
 
         # column arrays consumed positionally by gather joins in the prefix
         # stream with the driver, segment by segment (Q1's six columns)
@@ -534,11 +532,11 @@ class Executor:
             if src is driver or src in co_drivers:
                 continue
             if nbytes[src.name] > 0:
-                pre.h2d(nbytes[src.name], mem_pinned, tag=f"input.{src.name}",
-                        writes=(src.name,))
+                pre.h2d(nbytes[src.name], STAGING_MEMORY,
+                        tag=f"input.{src.name}", writes=(src.name,))
         for lr in phase_a:
             emit_region(pre, lr, self.device, sizes)
-            _download_sink(pre, lr, sink_names, mem_pinned)
+            _download_sink(pre, lr, sink_names)
         for lr in prefix:
             emit_region(pre, lr, self.device, sizes, frac=None)
         if pre.commands:
@@ -596,8 +594,8 @@ class Executor:
         post = SimStream(stream_id=0)
         for lr in rest:
             emit_region(post, lr, self.device, sizes)
-            _download_sink(post, lr, sink_names, mem_pinned)
-        _download_source_sinks(post, plan, nbytes, mem_pinned)
+            _download_sink(post, lr, sink_names)
+        _download_source_sinks(post, plan, nbytes)
         if post.commands:
             post_tl = SimEngine(self.device, check=self.check,
                                 faults=injector).run([place(post)])
@@ -619,19 +617,19 @@ def _source_sinks(plan: Plan) -> list[PlanNode]:
 
 
 def _download_sink(stream: SimStream, lr: LoweredRegion,
-                   sink_names: set[str], mem: HostMemory, frac: float = 1.0,
+                   sink_names: set[str], frac: float = 1.0,
                    suffix: str = "") -> None:
     """Download ``frac`` of a sink region's output, tagged
     ``output.<region><suffix>`` (fault sites are keyed by tag)."""
     out_name = lr.region.output_node.name
     if out_name in sink_names and lr.out_bytes > 0:
-        stream.d2h(lr.out_bytes * frac, mem,
+        stream.d2h(lr.out_bytes * frac, STAGING_MEMORY,
                    tag=f"output.{lr.region.name}{suffix}", reads=(out_name,))
 
 
 def _download_source_sinks(stream: SimStream, plan: Plan,
-                           nbytes: dict[str, float], mem: HostMemory) -> None:
+                           nbytes: dict[str, float]) -> None:
     for src in _source_sinks(plan):
         if nbytes[src.name] > 0:
-            stream.d2h(nbytes[src.name], mem, tag=f"output.{src.name}",
-                       reads=(src.name,))
+            stream.d2h(nbytes[src.name], STAGING_MEMORY,
+                       tag=f"output.{src.name}", reads=(src.name,))

@@ -49,10 +49,10 @@ from ..simgpu.compression import NONE, CompressionScheme
 from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimStream, TransferCommand
 from ..simgpu.memory import DeviceMemory
-from ..simgpu.pcie import HostMemory
 from .executor import Executor, RunResult
 from .sizes import PlanShape
-from .strategies import CPU_BASELINE, ExecutionConfig, Strategy
+from .strategies import (CPU_BASELINE, STAGING_MEMORY, ExecutionConfig,
+                         Strategy)
 
 #: operators that are row-local and keep row order given their side
 #: inputs, so a run of them evaluated segment by segment and concatenated
@@ -72,18 +72,17 @@ class DevicePlacement:
     ``spill.out`` D2H; others go for free.  A kernel output that cannot
     fit beside its inputs streams to the host after its last writer; an
     upload that cannot fit, or a buffer larger than the device, raises
-    :class:`DeviceOOMError`.  One run's programs share one placement;
-    ``spilled_h2d`` / ``spilled_d2h`` total the bytes of its ``spill.*``
-    transfers.
+    :class:`DeviceOOMError`.  Spills go through the pinned staging
+    buffers (:data:`~repro.runtime.strategies.STAGING_MEMORY`).  One run's
+    programs share one placement; ``spilled_h2d`` / ``spilled_d2h`` total
+    the bytes of its ``spill.*`` transfers.
     """
 
     def __init__(self, memory: DeviceMemory, nbytes: dict[str, float],
-                 host_memory: HostMemory = HostMemory.PINNED,
                  injector: FaultInjector | None = None):
         memory.reset()
         self.memory = memory
         self.nbytes = nbytes
-        self.host_memory = host_memory
         self.injector = injector
         #: resident buffer -> DeviceMemory handle, in allocation order
         self.handles: dict[str, int] = {}
@@ -116,7 +115,7 @@ class DevicePlacement:
                     self._alloc(name, pinned, reads_left, out)
                     self.on_host.discard(name)
                     if self.nbytes[name] > 0:
-                        out.h2d(self.nbytes[name], self.host_memory,
+                        out.h2d(self.nbytes[name], STAGING_MEMORY,
                                 tag=f"spill.in.{name}")
                         self.spilled_h2d += self.nbytes[name]
             for name in cmd.writes:
@@ -170,7 +169,7 @@ class DevicePlacement:
 
     def _spill_out(self, name: str, out: SimStream) -> None:
         if self.nbytes[name] > 0:
-            out.d2h(self.nbytes[name], self.host_memory,
+            out.d2h(self.nbytes[name], STAGING_MEMORY,
                     tag=f"spill.out.{name}")
             self.spills += 1
             self.spilled_d2h += self.nbytes[name]
@@ -194,9 +193,8 @@ class _FunctionalRun(DevicePlacement):
     calls while it runs its program, and the answers they produce."""
 
     def __init__(self, shape: PlanShape, sources: dict[str, Relation],
-                 memory: DeviceMemory, host_memory: HostMemory,
-                 injector: FaultInjector | None):
-        super().__init__(memory, shape.nbytes(None), host_memory, injector)
+                 memory: DeviceMemory, injector: FaultInjector | None):
+        super().__init__(memory, shape.nbytes(None), injector)
         self.shape = shape
         self.sources = sources
         self.run: list[PlanNode] = []
@@ -268,7 +266,6 @@ class GpuRuntime:
                  strategy: Strategy | str = Strategy.FUSED,
                  costs: StageCostParams = DEFAULT_STAGE_COSTS,
                  memory_limit: int | None = None,
-                 host_memory: HostMemory = HostMemory.PINNED,
                  faults: "FaultPlan | FaultInjector | None" = None,
                  degrade: bool | None = None,
                  compression: CompressionScheme = NONE,
@@ -280,7 +277,6 @@ class GpuRuntime:
         self.memory = DeviceMemory(
             capacity=memory_limit if memory_limit is not None
             else self.device.global_mem_bytes)
-        self.host_memory = host_memory
         self.faults = faults
         self.degrade = degrade
         self.compression = compression
@@ -290,13 +286,12 @@ class GpuRuntime:
         shape = PlanShape.observe(plan, sources)
         injector = as_injector(self.faults)
         executor = Executor(self.device, self.costs)
-        config = ExecutionConfig(memory=self.host_memory,
-                                 fission=self.fission,
+        config = ExecutionConfig(fission=self.fission,
                                  compression=self.compression)
 
         def attempt(step: Strategy | str) -> RunResult:
             functional = _FunctionalRun(shape, sources, self.memory,
-                                        self.host_memory, injector)
+                                        injector)
             if step == CPU_BASELINE:
                 timed = executor.run_cpubase(shape)
             else:

@@ -29,6 +29,15 @@ from ..simgpu.pcie import HostMemory
 #: the host-interpreter label (never a :class:`Strategy` member)
 CPU_BASELINE = "cpubase"
 
+#: host memory for the staging buffers every device run uploads sources
+#: from and downloads outputs (and device-placement spills) to:
+#: persistent, so kept pinned
+STAGING_MEMORY = HostMemory.PINNED
+#: host memory for the round-trip strategy's intermediate spills (ad-hoc
+#: heap buffers, hence pageable) -- this asymmetry gives round trips
+#: their outsized share of Fig 9's breakdown
+ROUNDTRIP_MEMORY = HostMemory.PAGED
+
 
 class Strategy(enum.Enum):
     WITH_ROUND_TRIP = "with_round_trip"
@@ -49,13 +58,6 @@ class Strategy(enum.Enum):
 @dataclass(frozen=True)
 class ExecutionConfig:
     strategy: Strategy = Strategy.SERIAL
-    #: host memory for the initial-input / final-output staging buffers
-    #: (persistent, so kept pinned)
-    memory: HostMemory = HostMemory.PINNED
-    #: host memory for intermediate round-trip spills (ad-hoc heap buffers,
-    #: hence pageable) -- this asymmetry gives round trips their outsized
-    #: share of Fig 9's breakdown
-    roundtrip_memory: HostMemory = HostMemory.PAGED
     fission: FissionConfig = field(default_factory=FissionConfig)
     #: when False, no PCIe transfers are simulated (GPU-compute-only runs,
     #: as in Fig 8(b), Fig 10-12)

@@ -36,10 +36,10 @@ from ..faults import as_injector
 from ..plans.plan import OpType, Plan, PlanNode, derive
 from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
-from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import Timeline
 from .executor import LoweredRegion, emit_region
 from .sizes import estimate_sizes, node_bytes
+from .strategies import STAGING_MEMORY
 
 
 @dataclass
@@ -104,11 +104,9 @@ class WorkloadScheduler:
     """
 
     def __init__(self, device: DeviceSpec | None = None,
-                 memory: HostMemory = HostMemory.PINNED,
                  check: bool = False, faults=None,
                  analyze: bool = False):
         self.device = device or DeviceSpec()
-        self.memory = memory
         self.check = check
         self.faults = faults
         #: static pre-flight: race-check each batched stream program before
@@ -142,7 +140,7 @@ class WorkloadScheduler:
             nbytes = node_bytes(src, sizes)
             total += nbytes
             if nbytes > 0:
-                stream.h2d(nbytes, self.memory, tag=f"input.{src.name}",
+                stream.h2d(nbytes, STAGING_MEMORY, tag=f"input.{src.name}",
                            writes=(src.name,))
         return total
 

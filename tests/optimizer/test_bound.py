@@ -13,7 +13,7 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterExecutor
 from repro.faults import FaultPlan
 from repro.frontend import compile_sql
-from repro.optimizer import DataStats, Optimizer, PlanCache
+from repro.optimizer import CostModel, DataStats, Optimizer, PlanCache
 from repro.optimizer.optimizer import PRUNED_NOTE, _rank
 from repro.plans import Plan
 from repro.plans.fuzz import random_plan_case
@@ -231,3 +231,28 @@ def test_explain_shows_pruned_bounds():
         assert f"candidate.{cand.label}.sim_s" not in summary
         assert summary[f"candidate.{cand.label}.bound_s"] >= \
             summary["optimizer.chosen_price_s"]
+
+
+# -- prices are simulated or bounded ------------------------------------------
+
+@pytest.mark.parametrize("max_devices", [1, 4])
+@pytest.mark.parametrize("query", ["q1", "q6", "q21"])
+def test_only_the_host_baseline_reads_the_analytic_model(monkeypatch, query,
+                                                         max_devices):
+    """A candidate is priced by its simulation or its bound; the analytic
+    model is read only for the host baseline's exact price."""
+    kinds = []
+    estimate = CostModel.estimate
+
+    def recorded(self, *args, **kwargs):
+        kinds.append(args[2].kind)          # (plan, stats, option)
+        return estimate(self, *args, **kwargs)
+
+    monkeypatch.setattr(CostModel, "estimate", recorded)
+    plan, rows = _tpch(query, 1)
+    decision = Optimizer().choose(plan, rows, max_devices=max_devices)
+    assert kinds == ["cpubase"]
+    assert not [k for k in decision.summary() if k.endswith(".est_s")]
+    lines = decision.explain().splitlines()[2:]
+    assert sorted(ln[2:].split()[0] for ln in lines) == sorted(
+        c.label for c in decision.candidates)

@@ -1,5 +1,5 @@
-"""Compile once per query: one :class:`PlanShape` feeds the cost model,
-the memory verdicts and every executor run of a planning call.
+"""Compile once per query: one :class:`PlanShape` feeds the memory
+verdicts, the bounds and every executor run of a planning call.
 
 Calls are counted the way the end-to-end benchmark's tracer counts them:
 the original function is rebound in every loaded ``repro`` module that
@@ -15,7 +15,7 @@ from repro.analyze import memory_check
 from repro.cluster import ClusterExecutor
 from repro.core import fusion as fusion_mod
 from repro.frontend import compile_sql
-from repro.optimizer import Optimizer, costmodel
+from repro.optimizer import Optimizer
 from repro.runtime import ExecutionConfig, Executor, Strategy
 from repro.runtime import sizes as sizes_mod
 from repro.runtime.select_chain import select_chain_plan
@@ -82,20 +82,17 @@ def test_cluster_runs_fuse_only_their_local_plan(monkeypatch):
 
 
 def test_one_fusion_result_per_flag_within_choose(monkeypatch):
-    """The cost model, the memory verdict and every confirming run see
-    the same FusionResult object for each fused flag."""
+    """The memory verdict and every confirming run see the same
+    FusionResult object for each fused flag."""
     rows = tpch_source_rows(1)
     plan = _plan("q1", rows)
     made = defaultdict(list)          # fused flag -> FusionResults
     verdicts = []                     # (strategy, fusion) per check
     runs = []                         # RunResults of confirming runs
-    priced = []                       # regions the cost model priced
     _spy(monkeypatch, fusion_mod, "fuse_plan", lambda a, k, r: made[
         k.get("enable", True)].append(r))
     _spy(monkeypatch, memory_check, "check_strategy",
          lambda a, k, r: verdicts.append((a[1], k.get("fusion"))))
-    _spy(monkeypatch, costmodel, "region_bytes",
-         lambda a, k, r: priced.append(a[0]))
     run = Executor.run
 
     def recorded(self, *args, **kwargs):
@@ -115,8 +112,6 @@ def test_one_fusion_result_per_flag_within_choose(monkeypatch):
     assert runs
     for res in runs:
         assert res.fusion is fusion[res.strategy.uses_fusion]
-    regions = {id(r) for f in fusion.values() for r in f.regions}
-    assert priced and all(id(r) in regions for r in priced)
 
 
 def test_executor_runs_of_one_shape_share_one_fusion(monkeypatch):

@@ -188,6 +188,13 @@ class TestGraphQueries:
         plan, s, a, b, c = self._diamondish()
         assert set(n.name for n in plan.sinks()) == {"b", "c"}
 
+    def test_sinks_are_the_unconsumed_nodes_in_node_order(self):
+        from repro.tpch.catalog import QUERIES, compile_tpch
+        for name in QUERIES:
+            plan = compile_tpch(name).plan
+            assert plan.sinks() == [n for n in plan.nodes
+                                    if not plan.consumers(n)]
+
     def test_sources(self):
         plan, s, *_ = self._diamondish()
         assert plan.sources() == [s]

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.fission import FissionConfig
-from repro.runtime.strategies import ExecutionConfig, Strategy
+from repro.runtime.strategies import (ROUNDTRIP_MEMORY, STAGING_MEMORY,
+                                      ExecutionConfig, Strategy)
 from repro.simgpu import HostMemory
 
 
@@ -30,8 +31,8 @@ class TestExecutionConfig:
     def test_defaults(self):
         cfg = ExecutionConfig()
         assert cfg.strategy is Strategy.SERIAL
-        assert cfg.memory is HostMemory.PINNED
-        assert cfg.roundtrip_memory is HostMemory.PAGED
+        assert STAGING_MEMORY is HostMemory.PINNED
+        assert ROUNDTRIP_MEMORY is HostMemory.PAGED
         assert cfg.include_transfers
         assert isinstance(cfg.fission, FissionConfig)
 
