@@ -19,7 +19,10 @@ plan runs through the existing single-device
 :class:`~repro.runtime.executor.Executor` (so fusion, fission, chunking,
 the degradation ladder, and fault injection all apply unchanged) on a
 :func:`~repro.cluster.host.contended_device` whose staging throughput is
-capped at its share of host DRAM bandwidth.
+capped at its share of host DRAM bandwidth.  Shards with equal slices
+of one program give equal runs, so a run simulates each distinct
+(program, row map) once and copies it into every lane that runs it --
+except under a fault injector, whose draws happen once per shard.
 
 The exchange itself is **pipelined**, not barrier-then-shuffle: each
 shard's outbound buffer is cut into chunks (flush blocks under pre-agg,
@@ -353,25 +356,27 @@ class ClusterExecutor:
             owner[shard] = dev_id
             assigned[dev_id] += 1
 
+        #: this run's shard simulations, by (program, row map)
+        runs: dict = {}
         local_out_total = 0.0
         #: shard -> (start, makespan, output bytes, frontier est rows)
         local_info: dict[int, tuple[float, float, float, float]] = {}
         if has_local:
             for shard in range(n):
                 dev_id = owner[shard]
-                res = self._run_executor(
-                    local_shape, dist.shard_rows(local, shard), injector)
+                res, mk, (h2d, d2h, out) = self._shard_run(
+                    local_shape, dist.shard_rows(local, shard), injector,
+                    runs)
                 t0 = clock[dev_id]
                 timelines[dev_id].extend(res.timeline, offset=t0)
-                h2d, d2h, out = _phase_bytes(res.timeline)
                 local_out_total += out
-                clock[dev_id] = t0 + res.timeline.end_time
+                clock[dev_id] = t0 + mk
                 f_rows = (float(res.sizes.get(dist.frontier[0], 0.0))
                           if dist.frontier else 0.0)
-                local_info[shard] = (t0, res.timeline.end_time, out, f_rows)
+                local_info[shard] = (t0, mk, out, f_rows)
                 shard_runs.append(ShardRun(
                     shard=shard, device=dev_id, phase="local", start=t0,
-                    makespan=res.timeline.end_time, h2d_bytes=h2d,
+                    makespan=mk, h2d_bytes=h2d,
                     d2h_bytes=d2h, output_bytes=out,
                     degraded_to=res.degraded_to,
                     recovered=shard in lost))
@@ -473,20 +478,19 @@ class ClusterExecutor:
                         h2d_bytes=0.0, d2h_bytes=0.0, output_bytes=0.0,
                         degraded_to=None, recovered=recovered))
                     continue
-                res = self._run_executor(suffix, {src_name: rows_s},
-                                         injector)
+                res, mk, (h2d, d2h, out) = self._shard_run(
+                    suffix, {src_name: rows_s}, injector, runs)
                 start = max(dest_ready[slot], clock[dev_id])
                 if recovered:
                     start = max(start, t_barrier + detect_s)
                 timelines[dev_id].extend(res.timeline, offset=start)
-                clock[dev_id] = start + res.timeline.end_time
-                h2d, d2h, out = _phase_bytes(res.timeline)
+                clock[dev_id] = start + mk
                 exchange_in += h2d
                 slot_out.append(out)
-                ends.append(start + res.timeline.end_time)
+                ends.append(start + mk)
                 shard_runs.append(ShardRun(
                     shard=slot, device=dev_id, phase="suffix", start=start,
-                    makespan=res.timeline.end_time, h2d_bytes=h2d,
+                    makespan=mk, h2d_bytes=h2d,
                     d2h_bytes=d2h, output_bytes=out,
                     degraded_to=res.degraded_to, recovered=recovered))
 
@@ -642,6 +646,25 @@ class ClusterExecutor:
                               strategies=(self.config.strategy,),
                               device=self.device)
         Analyzer(self.device, self.costs).run(target, strict=True)
+
+    def _shard_run(self, shape: PlanShape, rows: dict[str, int],
+                   injector: FaultInjector | None, runs: dict
+                   ) -> tuple[RunResult, float, tuple[float, float, float]]:
+        """One shard's Executor run of `shape` on `rows`, with its
+        makespan and :func:`_phase_bytes`.
+
+        Equal slices of one program on one contended device give equal
+        runs, so a repeat of a (shape, rows) in `runs` (one cluster
+        run's) is answered without simulating it again; callers only read
+        the shared result.  A fault injector's draws must happen in
+        order, once per shard, so under one every shard runs."""
+        key = (shape, tuple(sorted(rows.items())))
+        run = runs.get(key) if injector is None else None
+        if run is None:
+            res = self._run_executor(shape, rows, injector)
+            run = runs[key] = (res, res.timeline.end_time,
+                               _phase_bytes(res.timeline))
+        return run
 
     def _run_executor(self, plan: "Plan | PlanShape", rows: dict[str, int],
                       injector: FaultInjector | None) -> RunResult:

@@ -26,7 +26,19 @@ KEY_BYTES = 4  # keys are 32-bit values throughout (compressed row data)
 # ---------------------------------------------------------------------------
 
 def out_row_nbytes(node: PlanNode) -> int:
-    """Bytes per output row of a node (explicit or inherited/derived)."""
+    """Bytes per output row of a node (explicit or inherited/derived).
+
+    Memoized on the node: a :class:`PlanNode` and its inputs are fixed
+    when it is built, so its width is too."""
+    try:
+        return node.__dict__["_row_nbytes"]
+    except KeyError:
+        width = node.__dict__["_row_nbytes"] = _derive_row_nbytes(node)
+        return width
+
+
+def _derive_row_nbytes(node: PlanNode) -> int:
+    """The width rule of :func:`out_row_nbytes`."""
     if node.out_row_nbytes is not None:
         return node.out_row_nbytes
     if node.op is OpType.SOURCE:

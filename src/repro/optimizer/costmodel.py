@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from ..cpubase.select import host_plan_time
 from ..plans.plan import Plan
 from ..runtime.sizes import PlanShape, node_bytes, region_bytes
-from ..runtime.strategies import Strategy
+from ..runtime.strategies import ROUNDTRIP_MEMORY, STAGING_MEMORY, Strategy
 from ..simgpu.device import DeviceSpec
-from ..simgpu.pcie import Direction, HostMemory, PcieModel
+from ..simgpu.pcie import Direction, PcieModel
 from .space import StrategyOption
 from .stats import DataStats
 
@@ -94,10 +94,11 @@ class CostModel:
 
         input_bytes = sum(node_bytes(s, sizes) for s in plan.sources())
         output_bytes = sum(node_bytes(n, sizes) for n in plan.sinks())
-        mem = (HostMemory.PAGED if strategy is Strategy.WITH_ROUND_TRIP
-               else HostMemory.PINNED)
-        h2d_s = pcie.transfer_time(input_bytes, Direction.H2D, mem)
-        d2h_s = pcie.transfer_time(output_bytes, Direction.D2H, mem)
+        # sources and outputs stage through pinned buffers under every
+        # strategy, as the Executor stages them
+        h2d_s = pcie.transfer_time(input_bytes, Direction.H2D, STAGING_MEMORY)
+        d2h_s = pcie.transfer_time(output_bytes, Direction.D2H,
+                                   STAGING_MEMORY)
 
         kernel_s = 0.0
         launches = 0
@@ -116,9 +117,9 @@ class CostModel:
             if (strategy is Strategy.WITH_ROUND_TRIP
                     and out_b > 0.0):
                 roundtrip_s += (
-                    pcie.transfer_time(out_b, Direction.D2H, HostMemory.PAGED)
+                    pcie.transfer_time(out_b, Direction.D2H, ROUNDTRIP_MEMORY)
                     + pcie.transfer_time(out_b, Direction.H2D,
-                                         HostMemory.PAGED))
+                                         ROUNDTRIP_MEMORY))
         launch_s = launches * gpu.kernel_launch_s
 
         overlap_s = 0.0

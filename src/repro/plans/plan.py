@@ -16,7 +16,7 @@ import dataclasses
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import PlanError
 from ..ra.expr import Expr, Predicate
@@ -104,6 +104,8 @@ class Plan:
         self.name = name
         self.nodes: list[PlanNode] | tuple[PlanNode, ...] = []
         self._counter = itertools.count()
+        #: the graph index validate() builds (None while being built)
+        self._index: _Index | None = None
         self._frozen = False
 
     def __setattr__(self, attr: str, value: Any) -> None:
@@ -270,11 +272,18 @@ class Plan:
             selectivity=group_rate))
 
     # -- graph queries ----------------------------------------------------------
+    # A frozen plan answers from the index validate() built; a plan under
+    # construction scans its nodes on every call.  Answers are fresh
+    # lists, so no caller can corrupt the index.
     def consumers(self, node: PlanNode) -> list[PlanNode]:
+        if self._frozen:
+            return list(self._index.consumers.get(node, ()))
         return [n for n in self.nodes if node in n.inputs]
 
     def sinks(self) -> list[PlanNode]:
         """Nodes no operator consumes, in node order."""
+        if self._frozen:
+            return list(self._index.sinks)
         consumed = {inp for n in self.nodes for inp in n.inputs}
         return [n for n in self.nodes if n not in consumed]
 
@@ -283,6 +292,12 @@ class Plan:
 
     def topological(self) -> Iterator[PlanNode]:
         """Nodes in dependency order (inputs before consumers)."""
+        if self._index is not None:
+            return iter(self._index.order)
+        return iter(self._walk())
+
+    def _walk(self) -> list[PlanNode]:
+        """Depth-first dependency order; PlanError names any cycle."""
         seen: set[int] = set()
         order: list[PlanNode] = []
 
@@ -302,7 +317,7 @@ class Plan:
 
         for node in self.nodes:
             visit(node, ())
-        return iter(order)
+        return order
 
     def structural_issues(self) -> list[StructuralIssue]:
         """Every structural problem in the plan, as structured records.
@@ -344,15 +359,46 @@ class Plan:
     def validate(self) -> None:
         """Raise PlanError on structural problems, naming the offending
         node (and input index, where one is involved); else freeze the
-        plan.  A frozen plan cannot change, so validating it again
-        returns at once."""
+        plan and index its dependency order, consumers and sinks.  A
+        frozen plan cannot change, so validating it again returns at
+        once."""
         if self._frozen:
             return
+        try:
+            # the structural check's cycle test reads this index, so a
+            # plan is walked once
+            self._index = _Index(self.nodes, self._walk())
+        except PlanError:
+            pass  # structural_issues() walks again and reports the cycle
         issues = self.structural_issues()
         if issues:
+            self._index = None
             raise PlanError(issues[0].message)
         self.nodes = tuple(self.nodes)
         self._frozen = True
+
+
+class _Index:
+    """A plan's dependency order, consumer lists and sinks, derived from
+    its nodes in one pass.
+
+    Slotted and rendered by name only, so a checksum of a plan
+    (:func:`repro.optimizer.fingerprint.canonical`) covers the nodes and
+    not this derived copy of them again."""
+
+    __slots__ = ("order", "consumers", "sinks")
+
+    def __init__(self, nodes: Sequence[PlanNode], order: list[PlanNode]):
+        self.order = tuple(order)
+        self.consumers: dict[PlanNode, list[PlanNode]] = {}
+        for node in nodes:
+            self.consumers.setdefault(node, [])
+            for inp in dict.fromkeys(node.inputs):
+                self.consumers.setdefault(inp, []).append(node)
+        self.sinks = [n for n in nodes if not self.consumers[n]]
+
+    def __repr__(self) -> str:
+        return "Plan._Index"
 
 
 def derive(name: str, nodes: Iterable[PlanNode],

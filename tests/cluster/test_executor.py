@@ -303,3 +303,96 @@ class TestRunResult:
         local = [r for r in res.shard_runs if r.phase == "local"]
         assert sorted(r.shard for r in local) == [0, 1, 2, 3]
         assert {r.device for r in local} == {0}
+
+
+def _sf30(query):
+    from repro.tpch.catalog import compile_tpch, tpch_source_rows
+    return compile_tpch(query, scale_factor=30).plan, tpch_source_rows(30)
+
+
+class TestDistinctShardPrograms:
+    """Equal slices of one shard program give equal runs, so one cluster
+    run simulates each distinct (program, row map) once."""
+
+    @staticmethod
+    def _spy_executor_runs(monkeypatch):
+        from repro.runtime.executor import Executor
+        calls = []
+        real = Executor.run
+
+        def counted(self, plan, source_rows=None, *args, **kwargs):
+            calls.append((id(plan), tuple(sorted(source_rows.items()))))
+            return real(self, plan, source_rows, *args, **kwargs)
+        monkeypatch.setattr(Executor, "run", counted)
+        return calls
+
+    @pytest.mark.parametrize("devices", [2, 4, 8])
+    @pytest.mark.parametrize("query", ["q1", "q6", "q21"])
+    def test_one_simulation_per_distinct_program(self, monkeypatch, query,
+                                                 devices):
+        from repro.cluster.executor import _phase_bytes
+        from repro.runtime.executor import Executor
+        from repro.runtime.strategies import ExecutionConfig
+        plan, rows = _sf30(query)
+        cx = ClusterExecutor(config=ClusterConfig(num_devices=devices,
+                                                  check=True))
+        calls = self._spy_executor_runs(monkeypatch)
+        programs = []
+        shard_run = getattr(ClusterExecutor, "_shard_run", None)
+        monkeypatch.setattr(
+            ClusterExecutor, "_shard_run",
+            lambda self, shape, rows, *a: programs.append((shape, rows))
+            or shard_run(self, shape, rows, *a), raising=False)
+        res = cx.run(plan, rows)
+
+        # one Executor run per distinct (phase program, row map)
+        assert len(calls) == len(set(calls))
+        assert len(calls) == len({(id(s), tuple(sorted(r.items())))
+                                  for s, r in programs})
+        # ... and every shard's record is that of a fresh run of its slice
+        ran = [r for r in res.shard_runs if r.makespan > 0.0]
+        assert len(ran) == len(programs)
+        if devices > 2:
+            assert len(calls) < len(ran)
+        for record, (shape, shard_rows) in zip(ran, programs):
+            fresh = Executor(cx.device, costs=cx.costs, check=True).run(
+                shape.plan, shard_rows,
+                ExecutionConfig(strategy=cx.config.strategy))
+            assert record.makespan == fresh.timeline.end_time
+            assert ((record.h2d_bytes, record.d2h_bytes,
+                     record.output_bytes) == _phase_bytes(fresh.timeline))
+        # the local slices are the distribution's own
+        local = res.dist.phases(states=res.dist.preagg is not None).local
+        assert [r for _, r in programs[:devices]] == [
+            res.dist.shard_rows(local, s) for s in range(devices)]
+
+    def test_memo_leaves_the_result_unchanged(self, monkeypatch):
+        plan, rows = _sf30("q1")
+        cfg = ClusterConfig(num_devices=4, check=True)
+        memo = ClusterExecutor(config=cfg).run(plan, rows)
+        shard_run = ClusterExecutor._shard_run
+        monkeypatch.setattr(
+            ClusterExecutor, "_shard_run",
+            lambda self, shape, rows, injector, runs:
+            shard_run(self, shape, rows, injector, {}))
+        fresh = ClusterExecutor(config=cfg).run(plan, rows)
+        assert memo.summary() == fresh.summary()
+        assert memo.shard_runs == fresh.shard_runs
+        for dev in range(4):
+            assert (memo.device_timelines[dev].events
+                    == fresh.device_timelines[dev].events)
+        assert memo.host_timeline.events == fresh.host_timeline.events
+
+    def test_fault_injector_runs_every_shard(self, monkeypatch):
+        plan, rows = _sf30("q1")
+        cfg = ClusterConfig(num_devices=4, check=True,
+                            faults=FaultPlan.chaos(7, 0.05))
+        reference = ClusterExecutor(config=cfg).run(plan, rows)
+        calls = self._spy_executor_runs(monkeypatch)
+        res = ClusterExecutor(config=cfg).run(plan, rows)
+        # the draws happen in order, once per shard that runs: equal
+        # slices are simulated again
+        ran = [r for r in res.shard_runs if r.makespan > 0.0]
+        assert len(calls) == len(ran) > len(set(calls))
+        assert json.dumps(res.summary(), sort_keys=True) == json.dumps(
+            reference.summary(), sort_keys=True)

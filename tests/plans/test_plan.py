@@ -223,3 +223,148 @@ class TestGraphQueries:
         n = plan.unique(n)
         plan.aggregate(n, [], {"c": AggSpec("count")})
         plan.validate()
+
+
+def _tpch_plans_and_subplans():
+    """The 22 TPC-H plans at sf 1 and the sub-plans their 4-shard
+    distributions derive (local, suffix, and the pre-aggregation pair
+    where one applies)."""
+    from repro.plans.distribute import distribute_plan
+    from repro.tpch.catalog import QUERIES, compile_tpch, tpch_source_rows
+    rows = tpch_source_rows(1)
+    plans = []
+    for name in sorted(QUERIES):
+        plan = compile_tpch(name, scale_factor=1).plan
+        dist = distribute_plan(plan, rows, 4)
+        plans += [plan, dist.local_plan(), dist.suffix_plan()]
+        if dist.preagg is not None:
+            plans += [dist.preagg_plan(), dist.combine_plan()]
+    return plans
+
+
+class TestFrozenIndex:
+    """A validated plan answers its graph queries from an index built
+    once, and the answers are the scans an unfrozen plan makes."""
+
+    @pytest.fixture(scope="class")
+    def plans(self):
+        return _tpch_plans_and_subplans()
+
+    def test_index_equals_the_scans(self, plans):
+        assert len(plans) > 66
+        for plan in plans:
+            walk = plan._walk()
+            consumers = {n: [m for m in plan.nodes if n in m.inputs]
+                         for n in plan.nodes}
+            consumed = {i for n in plan.nodes for i in n.inputs}
+            sinks = [n for n in plan.nodes if n not in consumed]
+            assert list(plan.topological()) == walk  # unfrozen: the walk
+            plan.validate()
+            assert list(plan.topological()) == walk, plan.name
+            assert plan.sinks() == sinks, plan.name
+            for node in plan.nodes:
+                assert plan.consumers(node) == consumers[node], node.name
+
+    def test_frozen_plan_is_not_walked_again(self, monkeypatch):
+        from repro.tpch.catalog import compile_tpch
+        plan = compile_tpch("q21").plan
+        walks = []
+        real = Plan._walk
+        monkeypatch.setattr(Plan, "_walk",
+                            lambda self: walks.append(self) or real(self))
+        plan.validate()
+        for _ in range(3):
+            list(plan.topological())
+            plan.sinks()
+            plan.structural_issues()
+        assert walks == [plan]
+
+    def test_returned_lists_do_not_alias_the_index(self):
+        plan = Plan()
+        s = plan.source("t")
+        a = plan.select(s, Field("x") < 1, name="a")
+        plan.select(s, Field("x") < 2, name="b")
+        plan.validate()
+        plan.consumers(s).clear()
+        plan.sinks().append(s)
+        order = plan.topological()
+        next(order)
+        assert [n.name for n in plan.consumers(s)] == ["a", "b"]
+        assert [n.name for n in plan.sinks()] == ["a", "b"]
+        assert [n.name for n in plan.topological()] == ["t", "a", "b"]
+        assert plan.consumers(a) == []
+        assert plan.consumers(PlanNode(OpType.SOURCE, "elsewhere")) == []
+
+    def test_checksum_renders_the_nodes_once(self):
+        """A cache checksum of a frozen plan covers its nodes, not the
+        index derived from them as well."""
+        from repro.optimizer.fingerprint import canonical
+        from repro.tpch.catalog import compile_tpch
+        plan = compile_tpch("q21").plan
+        plan.validate()
+        copy = derive(plan.name, plan.nodes)
+        assert len(canonical(plan)) - len(canonical(copy)) < 40
+
+    def test_self_join_is_one_consumer(self):
+        plan = Plan()
+        s = plan.source("t")
+        j = plan.join(s, s, on="x", name="j")
+        plan.validate()
+        assert plan.consumers(s) == [j]
+
+    def test_unfrozen_cycle_still_raises(self):
+        plan = Plan()
+        s = plan.source("t")
+        a = plan.select(s, Field("x") < 1)
+        b = plan.select(a, Field("x") < 2)
+        object.__setattr__(a, "inputs", (b,))
+        with pytest.raises(PlanError, match="cycle"):
+            list(plan.topological())
+        with pytest.raises(PlanError, match="cycle"):
+            plan.validate()
+        # the failed validate leaves no index behind
+        with pytest.raises(PlanError, match="cycle"):
+            list(plan.topological())
+
+    def test_unfrozen_plan_sees_appended_nodes(self):
+        plan = Plan()
+        s = plan.source("t")
+        assert plan.sinks() == [s]
+        a = plan.select(s, Field("x") < 1)
+        assert plan.sinks() == [a] and plan.consumers(s) == [a]
+        assert list(plan.topological()) == [s, a]
+
+
+class TestRowWidthMemo:
+    def test_memo_equals_the_recursive_rule(self, monkeypatch):
+        from repro.core import opmodels
+        memoized = [[opmodels.out_row_nbytes(n) for n in plan.nodes]
+                    for plan in _tpch_plans_and_subplans()]
+        # the rule alone, recursing without the memo, on fresh plans
+        monkeypatch.setattr(opmodels, "out_row_nbytes",
+                            opmodels._derive_row_nbytes)
+        for plan, widths in zip(_tpch_plans_and_subplans(), memoized):
+            assert [opmodels._derive_row_nbytes(n)
+                    for n in plan.nodes] == widths, plan.name
+
+    def test_derived_node_gets_its_own_width(self):
+        from repro.core.opmodels import out_row_nbytes
+        plan = Plan()
+        s = plan.source("t", row_nbytes=8)
+        p = plan.project(s, ["x"])
+        assert out_row_nbytes(p) == 8
+        assert out_row_nbytes(dataclasses.replace(p, out_row_nbytes=4)) == 4
+        wider = dataclasses.replace(s, out_row_nbytes=16)
+        assert out_row_nbytes(dataclasses.replace(p, inputs=(wider,))) == 16
+        assert out_row_nbytes(p) == 8
+
+    def test_width_is_derived_once_per_node(self, monkeypatch):
+        from repro.core import opmodels
+        from repro.tpch.catalog import compile_tpch
+        plan = compile_tpch("q21").plan
+        first = [opmodels.out_row_nbytes(n) for n in plan.nodes]
+
+        def rederived(node):
+            raise AssertionError(f"{node.name} re-derived")
+        monkeypatch.setattr(opmodels, "_derive_row_nbytes", rederived)
+        assert [opmodels.out_row_nbytes(n) for n in plan.nodes] == first
