@@ -65,7 +65,7 @@ class Analyzer:
         self.stream_check = StreamCheckPass()
         self.ir_lints = IrLintPass()
         self.cluster_lints = ClusterLintPass()
-        self.opt_lints = OptimizerLintPass(self.device)
+        self.opt_lints = OptimizerLintPass(self.device, costs)
         self.serve_lints = ServeLintPass()
         self.memory_check = MemoryCheckPass(self.device, costs)
 

@@ -16,7 +16,7 @@ from .opmodels import (
     out_row_nbytes,
 )
 from .multifusion import SharedScanGroup, chain_for_shared_scan, find_shared_select_groups, multi_select
-from .passes import CompiledPlan, PipelineOptions, compile_plan
+from .passes import CompiledPlan, compile_plan
 from .render import render_expr, render_fused_kernel, render_predicate
 from .stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 
@@ -30,5 +30,5 @@ __all__ = [
     "DEFAULT_STAGE_COSTS", "StageCostParams", "SharedScanGroup",
     "chain_for_shared_scan", "find_shared_select_groups", "multi_select",
     "render_expr", "render_fused_kernel", "render_predicate",
-    "CompiledPlan", "PipelineOptions", "compile_plan",
+    "CompiledPlan", "compile_plan",
 ]

@@ -1,34 +1,29 @@
-"""The compilation pipeline: rewrites -> fusion -> strategy -> lowering.
+"""The compilation pipeline: rewrites -> strategy -> fusion -> lowering.
 
 "Our current efforts are focused on automation of these optimizations in
 the compiler" (SS VII).  This module is that automation, end to end: give
 it a logical plan and input cardinalities and it returns a
-:class:`CompiledPlan` -- the optimized plan, the fused regions, the chosen
-execution strategy with its rationale, and the lowered kernel chains --
-ready to execute or inspect.
+:class:`CompiledPlan` -- the optimized plan, the chosen execution
+strategy with its rationale, the fused regions and the lowered kernel
+chains -- ready to execute or inspect.
+
+It adds no model of its own.  The strategy is the
+:class:`~repro.optimizer.Optimizer`'s single-device choice, and the
+regions are the ones the :class:`~repro.runtime.executor.Executor` runs
+under that strategy (one :class:`~repro.runtime.sizes.PlanShape` feeds
+both), so what :meth:`CompiledPlan.describe` shows is what
+:meth:`CompiledPlan.run` executes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..plans.plan import Plan
 from ..plans.rewrite import optimize_plan
 from ..simgpu.device import DeviceSpec
-from .cost import FusionCostModel
-from .fusion import FusionResult, fuse_plan
+from .fusion import FusionResult
 from .kernel import KernelChain
-from .stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
-
-
-@dataclass(frozen=True)
-class PipelineOptions:
-    """What the pipeline is allowed to do."""
-
-    rewrite: bool = True          # plan-level rewrites before fusion
-    fuse: bool = True             # the fusion pass
-    use_cost_model: bool = True   # register-pressure-aware fusion decisions
-    auto_strategy: bool = True    # pick serial/fused/fission automatically
 
 
 @dataclass
@@ -74,41 +69,32 @@ class CompiledPlan:
 
 
 def compile_plan(plan: Plan, source_rows: dict[str, int],
-                 device: DeviceSpec | None = None,
-                 options: PipelineOptions = PipelineOptions(),
-                 costs: StageCostParams = DEFAULT_STAGE_COSTS) -> CompiledPlan:
+                 device: DeviceSpec | None = None) -> CompiledPlan:
     """Run the full pipeline on a logical plan."""
+    from ..optimizer import Optimizer
     from ..runtime.executor import LoweredRegion
-    from ..runtime.sizes import estimate_sizes
-    from ..runtime.strategies import Strategy
+    from ..runtime.sizes import PlanShape
 
     device = device or DeviceSpec()
     plan.validate()
 
-    optimized = optimize_plan(plan) if options.rewrite else plan
-    cost_model = (FusionCostModel(device, costs)
-                  if options.fuse and options.use_cost_model else None)
-    fusion = fuse_plan(optimized, cost_model=cost_model, enable=options.fuse)
+    optimized = optimize_plan(plan)
+    shape = PlanShape(optimized)
+    decision = Optimizer(device).choose(
+        shape, source_rows, include_cpubase=False)
+    strategy = decision.chosen.option.strategy
+    reasons = tuple(
+        f"{c.label}: {c.price_text()}"
+        + (" (chosen)" if c.option == decision.chosen.option else "")
+        for c in decision.ranked())
 
-    sizes = estimate_sizes(optimized, source_rows)
-    chains = [LoweredRegion.of(region, sizes, costs).chain
+    fusion = shape.fusion(strategy.uses_fusion)
+    sizes = shape.sizes(source_rows)
+    chains = [LoweredRegion.of(region, sizes).chain
               for region in fusion.regions]
-
-    if options.auto_strategy:
-        from ..optimizer import Optimizer
-        decision = Optimizer(device, costs=costs).choose(
-            optimized, source_rows, include_cpubase=False)
-        strategy = decision.chosen.option.strategy
-        reasons = tuple(
-            f"{c.label}: {c.price_text()}"
-            + (" (chosen)" if c.option == decision.chosen.option else "")
-            for c in decision.ranked())
-    else:
-        strategy = Strategy.FUSED if options.fuse else Strategy.SERIAL
-        reasons = ("strategy fixed by pipeline options",)
 
     return CompiledPlan(
         source_plan=plan, plan=optimized, fusion=fusion, chains=chains,
-        strategy=strategy, strategy_reasons=tuple(reasons),
+        strategy=strategy, strategy_reasons=reasons,
         source_rows=dict(source_rows), device=device,
     )

@@ -7,8 +7,8 @@ The pieces (docs/OPTIMIZER.md):
   registration point;
 * :mod:`~repro.optimizer.stats` -- per-table data statistics (rows,
   widths, group cardinalities, skew) with a content digest;
-* :mod:`~repro.optimizer.costmodel` -- analytic roofline pricing from
-  the simulator's calibration constants;
+* :mod:`~repro.optimizer.costmodel` -- the host baseline's exact
+  price from the simulator's CPU calibration;
 * :mod:`~repro.optimizer.optimizer` -- the chooser: priced, explainable
   :class:`Decision` per (query, stats, device count), simulator-refined;
 * :mod:`~repro.optimizer.plancache` -- the bounded content-addressed

@@ -306,8 +306,8 @@ class Optimizer:
         strategy always runs as one stream, so its spills (D2H) and
         re-uploads (H2D) of every non-sink result, both through pageable
         memory, add on top.  The host baseline's bound is its exact
-        price, ``host_plan_time``, read through the one host-pricing
-        rule the OPT5xx lints use (:meth:`CostModel.estimate`).  A
+        price, ``host_plan_time``, read through
+        :meth:`CostModel.estimate`.  A
         cluster option is bounded by its busiest shard's upload of the
         shard-local plan's sources on a contended device.
         """

@@ -49,7 +49,7 @@ class StrategyOption:
 @dataclass
 class StrategyTarget:
     """A hand-forced strategy choice, as an analyzable unit (the OPT5xx
-    lints price it against the enumerated space; see
+    lints price it against the optimizer's decision; see
     :mod:`repro.analyze.opt_lints`)."""
 
     plan: Plan

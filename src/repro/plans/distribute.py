@@ -445,7 +445,7 @@ def _node_dist(node: PlanNode, ins: list, sort_local: bool = False):
 
 
 def _classify(plan: Plan, driver: PlanNode, key: tuple[str, ...] | None,
-              src_rows: dict[str, int], replicate_fraction: float):
+              src_rows: dict[str, int]):
     """Per-node distribution map for one candidate partition key
     (`src_rows`: every source's rows)."""
     driver_rows = src_rows[driver.name]
@@ -454,7 +454,7 @@ def _classify(plan: Plan, driver: PlanNode, key: tuple[str, ...] | None,
         rows = src_rows[src.name]
         if src is driver:
             dist[src.name] = ("partitioned", key)
-        elif rows <= replicate_fraction * driver_rows:
+        elif rows <= REPLICATE_FRACTION * driver_rows:
             dist[src.name] = ("replicated",)
         elif key is None and rows == driver_rows:
             dist[src.name] = ("partitioned", None)
@@ -574,8 +574,6 @@ def find_preagg(dist: "DistributedPlan") -> PreAggSpec | None:
 
 def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
                     scheme: str = "hash", seed: int = 0,
-                    replicate_fraction: float = REPLICATE_FRACTION,
-                    exchange_min_bytes: int = EXCHANGE_MIN_BYTES,
                     preagg: bool = True, merge: str | None = None
                     ) -> DistributedPlan:
     """Distribute `plan` over `num_shards` shards (see module docstring).
@@ -605,7 +603,7 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
     best_dist: dict | None = None
     best_score = -1
     for key in _candidate_keys(plan):
-        dist = _classify(plan, driver, key, src_rows, replicate_fraction)
+        dist = _classify(plan, driver, key, src_rows)
         score = sum(1 for n in plan.nodes
                     if n.op is not OpType.SOURCE and dist[n.name] is not None)
         if score > best_score:
@@ -654,8 +652,7 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
             fname = frontier[0]
             fnode = next(n for n in plan.nodes if n.name == fname)
             exchange = _try_exchange(plan, dist, fnode, source_rows,
-                                     out_row_nbytes, estimate_sizes,
-                                     exchange_min_bytes)
+                                     out_row_nbytes, estimate_sizes)
             if exchange is not None:
                 suffix_mode = "exchange"
                 notes.append(
@@ -689,8 +686,8 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
 
 
 def _try_exchange(plan: Plan, dist: dict, fnode: PlanNode,
-                  source_rows: dict[str, int], out_row_nbytes, estimate_sizes,
-                  exchange_min_bytes: int) -> ExchangeSpec | None:
+                  source_rows: dict[str, int], out_row_nbytes, estimate_sizes
+                  ) -> ExchangeSpec | None:
     """Can the suffix past `fnode` run shard-local after repartitioning
     `fnode`'s buffer on the suffix's group-by key?
 
@@ -740,7 +737,7 @@ def _try_exchange(plan: Plan, dist: dict, fnode: PlanNode,
     est = estimate_sizes(plan, source_rows)
     row_bytes = out_row_nbytes(fnode)
     est_rows = int(est.get(fnode.name, 0))
-    if est_rows * row_bytes < exchange_min_bytes:
+    if est_rows * row_bytes < EXCHANGE_MIN_BYTES:
         return None
     est_groups = key_agg.params.get("n_groups")
     if est_groups is None:

@@ -5,6 +5,7 @@ from repro.analyze import Analyzer, OptimizerLintPass, Severity
 from repro.optimizer import StrategyTarget
 from repro.runtime import Strategy
 from repro.runtime.select_chain import select_chain_plan
+from repro.tpch import build_q1_plan, q1_source_rows
 
 
 def _codes(report):
@@ -57,6 +58,16 @@ class TestOpt502:
         report = Analyzer().run(target)
         assert "OPT502" not in _codes(report)
 
+    def test_crossover_read_from_the_simulated_prices(self):
+        # the optimizer picks the host baseline for Q1 at 50M rows; the
+        # lint reads that decision, not an analytic GPU price
+        target = StrategyTarget(build_q1_plan(), q1_source_rows(50_000_000),
+                                Strategy.FUSED)
+        report = Analyzer().run(target)
+        assert "OPT502" in _codes(report)
+        diag = next(d for d in report.diagnostics if d.code == "OPT502")
+        assert "simulated" in diag.message
+
     def test_large_input_not_flagged(self):
         target = StrategyTarget(select_chain_plan(3), {"input": 100_000_000},
                                 Strategy.FUSED_FISSION)
@@ -72,3 +83,17 @@ class TestDispatch:
                                 Strategy.SERIAL)
         report = an.run(target)
         assert "optimizer-lints" in report.passes_run
+
+
+class TestNothingToCompare:
+    def test_no_feasible_option(self, monkeypatch):
+        from repro.errors import PlanError
+        from repro.optimizer import Optimizer
+
+        def infeasible(self, plan, *args, **kwargs):
+            raise PlanError("no feasible execution strategy")
+
+        monkeypatch.setattr(Optimizer, "choose", infeasible)
+        target = StrategyTarget(select_chain_plan(3), {"input": 10_000},
+                                Strategy.FUSED)
+        assert _codes(Analyzer().run(target)) == []

@@ -4,7 +4,9 @@ Two invariants, each checked across a population of seeded stats
 profiles (rows, widths, group cardinalities, skew all varied):
 
 * **monotone in rows** -- scaling every table's cardinality up never
-  makes any strategy's analytic estimate cheaper;
+  lowers any single-device or host option's lower bound
+  (:meth:`Optimizer._lower_bound`, which prices the host baseline
+  exactly);
 * **devices never hurt** -- opening the cluster space
   (``max_devices > 1``) never yields a worse chosen price than the best
   single-device decision, because the single-device options stay
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro.optimizer import CostModel, DataStats, Optimizer, TableStats
-from repro.optimizer.space import enumerate_options
+from repro.optimizer.space import EnumContext, enumerate_options
+from repro.runtime.sizes import PlanShape
 from repro.runtime.select_chain import select_chain_plan
 from repro.simgpu import DeviceSpec
 from repro.tpch import build_q6_plan
@@ -44,17 +47,18 @@ class TestMonotoneInRows:
     def test_every_strategy_estimate_is_monotone(self, seed):
         plan = build_q6_plan() if seed % 2 else select_chain_plan(3)
         stats = _profile(plan, seed)
-        model = CostModel(DeviceSpec())
+        opt = Optimizer(DeviceSpec())
+        shape = PlanShape(plan)
         for option in enumerate_options(plan, stats):
             prev = None
             for scale in SCALES:
-                total = model.estimate(plan, stats.scaled(scale),
-                                       option).total_s
+                ctx = EnumContext(plan=plan, stats=stats.scaled(scale))
+                bound = opt._lower_bound(shape, ctx, option)
                 if prev is not None:
-                    assert total >= prev - 1e-12, (
-                        f"seed={seed} option={option.label}: estimate "
-                        f"dropped from {prev} to {total} at x{scale}")
-                prev = total
+                    assert bound >= prev - 1e-12, (
+                        f"seed={seed} option={option.label}: bound "
+                        f"dropped from {prev} to {bound} at x{scale}")
+                prev = bound
 
 
 class TestDevicesNeverHurt:
