@@ -21,6 +21,7 @@ from typing import Any, Callable
 
 from ..plans.plan import Plan
 from ..simgpu.device import DeviceSpec
+from ..simgpu.timeline import Timeline
 
 
 def canonical(obj: Any) -> str:
@@ -41,6 +42,11 @@ def canonical(obj: Any) -> str:
     6. dataclass instances -- ``Type(f=v,..)`` in field order;
     7. anything else -- ``Type(k=v,..)`` over sorted ``vars()`` when the
        instance has a ``__dict__``, else ``repr``.
+
+    A :class:`~repro.simgpu.timeline.Timeline` renders as the dataclass
+    it is, but a frozen one keeps its rendering after the first call
+    (:meth:`~repro.simgpu.timeline.Timeline.memo`): its events cannot
+    change, and a serve-cache hit re-renders the cached outcome holding it.
     """
     render = _RENDERERS.get(type(obj))
     if render is None:
@@ -102,9 +108,16 @@ def _renderer_for(cls: type) -> Callable[[Any], str]:
     return _render_object
 
 
+_render_timeline_fields = _render_dataclass(Timeline)
+
+
+def _render_timeline(obj: Timeline) -> str:
+    return obj.memo(_render_timeline_fields)
+
+
 #: type -> renderer, filled on first sight of each type (a pure memo: the
 #: choice depends only on the type's bases and dataclass fields)
-_RENDERERS: dict[type, Callable[[Any], str]] = {}
+_RENDERERS: dict[type, Callable[[Any], str]] = {Timeline: _render_timeline}
 
 
 def digest(*parts: Any) -> str:

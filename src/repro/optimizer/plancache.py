@@ -20,7 +20,12 @@ one planning call through a :class:`~repro.runtime.sizes.PlanShape`.
 Every entry stores a checksum of its value at ``put`` time; every ``get``
 re-renders the value and re-verifies it, so a corrupted entry (bit-flip,
 in-place mutation by a buggy caller) is *detected and treated as a miss*,
-never served.  Checksums are process-internal and never persisted.
+never served.  The one part of a value not re-rendered on a hit is a
+frozen :class:`~repro.simgpu.timeline.Timeline` (every ``serve:*``
+outcome holds one): it cannot change, so its rendering is taken once and
+kept on it (see :func:`repro.optimizer.fingerprint.canonical`), and a
+write to it raises instead.  Checksums are process-internal and never
+persisted.
 Counters (hits / misses / evictions / invalidations / corruptions) feed
 the serve metrics and the CI cache-hit-rate gate.
 """

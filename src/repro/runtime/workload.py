@@ -24,6 +24,7 @@ scheduler compares three regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..core.fusion import Region
 from ..core.multifusion import (
@@ -118,17 +119,14 @@ class WorkloadScheduler:
                          faults=as_injector(self.faults))
 
     # -- helpers ----------------------------------------------------------
-    def _emit_query_kernels(self, stream, plan: Plan,
+    def _emit_query_kernels(self, stream, nodes: Iterable[PlanNode],
                             sizes: dict[str, int],
-                            skip: set[str] = frozenset(),
-                            only_prefix: str | None = None) -> None:
-        """Queue every non-fused kernel of `plan` onto `stream` (a
-        :class:`SimStream` or pooled stream), one region per node.
-        `only_prefix` restricts it to one query of a merged workload."""
-        for node in plan.topological():
+                            skip: set[str] = frozenset()) -> None:
+        """Queue the kernel of every non-source, non-fused node of `nodes`
+        (in topological order) onto `stream` (a :class:`SimStream` or
+        pooled stream), one region per node."""
+        for node in nodes:
             if node.op is OpType.SOURCE or node.name in skip:
-                continue
-            if only_prefix is not None and not node.name.startswith(only_prefix):
                 continue
             emit_region(stream, LoweredRegion.of(Region([node]), sizes),
                         self.device, sizes)
@@ -153,7 +151,7 @@ class WorkloadScheduler:
         for plan in workload.plans:
             sizes = estimate_sizes(plan, source_rows)
             total += self._upload(stream, plan, sizes)
-            self._emit_query_kernels(stream, plan, sizes)
+            self._emit_query_kernels(stream, plan.topological(), sizes)
         tl = self._engine().run([stream])
         return WorkloadRunResult("isolated", tl, total)
 
@@ -164,7 +162,7 @@ class WorkloadScheduler:
         sizes = estimate_sizes(merged, source_rows)
         stream = SimStream(stream_id=0)
         total = self._upload(stream, merged, sizes)
-        self._emit_query_kernels(stream, merged, sizes)
+        self._emit_query_kernels(stream, merged.topological(), sizes)
         tl = self._engine().run([stream])
         return WorkloadRunResult("shared_source", tl, total)
 
@@ -193,7 +191,8 @@ class WorkloadScheduler:
         stream = SimStream(stream_id=0)
         total = self._upload(stream, merged, sizes)
         fused_names = self._emit_shared_scans(stream, merged, sizes)
-        self._emit_query_kernels(stream, merged, sizes, skip=fused_names)
+        self._emit_query_kernels(stream, merged.topological(), sizes,
+                                 skip=fused_names)
         tl = self._engine().run([stream])
         return WorkloadRunResult("cross_query_fused", tl, total)
 
@@ -254,10 +253,15 @@ class WorkloadScheduler:
         for w in workers:
             if w is not lead:
                 pool.select_wait(w, lead)
-        for qi in range(len(workload.plans)):
-            stream = workers[qi % n_workers]
-            self._emit_query_kernels(stream, merged, sizes, skip=fused_names,
-                                     only_prefix=f"q{qi}.")
+        # one walk buckets the merged plan's nodes by query (every
+        # non-source node is named ``q{qi}.<name>``, see merged_plan)
+        by_query: list[list[PlanNode]] = [[] for _ in workload.plans]
+        for node in merged.topological():
+            if node.op is not OpType.SOURCE:
+                by_query[int(node.name[1:node.name.index(".")])].append(node)
+        for qi, nodes in enumerate(by_query):
+            self._emit_query_kernels(workers[qi % n_workers], nodes, sizes,
+                                     skip=fused_names)
         return pool, total
 
     def compare(self, workload: QueryWorkload, source_rows: dict[str, int]

@@ -32,7 +32,7 @@ from ..simgpu.timeline import Timeline
 from ..streampool import StreamPool
 from .arrivals import QueryRequest
 
-#: (makespan, timeline, degraded, faults observed, analysis warnings)
+#: (makespan, frozen timeline, degraded, faults observed, analysis warnings)
 DispatchOutcome = tuple[float, Timeline, bool, int, int]
 
 
@@ -91,7 +91,8 @@ class DispatchEngine:
     def dispatch(self, batch: list[QueryRequest], batch_idx: int,
                  lane: int = 0) -> DispatchOutcome:
         """Run one batch on device lane ``lane``; returns (makespan,
-        timeline, degraded, faults, analysis warnings)."""
+        timeline, degraded, faults, analysis warnings), its timeline
+        frozen."""
         cfg = self.config
         fault_plan = (cfg.faults.reseeded(batch_idx)
                       if cfg.faults is not None else None)
@@ -141,7 +142,9 @@ class DispatchEngine:
             return self.dispatch_degraded(batch, fault_plan, warnings)
         faults_seen = sum(
             1 for ev in result.timeline.events if ev.tag.startswith("fault."))
-        out = (result.makespan, result.timeline, False, faults_seen, warnings)
+        # frozen: the outcome is cached and replayed on every repeat batch
+        out = (result.makespan, result.timeline.freeze(), False, faults_seen,
+               warnings)
         if cache_key is not None:
             cfg.plan_cache.put(cache_key, out)
         return out
@@ -172,7 +175,7 @@ class DispatchEngine:
             r = ex.run(req.plan(), req.source_rows())
             timeline.extend(r.timeline, offset=timeline.end_time)
             faults_seen += r.faults_injected
-        return timeline.end_time, timeline, True, faults_seen, warnings
+        return timeline.end_time, timeline.freeze(), True, faults_seen, warnings
 
     # -- backend interface -------------------------------------------------
     def execute_round(self, assignments: list[DispatchRequest],

@@ -3,13 +3,21 @@
 Every strategy run produces a :class:`Timeline`; the breakdown figures
 (Fig 9, Fig 10) are computed from these events rather than from ad-hoc
 arithmetic, so the accounting is consistent across strategies.
+
+A finished timeline can be frozen (:meth:`Timeline.freeze`): its events
+become a tuple of frozen :class:`TimelineEvent` records, and ``add``,
+``extend`` into it and every attribute write raise.  The serve
+dispatcher freezes every outcome it returns, so a timeline held by the
+plan cache and replayed on every hit cannot change, and a value derived
+from it -- the cache's canonical rendering -- is computed once and kept
+(:meth:`Timeline.memo`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 
 class EventKind(enum.Enum):
@@ -61,9 +69,57 @@ def _merged_busy(intervals: Iterable[tuple[float, float]]) -> float:
     return busy
 
 
-@dataclass
+@dataclass(eq=False)
 class Timeline:
-    events: list[TimelineEvent] = field(default_factory=list)
+    #: a list while the timeline is built; a tuple once it is frozen
+    events: Sequence[TimelineEvent] = field(default_factory=list)
+
+    #: values derived from a frozen timeline, keyed by the function that
+    #: derived them; ``None`` until :meth:`freeze`, so it is also the flag
+    _memos: ClassVar[dict | None] = None
+
+    def freeze(self) -> "Timeline":
+        """Make the timeline immutable and return it (idempotent)."""
+        if self._memos is None:
+            object.__setattr__(self, "events", tuple(self.events))
+            object.__setattr__(self, "_memos", {})
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        return self._memos is not None
+
+    def memo(self, derive: Callable[["Timeline"], Any]) -> Any:
+        """``derive(self)``, computed once per frozen timeline; an unfrozen
+        timeline can still change, so it is derived afresh on every call."""
+        memos = self._memos
+        if memos is None:
+            return derive(self)
+        if derive not in memos:
+            memos[derive] = derive(self)
+        return memos[derive]
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if self._memos is not None:
+            raise FrozenInstanceError(f"cannot assign {name!r}: Timeline is frozen")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if self._memos is not None:
+            raise FrozenInstanceError(f"cannot delete {name!r}: Timeline is frozen")
+        object.__delattr__(self, name)
+
+    def __eq__(self, other: object) -> bool:
+        # a frozen timeline (tuple events) equals an unfrozen twin (list)
+        if not isinstance(other, Timeline):
+            return NotImplemented
+        return tuple(self.events) == tuple(other.events)
+
+    def __reduce__(self):
+        # memos stay in their process: the unpickled copy derives afresh
+        if self._memos is None:
+            return (Timeline, (self.events,))
+        return (_frozen_timeline, (self.events,))
 
     def add(
         self,
@@ -78,10 +134,15 @@ class Timeline:
         if end < start:
             raise ValueError(f"event ends before it starts: {tag}")
         ev = TimelineEvent(start, end, kind, tag, stream, nbytes, sms)
-        self.events.append(ev)
+        try:  # free on the DES hot path; a frozen timeline's tuple fails
+            self.events.append(ev)
+        except AttributeError:
+            raise FrozenInstanceError("cannot add: Timeline is frozen") from None
         return ev
 
     def extend(self, other: "Timeline", offset: float = 0.0) -> None:
+        if self._memos is not None:
+            raise FrozenInstanceError("cannot extend: Timeline is frozen")
         for ev in other.events:
             self.events.append(
                 TimelineEvent(
@@ -141,3 +202,7 @@ class Timeline:
         for ev in self.events:
             out[ev.tag] = out.get(ev.tag, 0.0) + ev.duration
         return out
+
+
+def _frozen_timeline(events: tuple[TimelineEvent, ...]) -> Timeline:
+    return Timeline(events).freeze()

@@ -14,17 +14,20 @@ import dataclasses
 import enum
 import hashlib
 import math
+import pickle
 from typing import Any, ClassVar, NamedTuple
 
 import numpy as np
 import pytest
 
 from repro.optimizer import Optimizer, PlanCache
+from repro.optimizer import fingerprint
 from repro.optimizer.fingerprint import (calibration_fingerprint, canonical,
                                          plan_fingerprint)
 from repro.serve import DEFAULT_TENANTS, ArrivalProcess, QueryServer, ServeConfig
 from repro.serve.arrivals import QUERY_KINDS, catalog_plan
 from repro.simgpu.device import DeviceSpec
+from repro.simgpu.timeline import EventKind, Timeline, TimelineEvent
 from repro.tpch.catalog import QUERIES, compile_tpch, tpch_source_rows
 
 
@@ -131,6 +134,7 @@ def test_serve_outcomes():
                                    plan_cache=cache)).run(trace)
     assert cache.stored
     for value in cache.stored:
+        assert value[1].frozen
         assert_same(value)
 
 
@@ -226,6 +230,81 @@ def test_edge_types(value):
 def test_bool_and_int_render_differently():
     assert canonical(True) != canonical(1)
     assert canonical([True]) != canonical([1])
+
+
+# ---------------------------------------------------------------------------
+# the Timeline memo
+# ---------------------------------------------------------------------------
+
+def _timeline(n: int) -> Timeline:
+    tl = Timeline()
+    for i in range(n):
+        tl.add(i * 1.5, i * 1.5 + 1.25, EventKind.KERNEL, f"k{i}",
+               stream=i % 3, nbytes=1e6 + i, sms=8)
+    return tl
+
+
+@pytest.fixture()
+def event_renders(monkeypatch):
+    """Counts ``canonical`` calls on TimelineEvents: the work a rendering
+    of a timeline does, which its memo saves."""
+    counts = {"events": 0}
+    original = fingerprint.canonical
+
+    def counting(obj):
+        if type(obj) is TimelineEvent:
+            counts["events"] += 1
+        return original(obj)
+
+    monkeypatch.setattr(fingerprint, "canonical", counting)
+    return counts
+
+
+class TestTimelineMemo:
+    def test_unfrozen_rendering_follows_add(self, event_renders):
+        tl = _timeline(3)
+        before = canonical(tl)
+        assert canonical(tl) == before
+        tl.add(9.0, 9.5, EventKind.D2H, "late")
+        after = canonical(tl)
+        assert after != before
+        assert after == reference_canonical(tl)
+        assert event_renders["events"] == 3 + 3 + 4   # no memo unfrozen
+
+    def test_frozen_renders_like_its_unfrozen_twin(self, event_renders):
+        frozen, twin = _timeline(4).freeze(), _timeline(4)
+        want = reference_canonical(twin)
+        assert reference_canonical(frozen) == want
+        assert canonical(twin) == want
+        assert canonical(frozen) == want
+        assert canonical(frozen) == want
+        assert fingerprint.digest("entry", (1.0, frozen)) == reference_digest(
+            "entry", (1.0, twin))
+        assert event_renders["events"] == 4 + 4      # twin, then frozen once
+
+    def test_freeze_is_idempotent_and_keeps_the_memo(self, event_renders):
+        tl = _timeline(2).freeze()
+        first = canonical(tl)
+        assert tl.freeze() is tl
+        assert canonical(tl) == first
+        assert event_renders["events"] == 2
+
+    def test_pickle_round_trip_renders_the_same(self, event_renders):
+        tl = _timeline(3).freeze()
+        want = canonical(tl)
+        back = pickle.loads(pickle.dumps(tl))
+        assert back.frozen
+        assert canonical(back) == canonical(back) == want
+        assert event_renders["events"] == 3 + 3      # one render per copy
+
+    def test_a_hit_renders_a_cached_outcome_once(self, event_renders):
+        cache = PlanCache()
+        outcome = (2.75, _timeline(5).freeze(), False, 0, 0)
+        cache.put("k", outcome)
+        for _ in range(4):
+            assert cache.get("k") is outcome
+        assert cache.hits == 4 and cache.corruptions == 0
+        assert event_renders["events"] == 5
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from repro.optimizer import PlanCache
 from repro.serve import QueryServer, ServeConfig
 from repro.serve.arrivals import QueryRequest
+from repro.simgpu.timeline import EventKind, Timeline
 
 FAR = 1e9  # deadline far enough that nothing sheds
 
@@ -165,14 +166,20 @@ def _replace_event(timeline):
     timeline.events[0] = dataclasses.replace(ev, end=ev.end + 1e-9)
 
 
+def _assign_events(timeline):
+    timeline.events = list(timeline.events)
+
+
 class _RotOnFirstRepeat(PlanCache):
-    """Mutates the first cached outcome's Timeline in place -- through the
-    value the caller holds, not the ``_corrupt`` hook -- right before the
-    first lookup that would hit it."""
+    """Tries to mutate the first cached outcome's Timeline in place --
+    through the value the caller holds, not the ``_corrupt`` hook --
+    right before the first lookup that would hit it, and keeps what the
+    attempt raised."""
 
     def __init__(self, rot):
         super().__init__()
         self.rot = rot
+        self.raised: Exception | None = None
         self.first: tuple[str, tuple] | None = None
 
     def put(self, key, value):
@@ -182,26 +189,59 @@ class _RotOnFirstRepeat(PlanCache):
 
     def get(self, key):
         if self.rot is not None and self.first and self.first[0] == key:
-            self.rot(self.first[1][1])
+            try:
+                self.rot(self.first[1][1])
+            except (AttributeError, TypeError) as exc:
+                self.raised = exc
             self.rot = None
         return super().get(key)
 
 
 class TestInPlaceMutationDetected:
-    """Every hit re-verifies the whole stored value, so rot that bypasses
-    the test hook is still caught and never served."""
+    """A cached value cannot change without detection.  A serve outcome's
+    Timeline is frozen when dispatched, so rot through the value a caller
+    holds raises and every hit replays the original; a value that is
+    still mutable is re-rendered on every hit, so rot in it is caught and
+    never served."""
 
-    @pytest.mark.parametrize("rot", [_append_event, _replace_event],
-                             ids=["append", "replace"])
-    def test_mutated_timeline_is_a_miss(self, rot):
+    @pytest.mark.parametrize("rot", [_append_event, _replace_event,
+                                     _assign_events],
+                             ids=["append", "replace", "assign"])
+    def test_mutating_a_cached_timeline_raises(self, rot):
         trace = _repeat_trace(12, spacing=0.001)
         cache = _RotOnFirstRepeat(rot)
         with_cache = QueryServer(config=ServeConfig(
             mode="isolated", plan_cache=cache)).run(trace=list(trace))
-        assert cache.rot is None            # the rot happened
-        assert cache.corruptions == 1
-        assert cache.misses == 2            # cold + the rotted entry
-        assert cache.hits == len(trace) - 2
+        assert cache.rot is None            # the rot was attempted
+        assert isinstance(cache.raised, (AttributeError, TypeError))
+        assert cache.corruptions == 0
+        assert cache.misses == 1            # cold only
+        assert cache.hits == len(trace) - 1
         without = QueryServer(config=ServeConfig(
             mode="isolated")).run(trace=list(trace))
         assert _summary_json(with_cache) == _summary_json(without)
+
+    @pytest.mark.parametrize("value, rot", [
+        ([1.0, [2, 3]], lambda v: v[1].append(4)),
+        ({"a": 1, "b": [2]}, lambda v: v.__setitem__("a", 2)),
+        (Timeline(), lambda v: v.add(0.0, 1.0, EventKind.KERNEL, "late")),
+    ], ids=["list", "dict", "unfrozen_timeline"])
+    def test_mutated_mutable_value_is_a_miss(self, value, rot):
+        cache = PlanCache()
+        cache.put("k", value)
+        assert cache.get("k") is value
+        rot(value)
+        assert cache.get("k") is None
+        assert cache.corruptions == 1
+        assert cache.misses == 1
+        assert "k" not in cache
+
+    def test_corrupt_hook_on_a_frozen_outcome_is_detected(self):
+        cache = PlanCache()
+        QueryServer(config=ServeConfig(mode="isolated", plan_cache=cache)
+                    ).run(trace=_repeat_trace(2))
+        (key,) = list(cache._entries)
+        assert cache.get(key)[1].frozen
+        cache._corrupt(key)
+        assert cache.get(key) is None
+        assert cache.corruptions == 1

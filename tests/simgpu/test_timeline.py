@@ -1,5 +1,8 @@
 """Tests for the simulated-time event log."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.simgpu import EventKind, Timeline
@@ -94,3 +97,76 @@ class TestExtend:
         a.extend(b, offset=1.0)
         ev = a.events[0]
         assert (ev.stream, ev.nbytes) == (3, 42)
+
+
+class TestFreeze:
+    def test_freeze_returns_self_and_is_idempotent(self):
+        tl = tl_with((0, 1, EventKind.KERNEL, "a"))
+        assert not tl.frozen
+        assert tl.freeze() is tl
+        events = tl.events
+        assert tl.frozen and isinstance(events, tuple)
+        assert tl.freeze() is tl
+        assert tl.events is events
+
+    def test_frozen_equals_unfrozen_twin(self):
+        spec = ((0, 1, EventKind.H2D, "a"), (1, 3, EventKind.KERNEL, "b"))
+        frozen, twin = tl_with(*spec).freeze(), tl_with(*spec)
+        assert frozen == twin and twin == frozen
+        assert frozen != tl_with(*spec[:1])
+        assert frozen.makespan == twin.makespan == 3.0
+
+    @pytest.mark.parametrize("mutate", [
+        lambda tl: tl.add(1, 2, EventKind.KERNEL, "late"),
+        lambda tl: tl.extend(tl_with((0, 1, EventKind.KERNEL, "b"))),
+        lambda tl: setattr(tl, "events", []),
+        lambda tl: delattr(tl, "events"),
+        lambda tl: setattr(tl, "note", 1),
+    ], ids=["add", "extend", "assign", "delete", "new_attribute"])
+    def test_writes_raise_after_freeze(self, mutate):
+        tl = tl_with((0, 1, EventKind.KERNEL, "a")).freeze()
+        before = tl.events
+        with pytest.raises(FrozenInstanceError):
+            mutate(tl)
+        assert tl.events is before
+
+    def test_frozen_timeline_extends_into_an_unfrozen_one(self):
+        src = tl_with((0, 1, EventKind.KERNEL, "a")).freeze()
+        dst = Timeline()
+        dst.extend(src, offset=2.0)
+        assert dst.events[0].start == 2.0
+        assert len(src.events) == 1
+
+    def test_memo_derives_once_only_when_frozen(self):
+        calls = []
+
+        def derive(tl):
+            calls.append(tl)
+            return len(tl.events)
+
+        tl = tl_with((0, 1, EventKind.KERNEL, "a"))
+        assert tl.memo(derive) == 1
+        tl.add(1, 2, EventKind.KERNEL, "b")
+        assert tl.memo(derive) == 2          # unfrozen: derived afresh
+        tl.freeze()
+        assert tl.memo(derive) == tl.memo(derive) == 2
+        assert len(calls) == 3
+
+    def test_pickle_round_trip_stays_frozen(self):
+        tl = tl_with((0, 1, EventKind.KERNEL, "a")).freeze()
+        tl.memo(repr)
+        back = pickle.loads(pickle.dumps(tl))
+        assert back.frozen and back == tl
+        assert isinstance(back.events, tuple)
+        with pytest.raises(FrozenInstanceError):
+            back.add(1, 2, EventKind.KERNEL, "late")
+        # the memo stays behind: the copy derives its own
+        assert pickle.dumps(tl) == pickle.dumps(tl_with(
+            (0, 1, EventKind.KERNEL, "a")).freeze())
+
+    def test_pickle_round_trip_of_an_unfrozen_timeline(self):
+        tl = tl_with((0, 1, EventKind.KERNEL, "a"))
+        back = pickle.loads(pickle.dumps(tl))
+        assert not back.frozen and back == tl
+        back.add(1, 2, EventKind.KERNEL, "b")
+        assert len(back.events) == 2

@@ -5,10 +5,13 @@ heavier sweeps live in benchmarks/bench_worker_scaleout.py.
 """
 
 import json
+import multiprocessing
+import threading
 
 import pytest
 
 from repro.faults import FaultKind, FaultPlan
+from repro.optimizer import PlanCache
 from repro.serve import ArrivalProcess, QueryServer, ServeConfig, TenantSpec
 from repro.serve.dispatch import DispatchRequest, batch_fingerprint
 from repro.validate import validate_pool
@@ -108,6 +111,61 @@ class TestCrashReplay:
                     if r.restored]
         ev = server.pool.respawn_events[0]
         assert len(restored) == ev.restored
+
+
+class TestFrozenOutcomesCrossProcesses:
+    """Serve outcomes are frozen when dispatched; their timelines are
+    pickled between processes and replayed from the parent's and the
+    workers' outboxes without changing a byte of the summary."""
+
+    def test_pooled_repeat_trace_matches_in_process(self):
+        tr = trace()
+        _, base = serve(tr, workers=1, mode="isolated",
+                        plan_cache=PlanCache())
+        # in isolated mode this trace's repeat kinds route to worker 1
+        server, pooled = serve(tr, workers=2, kill_worker=1, mode="isolated",
+                               plan_cache=PlanCache())
+        assert summary_bytes(pooled) == summary_bytes(base)
+        cache = PlanCache.merge_stats(
+            [p.plan_cache for p in server.pool.partials])
+        assert cache["cache.hits"] > 0
+        (respawn,) = server.pool.respawn_events
+        assert respawn.restored > 0       # parent outbox -> fresh worker
+        results = [e.result for e in server.pool.outbox.entries.values()]
+        assert results and all(r[1].frozen for r in results)
+
+    def test_worker_outbox_replays_a_frozen_outcome(self, device):
+        from repro.optimizer.fingerprint import canonical
+        from repro.workers.outbox import DispatchKey
+        from repro.workers.worker import _make_record, worker_main
+
+        parent, child = multiprocessing.Pipe()
+        thread = threading.Thread(target=worker_main, args=(
+            child, 0, device, ServeConfig(plan_cache=PlanCache())))
+        thread.start()
+        try:
+            assert parent.recv() == ("ready", 0)
+            req = DispatchRequest((trace()[0],), 0)
+            key = DispatchKey(0, req.tenant, batch_fingerprint(req.batch), 0)
+            parent.send(("dispatch", key, req, 1, 0.0))
+            _, first, hit = parent.recv()
+            assert not hit and first[1].frozen
+            parent.send(("dispatch", key, req, 2, 0.0))
+            _, again, hit = parent.recv()
+            assert hit and again[1].frozen
+            assert again == first and canonical(again) == canonical(first)
+            # a restored entry (what a respawn ships) replays the same way
+            moved = DispatchKey(0, req.tenant, key.query_fingerprint, 1)
+            record = _make_record(0, moved, req, 1, 0.0, first,
+                                  restored=True)
+            parent.send(("restore", moved, record, first, None))
+            assert parent.recv() == ("restored",)
+            parent.send(("dispatch", moved, req, 3, 0.0))
+            _, restored, hit = parent.recv()
+            assert hit and restored[1].frozen and restored == first
+        finally:
+            parent.send(("stop",))
+            thread.join()
 
 
 class TestIdempotentDispatch:
