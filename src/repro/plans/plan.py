@@ -7,7 +7,9 @@ workload is *virtual* (timing-only, no materialized arrays -- needed for
 the paper's multi-billion-element experiments).
 
 Plans are values: nodes are frozen, a plan freezes when it validates, and
-a pass that changes a plan derives a new one (:func:`derive`).
+a pass that changes a plan derives a new one (:func:`derive`).  A frozen
+plan keeps a bounded memo of values derived from it (:meth:`Plan.memo`),
+such as the serving path's lowered per-query stream programs.
 """
 
 from __future__ import annotations
@@ -15,11 +17,19 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping,
+                    Sequence, TypeVar)
 
 from ..errors import PlanError
 from ..ra.expr import Expr, Predicate
+
+T = TypeVar("T")
+
+#: results a frozen plan's :meth:`Plan.memo` keeps, least recently used
+#: dropped first
+PLAN_MEMO_ENTRIES = 64
 
 
 class OpType(enum.Enum):
@@ -377,16 +387,39 @@ class Plan:
         self.nodes = tuple(self.nodes)
         self._frozen = True
 
+    def memo(self, derive: Callable[..., T], *key: Hashable) -> T:
+        """``derive(self, *key)``, kept on a frozen plan.
+
+        A frozen plan cannot change, so a value derived from it and `key`
+        alone stays valid for the plan's life.  The plan keeps its last
+        :data:`PLAN_MEMO_ENTRIES` results; they die with the plan, are not
+        pickled, and take no part in its rendering.  A plan still being
+        built derives afresh on every call."""
+        if not self._frozen:
+            return derive(self, *key)
+        memos = self._index.memos
+        slot = (derive, key)
+        try:
+            value = memos[slot]
+        except KeyError:
+            value = memos[slot] = derive(self, *key)
+            if len(memos) > PLAN_MEMO_ENTRIES:
+                memos.popitem(last=False)
+            return value
+        memos.move_to_end(slot)
+        return value
+
 
 class _Index:
     """A plan's dependency order, consumer lists and sinks, derived from
-    its nodes in one pass.
+    its nodes in one pass, and the memo of values derived from the frozen
+    plan (:meth:`Plan.memo`).
 
     Slotted and rendered by name only, so a checksum of a plan
     (:func:`repro.optimizer.fingerprint.canonical`) covers the nodes and
     not this derived copy of them again."""
 
-    __slots__ = ("order", "consumers", "sinks")
+    __slots__ = ("order", "consumers", "sinks", "memos")
 
     def __init__(self, nodes: Sequence[PlanNode], order: list[PlanNode]):
         self.order = tuple(order)
@@ -396,6 +429,15 @@ class _Index:
             for inp in dict.fromkeys(node.inputs):
                 self.consumers.setdefault(inp, []).append(node)
         self.sinks = [n for n in nodes if not self.consumers[n]]
+        self.memos: OrderedDict[tuple, Any] = OrderedDict()
+
+    def __getstate__(self) -> tuple:
+        # memos stay in their process: an unpickled plan derives afresh
+        return self.order, self.consumers, self.sinks
+
+    def __setstate__(self, state: tuple) -> None:
+        self.order, self.consumers, self.sinks = state
+        self.memos = OrderedDict()
 
     def __repr__(self) -> str:
         return "Plan._Index"

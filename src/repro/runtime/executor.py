@@ -18,6 +18,7 @@ the same program on observed rows and bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from ..core.fission import Segment, run_fissioned, split_for_fission
 from ..core.fusion import FusionResult, Region
@@ -139,10 +140,14 @@ class LoweredRegion:
                    tuple(side), (region.output_node.name,), out_bytes)
 
 
-def emit_region(stream: SimStream, lr: LoweredRegion, device: DeviceSpec,
-                sizes: dict[str, int], build: bool = True,
-                frac: float | None = 1.0) -> None:
-    """Queue one lowered region's kernels onto ``stream``.
+#: one queued kernel: (launch spec, buffers it reads, buffers it writes)
+KernelCommandSpec = tuple[KernelLaunchSpec, tuple[str, ...], tuple[str, ...]]
+
+
+def region_commands(lr: LoweredRegion, device: DeviceSpec,
+                    sizes: dict[str, int], build: bool = True,
+                    frac: float | None = 1.0) -> list[KernelCommandSpec]:
+    """The kernels one lowered region queues, in order.
 
     The build kernels (when ``build``) read the side inputs and write
     ``<region>.build``.  The main kernels run over ``frac`` of the
@@ -150,18 +155,34 @@ def emit_region(stream: SimStream, lr: LoweredRegion, device: DeviceSpec,
     read the primary input plus the build buffer -- or the side inputs
     when there is no build, e.g. a gather join -- and write ``lr.writes``.
     """
+    commands: list[KernelCommandSpec] = []
     build_buf = f"{lr.region.name}.build"
     if build:
         for spec in lr.chain.side_launch_specs(device, sizes):
-            stream.kernel(spec, tag=spec.name, reads=lr.side_inputs,
-                          writes=(build_buf,))
+            commands.append((spec, lr.side_inputs, (build_buf,)))
     if frac is None:
-        return
+        return commands
     reads = (lr.primary_input.name,) + (
         (build_buf,) if lr.chain.side_kernels else lr.side_inputs)
     n_rows = max(1, int(round(lr.n_in * frac)))
     for spec in lr.chain.main_launch_specs(n_rows, device):
-        stream.kernel(spec, tag=spec.name, reads=reads, writes=lr.writes)
+        commands.append((spec, reads, lr.writes))
+    return commands
+
+
+def emit_region(stream: SimStream, lr: LoweredRegion, device: DeviceSpec,
+                sizes: dict[str, int], build: bool = True,
+                frac: float | None = 1.0) -> None:
+    """Queue one lowered region's kernels (:func:`region_commands`) onto
+    ``stream``."""
+    enqueue_commands(stream, region_commands(lr, device, sizes, build, frac))
+
+
+def enqueue_commands(stream: SimStream,
+                     commands: Iterable[KernelCommandSpec]) -> None:
+    """Queue ``commands`` onto ``stream``, each tagged by its kernel."""
+    for spec, reads, writes in commands:
+        stream.kernel(spec, tag=spec.name, reads=reads, writes=writes)
 
 
 class Executor:

@@ -16,7 +16,7 @@ interval, and every rule accepts ``inf`` for an unknown row count.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import out_row_nbytes
@@ -28,8 +28,14 @@ from ..ra.relation import Relation
 
 def estimate_sizes(plan: Plan, source_rows: dict[str, int]) -> dict[str, int]:
     """Estimated output rows for every node, keyed by node name."""
+    return estimate_node_sizes(plan.topological(), source_rows)
+
+
+def estimate_node_sizes(nodes: Iterable[PlanNode],
+                        source_rows: dict[str, int]) -> dict[str, int]:
+    """:func:`estimate_sizes` over `nodes`, given in dependency order."""
     sizes: dict[str, int] = {}
-    for node in plan.topological():
+    for node in nodes:
         sizes[node.name] = (source_node_rows(node, source_rows)
                             if node.op is OpType.SOURCE
                             else int(node_rows(node, sizes)))

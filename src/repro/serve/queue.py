@@ -75,8 +75,11 @@ class BoundedPriorityQueue:
         return live
 
     def drop_expired(self, now: float) -> list[QueryRequest]:
-        """Remove and return every queued request whose deadline passed."""
-        expired = [r for r in self.snapshot() if r.deadline_s < now]
+        """Remove and return every queued request whose deadline passed,
+        in priority order (sorting only the expired ones)."""
+        expired = [entry[3] for entry in self._heap
+                   if entry[1] < now and entry[3].req_id not in self._removed]
+        expired.sort(key=self._key)
         for req in expired:
             self.remove(req)
         return expired

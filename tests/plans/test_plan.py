@@ -368,3 +368,89 @@ class TestRowWidthMemo:
             raise AssertionError(f"{node.name} re-derived")
         monkeypatch.setattr(opmodels, "_derive_row_nbytes", rederived)
         assert [opmodels.out_row_nbytes(n) for n in plan.nodes] == first
+
+
+class TestPlanMemo:
+    """A frozen plan keeps what is derived from it (Plan.memo): once per
+    key, bounded, never pickled and never rendered."""
+
+    @staticmethod
+    def frozen_plan():
+        plan = Plan("memo")
+        s = plan.source("t")
+        plan.select(s, Field("x") < 1, name="a")
+        plan.validate()
+        return plan
+
+    def test_derived_once_per_key(self):
+        plan = self.frozen_plan()
+        calls = []
+
+        def derive_rows(p, rows):
+            calls.append(rows)
+            return [rows]
+        first = plan.memo(derive_rows, 10)
+        assert plan.memo(derive_rows, 10) is first
+        assert plan.memo(derive_rows, 20) == [20]
+        assert calls == [10, 20]
+
+    def test_unfrozen_plan_derives_every_call(self):
+        plan = Plan("building")
+        plan.source("t")
+        calls = []
+
+        def derive_plan(p):
+            calls.append(p)
+        plan.memo(derive_plan)
+        plan.memo(derive_plan)
+        assert calls == [plan, plan]
+
+    def test_memo_is_bounded_least_recently_used_first(self):
+        from repro.plans.plan import PLAN_MEMO_ENTRIES
+        plan = self.frozen_plan()
+        calls = []
+
+        def derive_key(p, k):
+            calls.append(k)
+            return k
+        for k in range(PLAN_MEMO_ENTRIES):
+            plan.memo(derive_key, k)
+        plan.memo(derive_key, 0)  # 0 is now the most recently used
+        plan.memo(derive_key, PLAN_MEMO_ENTRIES)  # evicts 1
+        assert len(plan._index.memos) == PLAN_MEMO_ENTRIES
+        del calls[:]
+        plan.memo(derive_key, 0)
+        assert calls == []
+        plan.memo(derive_key, 1)
+        assert calls == [1]
+
+    def test_pickled_plan_carries_no_memo(self):
+        import pickle
+        plan = self.frozen_plan()
+        plan.memo(lambda p: "x" * 1000)
+        copy = pickle.loads(pickle.dumps(plan))
+        assert copy._frozen and len(copy._index.memos) == 0
+        assert [n.name for n in copy.topological()] == ["t", "a"]
+        calls = []
+        copy.memo(lambda p: calls.append(p))
+        assert calls == [copy]
+
+    def test_memo_takes_no_part_in_rendering(self):
+        from repro.optimizer.fingerprint import canonical
+        plan = self.frozen_plan()
+        before = canonical(plan)
+        plan.memo(lambda p: {"derived": list(range(10))})
+        assert canonical(plan) == before
+
+    def test_memo_dies_with_the_plan(self):
+        import gc
+        import weakref
+
+        class Value:
+            pass
+        plan = self.frozen_plan()
+        value = weakref.ref(plan.memo(lambda p: Value()))
+        assert value() is not None
+        del plan
+        gc.collect()
+        assert value() is None

@@ -150,3 +150,314 @@ class TestRegimeComparison:
         sched = WorkloadScheduler(faults=FaultPlan.chaos(5, rate=0.3))
         r = sched.run_shared_source(workload, ROWS)
         assert any(ev.tag.startswith("fault.") for ev in r.timeline.events)
+
+
+# -- one emission path: per-query programs against the merged plan ----------
+
+def emit_merged_lead(sched, merged, sizes, lead, fuse=True):
+    """Onto `lead`: one upload of the merged plan's sources, then (when
+    `fuse`) the shared scans of ``find_shared_select_groups(merged)``;
+    returns the names of the SELECTs the scans cover."""
+    from repro.core.fusion import Region
+    from repro.core.multifusion import (chain_for_shared_scan,
+                                        find_shared_select_groups,
+                                        split_group_by_registers)
+    from repro.runtime.executor import LoweredRegion, emit_region
+    from repro.runtime.sizes import node_bytes
+    from repro.runtime.strategies import STAGING_MEMORY
+
+    for src in merged.sources():
+        if node_bytes(src, sizes) > 0:
+            lead.h2d(node_bytes(src, sizes), STAGING_MEMORY,
+                     tag=f"input.{src.name}", writes=(src.name,))
+    fused = set()
+    for raw in find_shared_select_groups(merged) if fuse else ():
+        for group in split_group_by_registers(raw):
+            if len(group.selects) < 2:
+                continue
+            names = tuple(s.name for s in group.selects)
+            emit_region(lead, LoweredRegion(
+                Region(list(group.selects)), chain_for_shared_scan(group),
+                sizes[group.producer.name], group.producer,
+                side_inputs=(), writes=names), sched.device, sizes)
+            fused.update(names)
+    return fused
+
+
+def emit_nodes(sched, stream, nodes, sizes, skip=()):
+    """Every non-source node of `nodes` not in `skip`, lowered on its own."""
+    from repro.core.fusion import Region
+    from repro.runtime.executor import LoweredRegion, emit_region
+    for node in nodes:
+        if node.op is not OpType.SOURCE and node.name not in skip:
+            emit_region(stream, LoweredRegion.of(Region([node]), sizes),
+                        sched.device, sizes)
+
+
+def merged_reference(sched, workload, rows, max_streams=4):
+    """The batched-streams program as the merged plan defines it: the
+    lead's upload and shared scans, then every other node of query ``qi``
+    onto worker ``qi % n_workers``."""
+    from repro.runtime.sizes import estimate_sizes
+    from repro.streampool import StreamPool
+
+    merged = workload.merged_plan()
+    sizes = estimate_sizes(merged, rows)
+    n_workers = max(1, min(max_streams, len(workload.plans)))
+    pool = StreamPool(sched.device, num_streams=1 + n_workers,
+                      engine=sched._engine())
+    lead = pool.get_available_stream()
+    fused = emit_merged_lead(sched, merged, sizes, lead)
+    workers = [pool.get_available_stream() for _ in range(n_workers)]
+    for w in workers:
+        pool.select_wait(w, lead)
+    for qi in range(len(workload.plans)):
+        emit_nodes(sched, workers[qi % n_workers],
+                   [n for n in merged.topological()
+                    if n.name.startswith(f"q{qi}.")], sizes, fused)
+    return pool
+
+
+def single_stream_reference(sched, workload, rows, regime):
+    """The one stream the merged plan (or, isolated, each plan on its
+    own) defines for a single-stream regime."""
+    from repro.runtime.sizes import estimate_sizes
+    from repro.simgpu import SimStream
+    stream = SimStream(stream_id=0)
+    if regime == "run_isolated":
+        for plan in workload.plans:
+            sizes = estimate_sizes(plan, rows)
+            emit_merged_lead(sched, plan, sizes, stream, fuse=False)
+            emit_nodes(sched, stream, plan.topological(), sizes)
+        return stream
+    merged = workload.merged_plan()
+    sizes = estimate_sizes(merged, rows)
+    fused = emit_merged_lead(sched, merged, sizes, stream,
+                             fuse=regime == "run_cross_query_fused")
+    emit_nodes(sched, stream, merged.topological(), sizes, fused)
+    return stream
+
+
+def commands(stream):
+    """Every queued command's identity: its kind, tag, reads, writes, and
+    launch spec or bytes or event."""
+    return [(type(c).__name__, c.tag, c.reads, c.writes,
+             getattr(c, "spec", None), getattr(c, "nbytes", None),
+             getattr(c, "event_id", None)) for c in stream.commands]
+
+
+def queued(pool):
+    return [commands(s.sim) for s in pool._streams]
+
+
+def catalog_workload(*kinds, elements=2_000_000):
+    from repro.serve.arrivals import catalog_plan, catalog_rows
+    rows = {}
+    for kind in kinds:
+        for name, n in catalog_rows(kind, elements).items():
+            rows[name] = max(rows.get(name, 0), n)
+    return QueryWorkload([catalog_plan(k) for k in kinds]), rows
+
+
+def hand_built_workload(case):
+    if case == "one_plan_twice":
+        same = query(0, 10)
+        return QueryWorkload([same, same]), ROWS
+    if case == "three_query_fixture":
+        return QueryWorkload(
+            [query(0, 10), query(1, 20), query(2, 30, agg=True)]), ROWS
+    return catalog_workload(*case.split("+"))
+
+
+#: one plan twice; same-named sources at different widths, both orders;
+#: three shared tables; and the file's fixture
+HAND_BUILT = ("one_plan_twice", "q6+q21", "q21+q6", "tpch_q3+tpch_q9",
+              "three_query_fixture")
+
+
+class TestProgramsMatchMergedPlan:
+    """Per-query programs assemble exactly the stream program the merged
+    plan defines, command for command on every stream."""
+
+    @pytest.mark.parametrize("case", HAND_BUILT)
+    @pytest.mark.parametrize("max_streams", [1, 2, 4])
+    def test_batched_streams(self, case, max_streams):
+        workload, rows = hand_built_workload(case)
+        sched = WorkloadScheduler()
+        pool, _ = sched.enqueue_batched_streams(workload, rows,
+                                                max_streams=max_streams)
+        assert queued(pool) == queued(
+            merged_reference(sched, workload, rows, max_streams))
+
+    @pytest.mark.parametrize("case", HAND_BUILT)
+    @pytest.mark.parametrize("regime", REGIMES[:3])
+    def test_single_stream_regimes(self, case, regime, monkeypatch):
+        from repro.simgpu import SimEngine
+        workload, rows = hand_built_workload(case)
+        sched = WorkloadScheduler()
+        ran = []
+        real_run = SimEngine.run
+
+        def keep(engine, streams, *args, **kwargs):
+            ran.extend(commands(s) for s in streams)
+            return real_run(engine, streams, *args, **kwargs)
+        monkeypatch.setattr(SimEngine, "run", keep)
+        getattr(sched, regime)(workload, rows)
+        assert ran == [commands(
+            single_stream_reference(sched, workload, rows, regime))]
+
+    def test_first_seen_source_width_decides_the_upload(self):
+        """q6 and q21 read ``lineitem`` at different widths; the later
+        query reads the first-seen source, at its width."""
+        from repro.core.opmodels import out_row_nbytes
+        from repro.serve.arrivals import catalog_plan
+        width = {k: out_row_nbytes(next(
+            n for n in catalog_plan(k).sources() if n.name == "lineitem"))
+            for k in ("q6", "q21")}
+        assert width["q6"] != width["q21"]
+        sched = WorkloadScheduler()
+        for first, second in (("q6", "q21"), ("q21", "q6")):
+            workload, rows = catalog_workload(first, second)
+            pool, _ = sched.enqueue_batched_streams(workload, rows)
+            upload = next(c for c in pool._streams[0].sim.commands
+                          if c.tag == "input.lineitem")
+            assert upload.nbytes == rows["lineitem"] * width[first]
+
+
+def ladder_batches():
+    """Every (workload, source rows, max_streams) a seed-7 pass over the
+    serve-2dev rate ladder dispatches: seeded 60 s traces at 10-60 qps on
+    a two-device QueryServer with a PlanCache, as the e2e benchmark runs
+    them."""
+    from repro.optimizer import PlanCache
+    from repro.serve import (DEFAULT_TENANTS, ArrivalProcess, QueryServer,
+                             ServeConfig)
+    batches = []
+    real = WorkloadScheduler.enqueue_batched_streams
+
+    def keep(self, workload, source_rows, pool=None, max_streams=4):
+        batches.append((workload, dict(source_rows), max_streams))
+        return real(self, workload, source_rows, pool, max_streams)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WorkloadScheduler, "enqueue_batched_streams", keep)
+        for qps in (10, 20, 25, 30, 35, 40, 60):
+            trace = ArrivalProcess(qps, 60.0, DEFAULT_TENANTS,
+                                   seed=7 * 1000 + qps).trace()
+            QueryServer(config=ServeConfig(
+                devices=2, workers=1, queue_capacity=4096,
+                plan_cache=PlanCache())).run(trace)
+    return batches
+
+
+@pytest.mark.no_chaos
+def test_serve_ladder_batches_match_merged_plan():
+    """Every batch of one seed-7 serve-2dev ladder pass queues, stream by
+    stream, the commands the merged plan defines."""
+    from repro.cluster.host import contended_device
+    from repro.simgpu import DeviceSpec
+    sched = WorkloadScheduler(contended_device(DeviceSpec(), 2))
+    batches = ladder_batches()
+    assert len(batches) > 600
+    seen = set()
+    for workload, rows, max_streams in batches:
+        key = (tuple(map(id, workload.plans)),
+               tuple(sorted(rows.items())), max_streams)
+        if key in seen:
+            continue
+        seen.add(key)
+        pool, _ = sched.enqueue_batched_streams(workload, rows,
+                                                max_streams=max_streams)
+        assert queued(pool) == queued(
+            merged_reference(sched, workload, rows, max_streams)), key
+    assert len(seen) > 100
+
+
+class TestQueryProgramMemo:
+    """A query's program is lowered once per (plan, batch position,
+    source signature, device) and kept on the frozen plan."""
+
+    @pytest.fixture
+    def lowerings(self, monkeypatch):
+        from repro.runtime import executor
+        calls = []
+        real = executor.lower_region
+
+        def counting(region, costs, n_in):
+            calls.append(region.name)
+            return real(region, costs, n_in)
+        monkeypatch.setattr(executor, "lower_region", counting)
+        return calls
+
+    def test_same_batch_twice_lowers_nothing_again(self, workload,
+                                                   lowerings):
+        sched = WorkloadScheduler()
+        first, _ = sched.enqueue_batched_streams(workload, ROWS)
+        assert len(lowerings) == 4  # every non-source node, once
+        second, _ = sched.enqueue_batched_streams(workload, ROWS)
+        assert len(lowerings) == 4
+        assert queued(first) == queued(second)
+
+    def test_equal_device_built_separately_hits(self, workload, lowerings):
+        from repro.cluster.host import contended_device
+        from repro.simgpu import DeviceSpec
+        a = contended_device(DeviceSpec(), 2)
+        b = contended_device(DeviceSpec(), 2)
+        assert a is not b and a == b
+        WorkloadScheduler(a).enqueue_batched_streams(workload, ROWS)
+        n = len(lowerings)
+        WorkloadScheduler(b).enqueue_batched_streams(workload, ROWS)
+        assert len(lowerings) == n
+
+    def test_other_device_or_rows_lower_afresh(self, workload, lowerings):
+        from repro.cluster.host import contended_device
+        from repro.simgpu import DeviceSpec
+        WorkloadScheduler().enqueue_batched_streams(workload, ROWS)
+        n = len(lowerings)
+        WorkloadScheduler(contended_device(DeviceSpec(), 2)
+                          ).enqueue_batched_streams(workload, ROWS)
+        assert len(lowerings) == 2 * n
+        WorkloadScheduler().enqueue_batched_streams(
+            workload, {"lineitem": ROWS["lineitem"] // 2})
+        assert len(lowerings) == 3 * n
+
+    def test_isolated_and_batched_positions_are_separate(self, workload,
+                                                         lowerings):
+        sched = WorkloadScheduler()
+        sched.enqueue_batched_streams(workload, ROWS)
+        n = len(lowerings)
+        sched.run_isolated(workload, ROWS)
+        assert len(lowerings) == 2 * n  # unprefixed names: a new program
+        sched.run_isolated(workload, ROWS)
+        sched.run_shared_source(workload, ROWS)
+        sched.run_cross_query_fused(workload, ROWS)
+        assert len(lowerings) == 2 * n
+
+    def test_memo_stays_within_its_bound(self, lowerings):
+        from repro.plans.plan import PLAN_MEMO_ENTRIES
+        plan = query(0, 10)
+        workload = QueryWorkload([plan])
+        sched = WorkloadScheduler()
+        for rows in range(1, PLAN_MEMO_ENTRIES + 9):
+            sched.enqueue_batched_streams(workload, {"lineitem": rows})
+        assert len(plan._index.memos) == PLAN_MEMO_ENTRIES
+        n = len(lowerings)
+        sched.enqueue_batched_streams(
+            workload, {"lineitem": PLAN_MEMO_ENTRIES + 8})
+        assert len(lowerings) == n  # the newest is kept
+        sched.enqueue_batched_streams(workload, {"lineitem": 1})
+        assert len(lowerings) == n + 1  # the oldest was dropped
+
+    def test_dropped_plan_frees_its_programs(self):
+        import gc
+        import weakref
+        plan = query(0, 10)
+        workload = QueryWorkload([plan, plan])
+        sched = WorkloadScheduler()
+        sched.run_batched_streams(workload, ROWS)
+        program = weakref.ref(sched.query_program(plan, 1, ROWS, {}))
+        assert program() is not None
+        plan_ref = weakref.ref(plan)
+        del plan, workload
+        gc.collect()
+        assert plan_ref() is None
+        assert program() is None

@@ -1,5 +1,7 @@
 """Tests for the bounded priority/deadline queue."""
 
+import random
+
 import pytest
 
 from repro.errors import SchedulingError
@@ -84,3 +86,33 @@ class TestBoundedPriorityQueue:
     def test_bad_capacity_rejected(self):
         with pytest.raises(SchedulingError):
             BoundedPriorityQueue(0)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_drop_expired_matches_snapshot_definition(seed):
+    """Property: drop_expired returns exactly the snapshot's expired
+    requests, in snapshot order, and leaves the rest queued -- across
+    pushes, pops and lazy mid-queue removals (whose heap entries linger
+    until compacted)."""
+    rng = random.Random(seed)
+    q = BoundedPriorityQueue(64)
+    next_id = 0
+    for _ in range(300):
+        op = rng.random()
+        if op < 0.5:
+            # coarse deadlines and few priorities: ties fall to req_id
+            q.push(req(next_id, priority=rng.randrange(3),
+                       deadline=rng.randrange(12) / 4))
+            next_id += 1
+        elif op < 0.7 and len(q):
+            q.remove(rng.choice(q.snapshot()))
+        elif op < 0.8:
+            q.pop()
+        else:
+            now = rng.randrange(14) / 4
+            before = q.snapshot()
+            want = [r for r in before if r.deadline_s < now]
+            got = q.drop_expired(now)
+            assert got == want
+            assert q.snapshot() == [r for r in before if r.deadline_s >= now]
+            assert len(q) == len(before) - len(want)
