@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ra.relation import Relation
-from ..ra.rows import pack_rows
+from ..ra.rows import pack_rows, stable_order
 from .partition import concat, hash_shard
 
 #: the implicit original-row-position column of the TPC-H column tables;
@@ -44,7 +44,7 @@ EXCHANGE_CHUNK_ROWS = 1 << 18
 
 def restore_row_order(rel: Relation, order_field: str = ORDER_FIELD) -> Relation:
     """Rows re-sorted by their original position (stable)."""
-    return rel.take(np.argsort(rel.column(order_field), kind="stable"))
+    return rel.take(stable_order(rel.column(order_field)))
 
 
 def merge_concat(parts: list[Relation],

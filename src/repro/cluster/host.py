@@ -35,6 +35,7 @@ when devices' transfer phases do not actually overlap (docs/CLUSTER.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from ..simgpu.calibration import Calibration
 from ..simgpu.device import DeviceSpec
@@ -61,9 +62,19 @@ def contended_calibration(calib: Calibration, sharers: int,
 
 def contended_device(base: DeviceSpec, sharers: int,
                      host_staging_bw: float | None = None) -> DeviceSpec:
-    """`base` as seen when `sharers` devices share the host's memory."""
+    """`base` as seen when `sharers` devices share the host's memory.
+
+    Equal inputs give the same object, so the simulator's per-device
+    memos (keyed on the device) find it by identity instead of comparing
+    two equal specs field by field."""
     if max(1, int(sharers)) == 1:
         return base
+    return _contended_device(base, int(sharers), host_staging_bw)
+
+
+@lru_cache(maxsize=256)
+def _contended_device(base: DeviceSpec, sharers: int,
+                      host_staging_bw: float | None) -> DeviceSpec:
     return replace(base, calib=contended_calibration(
         base.calib, sharers, host_staging_bw))
 

@@ -11,17 +11,22 @@ road everywhere the lowering optimizes:
   copy of the per-group kernel: factorize on the packed key with
   ``np.unique``, split, and reduce each group in Python.  It shares no
   code with :func:`repro.ra.arithmetic.aggregate`, so a bug in the plan
-  path's sort-and-segment kernel shows up in the differential.
+  path's sort-and-segment kernel shows up in the differential;
+* no sort-merge join -- :func:`_join` and :func:`_left_join` are private
+  copies too: factorize both key columns over their joint ``np.unique``
+  domain, bucket the right rows by key with a counting pass, and walk
+  the left rows in the defined order, each taking its key's bucket.
+  They share no code with :func:`repro.ra.rows.inner_join_indices`.
 
 Both aggregate kernels follow one definition of the float results: a
 float SUM accumulates in float64, left to right in input row order
 (``np.cumsum(seg, dtype=float64)[-1]``), and is cast back to the column's
 dtype; MEAN is that float64 sum over the count, cast to a float column's
 dtype (float64 for integer columns).  The join-key choices, the
-join/sort primitives from :mod:`repro.ra` and the aggregate-naming recipe
-are shared with the plan path.  A disagreement in the byte-for-byte
-comparison therefore points at a real semantic divergence, not float
-noise.
+select/project/set/sort primitives from :mod:`repro.ra` and the
+aggregate-naming recipe are shared with the plan path.  A disagreement
+in the byte-for-byte comparison therefore points at a real semantic
+divergence, not float noise.
 """
 
 from __future__ import annotations
@@ -106,6 +111,74 @@ def _aggregate(rel: Relation, group_by: list[str],
     return Relation(out, key=group_by[0] if group_by else next(iter(out)))
 
 
+def _match_pairs(x: Relation, y: Relation, on: str | tuple[str, str],
+                 key_major: bool, pad: bool
+                 ) -> tuple[str, str, np.ndarray, np.ndarray, np.ndarray]:
+    """Left and right key fields, then the (left row, right row) pairs
+    of every match and a mask of which pairs are real matches.
+
+    Pairs come by (key, left row, right row) with ``key_major``, else by
+    (left row, right row).  With ``pad`` every unmatched left row adds
+    one pair ``(row, 0)``, masked False, in its place.  Both key columns
+    are coded over their joint ``np.unique`` domain, so codes order like
+    the keys; the right rows are bucketed by code, each bucket's offset
+    counted, and each left row takes its code's bucket.
+    """
+    kx, ky = (on, on) if isinstance(on, str) else on
+    lk, rk = x.column(kx), y.column(ky)
+    uniq, codes = np.unique(np.concatenate([lk, rk]), return_inverse=True)
+    lcode, rcode = codes[:len(lk)], codes[len(lk):]
+    per_code = np.bincount(rcode, minlength=len(uniq))
+    bucket_start = np.cumsum(per_code) - per_code
+    # right rows by (code, row): bucket c is bucket[bucket_start[c]:]
+    bucket = np.argsort(rcode, kind="stable")
+    probe = (np.argsort(lcode, kind="stable") if key_major
+             else np.arange(len(lk)))
+    matches = per_code[lcode[probe]]
+    take = np.maximum(matches, 1) if pad else matches
+    li = np.repeat(probe, take)
+    real = np.repeat(matches > 0, take)
+    slot = (np.repeat(bucket_start[lcode[probe]], take) + np.arange(len(li))
+            - np.repeat(np.cumsum(take) - take, take))
+    ri = np.zeros(len(li), dtype=np.int64)
+    ri[real] = bucket[slot[real]]
+    return kx, ky, li, ri, real
+
+
+def _joined(x: Relation, y: Relation, ky: str, li: np.ndarray,
+            ri: np.ndarray, real: np.ndarray) -> dict[str, np.ndarray]:
+    """x's fields at ``li``, then y's non-key fields (``_r`` suffixed on
+    a name clash) at ``ri`` where ``real``, else zero / empty-string."""
+    cols = {n: x.column(n)[li] for n in x.fields}
+    for n in y.fields:
+        if n != ky:
+            col = np.zeros(len(li), dtype=y.column(n).dtype)
+            col[real] = y.column(n)[ri[real]]
+            cols[n if n not in cols else f"{n}_r"] = col
+    return cols
+
+
+def _join(x: Relation, y: Relation, on: str | tuple[str, str]) -> Relation:
+    """Naive inner equi-join, ordered by (key, left row, right row)."""
+    kx, ky, li, ri, real = _match_pairs(x, y, on, key_major=True,
+                                        pad=False)
+    return Relation(_joined(x, y, ky, li, ri, real), key=kx)
+
+
+def _left_join(x: Relation, y: Relation, on: str | tuple[str, str],
+               match_field: str) -> Relation:
+    """Naive LEFT OUTER JOIN, ordered by (left row, right row).  An
+    unmatched left row appears once, with ``match_field`` 0 and zero /
+    empty-string pads in y's fields; matched rows carry 1."""
+    kx, ky, li, ri, real = _match_pairs(x, y, on, key_major=False, pad=True)
+    cols = _joined(x, y, ky, li, ri, real)
+    if match_field in cols:
+        raise UnsupportedError(f"match field {match_field!r} clashes with "
+                               "a relation field")
+    cols[match_field] = real.astype(np.int32)
+    return Relation(cols, key=kx)
+
+
 def _sum64(seg: np.ndarray) -> np.float64:
     """Float64 sum, left to right in row order."""
     return np.cumsum(seg, dtype=np.float64)[-1] if len(seg) else np.float64(0)
@@ -144,10 +217,9 @@ class _Reference:
             for pred in step.push_right:
                 right = operators.select(right, pred)
             if step.kind == "left":
-                cur = operators.left_join(cur, right, on=step.key,
-                                          match_field=step.match_field)
+                cur = _left_join(cur, right, step.key, step.match_field)
             elif step.key is not None:
-                cur = operators.join(cur, right, on=step.key)
+                cur = _join(cur, right, step.key)
             else:
                 cur = operators.product(cur, right)
         return cur

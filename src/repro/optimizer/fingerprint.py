@@ -115,9 +115,21 @@ def _render_timeline(obj: Timeline) -> str:
     return obj.memo(_render_timeline_fields)
 
 
+class RenderedTuple(tuple):
+    """A tuple rendered once, when it is built: :func:`canonical` gives
+    the plain tuple's text without walking it again.  For fixed values
+    that many keys hash, such as a serve request's fingerprint."""
+
+    def __new__(cls, items=()):
+        self = super().__new__(cls, items)
+        self.text = _render_sequence(self)
+        return self
+
+
 #: type -> renderer, filled on first sight of each type (a pure memo: the
 #: choice depends only on the type's bases and dataclass fields)
-_RENDERERS: dict[type, Callable[[Any], str]] = {Timeline: _render_timeline}
+_RENDERERS: dict[type, Callable[[Any], str]] = {
+    Timeline: _render_timeline, RenderedTuple: lambda obj: obj.text}
 
 
 def digest(*parts: Any) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import RelationError
 from .expr import Expr
 from .relation import Relation
-from .rows import pack_rows
+from .rows import int64_offsets, pack_rows, stable_order
 
 #: Supported aggregate functions.
 AGG_FUNCS = ("sum", "mean", "count", "count_distinct", "min", "max")
@@ -146,7 +146,12 @@ def _aggregate_empty(rel: Relation, group_by: list[str],
 def _group_order(rel: Relation, group_by: list[str]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Stable permutation making each group contiguous, and where each
-    group starts in it; groups come in packed-key ``np.unique`` order."""
+    group starts in it; groups come in packed-key ``np.unique`` order.
+
+    The rows are coded by one order-preserving integer per row (the
+    column itself, or :func:`_mixed_radix` over several) and put in
+    :func:`~repro.ra.rows.stable_order`, so an integer key costs one
+    SIMD sort of unique composites rather than a stable argsort."""
     cols = [rel.column(n) for n in group_by]
     if any(c.dtype.kind == "f" and np.isnan(c).any() for c in cols):
         # a NaN never equals itself, so np.unique makes every NaN row its
@@ -156,7 +161,7 @@ def _group_order(rel: Relation, group_by: list[str]
         codes = cols[0]
     else:
         codes = _mixed_radix(cols)
-    order = np.argsort(codes, kind="stable")
+    order = stable_order(codes)
     ordered = codes[order]
     starts = np.flatnonzero(np.concatenate(([True],
                                             ordered[1:] != ordered[:-1])))
@@ -168,14 +173,27 @@ def _mixed_radix(cols: list[np.ndarray]) -> np.ndarray:
     limit = np.iinfo(np.int64).max
     codes, card = np.zeros(len(cols[0]), dtype=np.int64), 1
     for col in cols:
-        uniq, inverse = np.unique(col, return_inverse=True)
-        if card * len(uniq) > limit:
+        digit, base = _column_codes(col)
+        if card * base > limit:
             # re-compress the prefix to dense codes, at most one per row
             prefix, codes = np.unique(codes, return_inverse=True)
             card = len(prefix)
-        codes = codes * len(uniq) + inverse
-        card *= len(uniq)
+        codes = codes * base + digit
+        card *= base
     return codes
+
+
+def _column_codes(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Order-preserving int64 codes of one column, and their count: an
+    integer column whose range is at most its row count is coded as
+    ``col - min`` (no sort), any other by its ``np.unique`` inverse."""
+    if col.dtype.kind in "biu":
+        lo = int(col.min())
+        base = int(col.max()) - lo + 1
+        if base <= len(col):
+            return int64_offsets(col, lo), base
+    uniq, inverse = np.unique(col, return_inverse=True)
+    return inverse, len(uniq)
 
 
 def _count_distinct(values: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import RelationError
 from .relation import Relation
-from .rows import pack_rows
+from .rows import pack_rows, stable_order
 
 
 @dataclass
@@ -111,7 +111,7 @@ def staged_sort(rel: Relation, by: list[str] | None = None,
         chunk = slice(start, min(start + run_length, n))
         local = order[chunk]
         if len(local) > 1:
-            order[chunk] = local[np.argsort(keys[local], kind="stable")]
+            order[chunk] = local[stable_order(keys[local])]
     stats.local_sort_passes = 1
     stats.elements_moved += n
 

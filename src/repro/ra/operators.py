@@ -13,7 +13,9 @@ import numpy as np
 from ..errors import RelationError
 from .expr import Predicate
 from .relation import Relation
-from .rows import inner_join_indices, pack_rows, rows_isin, unique_rows_mask
+from .rows import (
+    inner_join_indices, pack_rows, rows_isin, stable_order, unique_rows_mask,
+)
 
 
 def select(rel: Relation, predicate: Predicate) -> Relation:
@@ -131,7 +133,9 @@ def join(x: Relation, y: Relation, on: str | tuple[str, str] | None = None,
     kx, ky = _join_keys(x, y, on)
     li, ri = inner_join_indices(x.column(kx), y.column(ky))
     if preserve_order:
-        order = np.lexsort((ri, li))
+        # each left row's matches share one key, so they already come in
+        # right-index order: a stable sort on the left index suffices
+        order = stable_order(li)
         li, ri = li[order], ri[order]
     cols: dict[str, np.ndarray] = {n: x.column(n)[li] for n in x.fields}
     for n in y.fields:
@@ -154,22 +158,23 @@ def left_join(x: Relation, y: Relation,
     """
     kx, ky = _join_keys(x, y, on)
     li, ri = inner_join_indices(x.column(kx), y.column(ky))
-    unmatched = np.setdiff1d(np.arange(x.num_rows), li)
-    full_li = np.concatenate([li, unmatched])
-    full_ri = np.concatenate([ri, np.zeros(len(unmatched), dtype=ri.dtype)])
-    matched = np.concatenate([
-        np.ones(len(li), dtype=np.int32),
-        np.zeros(len(unmatched), dtype=np.int32)])
-    order = np.lexsort((full_ri, 1 - matched, full_li))
-    full_li, full_ri = full_li[order], full_ri[order]
-    matched = matched[order]
-    pad = matched == 0
+    # x order with each row's matches in y order (see join), and one
+    # padded slot in place of each x row without a match
+    ri = ri[stable_order(li)]
+    hits = np.bincount(li, minlength=x.num_rows)
+    slots = np.maximum(hits, 1)
+    full_li = np.repeat(np.arange(x.num_rows), slots)
+    pad = np.repeat(hits == 0, slots)
+    full_ri = np.zeros(len(full_li), dtype=ri.dtype)
+    full_ri[~pad] = ri
+    matched = (~pad).astype(np.int32)
     cols: dict[str, np.ndarray] = {n: x.column(n)[full_li] for n in x.fields}
     for n in y.fields:
         if n == ky:
             continue
         out = n if n not in cols else f"{n}_r"
-        col = y.column(n)[full_ri].copy()
+        col = (y.column(n)[full_ri] if y.num_rows
+               else np.zeros(len(full_ri), dtype=y.column(n).dtype))
         col[pad] = "" if col.dtype.kind in ("U", "S") else 0
         cols[out] = col
     if match_field in cols:

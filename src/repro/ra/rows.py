@@ -1,8 +1,16 @@
-"""Row-packing helpers: treat a columnar relation as an array of tuples.
+"""Row helpers: packed tuples, the interpreter's one stable order, and
+the sort-merge join's index pairs.
 
 Set-semantics operators (UNION, INTERSECTION, DIFFERENCE, UNIQUE) need to
 compare whole tuples; packing columns into a NumPy structured array lets us
 use sorted/set primitives (`np.unique`, `np.isin`) directly.
+
+JOIN, AGGREGATION and the exchange's row-order restore are sort-based
+(paper SS II) and each needs a *stable* order of an integer key.
+:func:`stable_order` is the one place that order is computed: it sorts the
+unique composite ``(key - min) * n + row`` with NumPy's default (SIMD)
+sort instead of running the stable timsort ``np.argsort(kind="stable")``
+picks for integers, and returns exactly that argsort's permutation.
 """
 
 from __future__ import annotations
@@ -10,6 +18,41 @@ from __future__ import annotations
 import numpy as np
 
 from .relation import Relation
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """Exactly ``np.argsort(keys, kind="stable")``, cheaper on integers.
+
+    For a bool or integer key of ``n`` rows whose ``(max - min + 1) * n``
+    fits in int64, the composites ``(key - min) * n + row`` are unique
+    and order rows by (key, row), so any sort of them yields the stable
+    permutation (``composite % n``), byte for byte.  Any other key --
+    float, string, structured, or an integer range too wide -- takes the
+    stable argsort itself.
+    """
+    n = len(keys)
+    if keys.dtype.kind in "biu" and n:
+        lo, hi = int(keys.min()), int(keys.max())
+        if (hi - lo + 1) * n <= _INT64_MAX:
+            composite = int64_offsets(keys, lo)
+            composite *= n
+            composite += np.arange(n)
+            composite.sort()
+            return composite % n
+    return np.argsort(keys, kind="stable")
+
+
+def int64_offsets(keys: np.ndarray, lo: int) -> np.ndarray:
+    """``keys - lo`` as a new int64 array, for integer keys whose range
+    above ``lo`` fits int64 (``lo`` at most their minimum)."""
+    if keys.dtype.kind == "u" and lo >= 0:  # uint64 may not fit unshifted
+        return (keys - keys.dtype.type(lo)).astype(np.int64)
+    out = keys.astype(np.int64)
+    out -= lo
+    return out
 
 
 def pack_rows(rel: Relation, fields: list[str] | None = None) -> np.ndarray:
@@ -46,20 +89,19 @@ def inner_join_indices(left_keys: np.ndarray, right_keys: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (li, ri) such that left_keys[li] == right_keys[ri].
 
-    Handles duplicate keys on both sides (produces the full cross product
-    per key group), as a sort-merge join does.  Output is ordered by key,
-    then by left index, then right index.
+    A sort-merge join: both sides are put in :func:`stable_order`, and
+    each sorted left key finds its run of equal right keys.  Duplicate
+    keys on both sides give the full cross product per key group.
+    Output is ordered by key, then by left index, then right index.
     """
     if len(left_keys) == 0 or len(right_keys) == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    lorder = np.argsort(left_keys, kind="stable")
-    rorder = np.argsort(right_keys, kind="stable")
+    lorder = stable_order(left_keys)
+    rorder = stable_order(right_keys)
     lsorted = left_keys[lorder]
     rsorted = right_keys[rorder]
 
-    lo = np.searchsorted(rsorted, lsorted, side="left")
-    hi = np.searchsorted(rsorted, lsorted, side="right")
-    counts = hi - lo  # matches per left row
+    lo, counts = _probe(lsorted, rsorted)  # first match, matches per left row
     total = int(counts.sum())
     if total == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -71,3 +113,25 @@ def inner_join_indices(left_keys: np.ndarray, right_keys: np.ndarray
     ri_sorted = starts + within
 
     return lorder[li_sorted], rorder[ri_sorted]
+
+
+def _probe(lsorted: np.ndarray, rsorted: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """For each sorted left key, where its run of equal keys starts in
+    the sorted right keys, and how long the run is.
+
+    Integer keys whose joint range is at most the row count are counted
+    into per-key bins (one ``bincount``); other keys binary-search the
+    right side twice.  Both give the same two arrays.
+    """
+    if lsorted.dtype.kind in "biu" and rsorted.dtype.kind in "biu":
+        lo = min(int(lsorted[0]), int(rsorted[0]))
+        span = max(int(lsorted[-1]), int(rsorted[-1])) - lo + 1
+        if span <= len(lsorted) + len(rsorted):
+            per_key = np.bincount(int64_offsets(rsorted, lo), minlength=span)
+            ends = np.cumsum(per_key)
+            slot = int64_offsets(lsorted, lo)
+            counts = per_key[slot]
+            return ends[slot] - counts, counts
+    first = np.searchsorted(rsorted, lsorted, side="left")
+    return first, np.searchsorted(rsorted, lsorted, side="right") - first

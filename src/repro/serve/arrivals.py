@@ -98,10 +98,11 @@ def request_fingerprint(kind: str, elements: int
                         ) -> tuple[str, tuple[tuple[str, int], ...]]:
     """Content identity of a catalog request: the plan fingerprint of
     ``kind`` plus its sorted source cardinalities at ``elements``,
-    computed once per ``(kind, elements)``."""
-    from ..optimizer.fingerprint import plan_fingerprint
-    return (plan_fingerprint(catalog_plan(kind)),
-            tuple(sorted(catalog_rows(kind, elements).items())))
+    computed and rendered once per ``(kind, elements)`` (every dispatch
+    key hashes it)."""
+    from ..optimizer.fingerprint import RenderedTuple, plan_fingerprint
+    return RenderedTuple((plan_fingerprint(catalog_plan(kind)),
+                          tuple(sorted(catalog_rows(kind, elements).items()))))
 
 
 #: the frontend-compiled suite (src/repro/tpch/catalog.py), served under

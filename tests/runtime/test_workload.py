@@ -401,7 +401,8 @@ class TestQueryProgramMemo:
         from repro.cluster.host import contended_device
         from repro.simgpu import DeviceSpec
         a = contended_device(DeviceSpec(), 2)
-        b = contended_device(DeviceSpec(), 2)
+        # contended_device returns one object for equal inputs; copy it
+        b = DeviceSpec(calib=a.calib, num_copy_engines=a.num_copy_engines)
         assert a is not b and a == b
         WorkloadScheduler(a).enqueue_batched_streams(workload, ROWS)
         n = len(lowerings)
