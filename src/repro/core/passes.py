@@ -72,7 +72,6 @@ def compile_plan(plan: Plan, source_rows: dict[str, int],
                  device: DeviceSpec | None = None) -> CompiledPlan:
     """Run the full pipeline on a logical plan."""
     from ..optimizer import Optimizer
-    from ..runtime.executor import LoweredRegion
     from ..runtime.sizes import PlanShape
 
     device = device or DeviceSpec()
@@ -89,9 +88,8 @@ def compile_plan(plan: Plan, source_rows: dict[str, int],
         for c in decision.ranked())
 
     fusion = shape.fusion(strategy.uses_fusion)
-    sizes = shape.sizes(source_rows)
-    chains = [LoweredRegion.of(region, sizes).chain
-              for region in fusion.regions]
+    chains = [lr.chain
+              for lr in shape.lowered(strategy.uses_fusion, source_rows)]
 
     return CompiledPlan(
         source_plan=plan, plan=optimized, fusion=fusion, chains=chains,

@@ -17,13 +17,18 @@ road everywhere the lowering optimizes:
   domain, bucket the right rows by key with a counting pass, and walk
   the left rows in the defined order, each taking its key's bucket.
   They share no code with :func:`repro.ra.rows.inner_join_indices`.
+* its own ORDER BY, LIMIT and DISTINCT -- :func:`lexsort_order` orders
+  rows with ``np.lexsort`` (descending fields by inverted ``np.unique``
+  ranks) and :func:`_distinct` keeps each packed row's first occurrence;
+  they share no code with :mod:`repro.ra.sort`, whose integer keys go
+  through :func:`repro.ra.rows.stable_order` instead.
 
 Both aggregate kernels follow one definition of the float results: a
 float SUM accumulates in float64, left to right in input row order
 (``np.cumsum(seg, dtype=float64)[-1]``), and is cast back to the column's
 dtype; MEAN is that float64 sum over the count, cast to a float column's
 dtype (float64 for integer columns).  The join-key choices, the
-select/project/set/sort primitives from :mod:`repro.ra` and the
+select/project/set primitives from :mod:`repro.ra` and the
 aggregate-naming recipe are shared with the plan path.  A disagreement
 in the byte-for-byte comparison therefore points at a real semantic
 divergence, not float noise.
@@ -35,12 +40,12 @@ from collections import defaultdict
 
 import numpy as np
 
+from ..errors import RelationError
 from ..ra import arithmetic, operators
 from ..ra.arithmetic import AggSpec
 from ..ra.expr import Compare, Field, Predicate, conjoin
 from ..ra.relation import Relation
 from ..ra.rows import pack_rows
-from ..ra.sort import sort as ra_sort, top_n as ra_top_n, unique as ra_unique
 from ..sql.ast import Exists, InSubquery, ScalarSubquery
 from .binder import BoundQuery
 from .common import (
@@ -177,6 +182,42 @@ def _left_join(x: Relation, y: Relation, on: str | tuple[str, str],
                                "a relation field")
     cols[match_field] = real.astype(np.int32)
     return Relation(cols, key=kx)
+
+
+def lexsort_order(columns, by: list[str],
+                  descending: "bool | list[bool]" = False) -> np.ndarray:
+    """The stable row permutation ordering ``columns`` by ``by``, by
+    ``np.lexsort``.  A single ``descending`` bool reverses the whole
+    order, ties too; a per-field list sorts each descending field by its
+    inverted ``np.unique`` rank, so ties keep their input order."""
+    if not by:
+        raise RelationError("sort needs at least one field")
+    for n in by:
+        if n not in columns:
+            raise RelationError(f"sort field {n!r} not in relation")
+    if isinstance(descending, list):
+        if len(descending) != len(by):
+            raise RelationError(
+                f"{len(by)} sort field(s) but {len(descending)} direction(s)")
+        keys = []
+        for name, desc in zip(by, descending):
+            col = np.asarray(columns[name])
+            if desc:
+                values, inverse = np.unique(col, return_inverse=True)
+                col = (len(values) - 1) - inverse
+            keys.append(col)
+        # np.lexsort sorts by the *last* key first
+        return np.lexsort(tuple(reversed(keys)))
+    order = np.lexsort(tuple(np.asarray(columns[n]) for n in reversed(by)))
+    return order[::-1] if descending else order
+
+
+def _distinct(rel: Relation) -> Relation:
+    """Each distinct row once, at its first occurrence, in input order."""
+    _, first = np.unique(pack_rows(rel), return_index=True)
+    keep = np.zeros(rel.num_rows, dtype=bool)
+    keep[first] = True
+    return rel.take(keep)
 
 
 def _sum64(seg: np.ndarray) -> np.float64:
@@ -395,7 +436,7 @@ class _Reference:
         out_fields = [i.alias for i in bq.items]
         cur = operators.project(cur, list(out_fields))
         if bq.distinct:
-            cur = ra_unique(cur)
+            cur = _distinct(cur)
         if bq.set_op is not None:
             op, rhs_bq = bq.set_op
             rhs = self.query(rhs_bq)
@@ -404,13 +445,15 @@ class _Reference:
             else:
                 cur = operators.except_all(cur, rhs)
             if op in ("union", "except"):
-                cur = ra_unique(cur)
+                cur = _distinct(cur)
         if bq.order_by:
             by, descending = order_spec(bq)
+            order = lexsort_order(cur.columns, by, descending)
             if bq.limit is not None:
-                cur = ra_top_n(cur, by, bq.limit, descending=descending)
-            else:
-                cur = ra_sort(cur, by=by, descending=descending)
+                if bq.limit < 0:
+                    raise RelationError(f"top_n needs n >= 0, got {bq.limit}")
+                order = order[:bq.limit]
+            cur = cur.take(order)
         elif bq.limit is not None:
             raise UnsupportedError("LIMIT without ORDER BY has no "
                                    "deterministic meaning here")

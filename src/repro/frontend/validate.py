@@ -15,20 +15,19 @@ import numpy as np
 
 from ..plans.interp import evaluate
 from ..ra.relation import Relation
-from ..ra.sort import sort_order
 from ..sql.lexer import SqlError
 from .binder import bind_sql
 from .catalog import BindError, Catalog
 from .common import UnsupportedError, order_spec
 from .lower import CompiledQuery, lower
-from .reference import execute as reference_execute
+from .reference import execute as reference_execute, lexsort_order
 
 
 def canonical(rel: Relation) -> Relation:
     """Sort on all columns; ties cannot survive over the full width."""
     if rel.num_rows <= 1:
         return rel
-    order = sort_order(rel.columns, by=list(rel.fields))
+    order = lexsort_order(rel.columns, by=list(rel.fields))
     return rel.take(order)
 
 
@@ -62,7 +61,7 @@ def ordering_violation(rel: Relation, by: list[str],
         return None
     if not isinstance(descending, list):
         descending = [descending] * len(by)
-    order = sort_order(rel.columns, by=by, descending=descending)
+    order = lexsort_order(rel.columns, by=by, descending=descending)
     if not np.array_equal(order, np.arange(rel.num_rows)):
         return f"output is not ordered by {by}"
     return None

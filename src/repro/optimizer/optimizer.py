@@ -25,6 +25,7 @@ buy nothing, the optimizer should say so by picking the plain plan.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from dataclasses import dataclass, field
 
 from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
@@ -35,6 +36,7 @@ from ..runtime.sizes import PlanShape, node_bytes
 from ..runtime.strategies import (ROUNDTRIP_MEMORY, STAGING_MEMORY,
                                   ExecutionConfig, Strategy)
 from ..simgpu.device import DeviceSpec
+from ..simgpu.engine import stream_floor
 from ..simgpu.pcie import Direction, PcieModel
 from .costmodel import CostModel
 from .fingerprint import (calibration_fingerprint, cluster_fingerprint,
@@ -60,6 +62,9 @@ def _rank(option: StrategyOption) -> int:
 
 #: the note a candidate carries when branch and bound skipped it
 PRUNED_NOTE = "bound \u2265 best"
+
+#: what a run that cannot execute raises: the option is infeasible
+_RUN_ERRORS = (DeviceOOMError, PlanError, FaultError, KeyError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -244,8 +249,10 @@ class Optimizer:
         ctx = EnumContext(plan=plan, stats=stats, max_devices=max_devices,
                           schemes=schemes, include_cpubase=include_cpubase)
         priced: list[PricedOption] = []
-        #: (bound, rank, index) of every option left to confirm
+        #: (bound, rank, index) of every option left to confirm, a heap
         pending: list[tuple[float, int, int]] = []
+        #: indices whose bound is still the cheap source bound
+        unrefined: set[int] = set()
         for option in enumerate_from(ctx):
             priced.append(PricedOption(option=option))
             verdict = self._memory_verdict(shape, plan_fp, stats_dg,
@@ -256,21 +263,39 @@ class Optimizer:
                 priced[-1] = dataclasses.replace(
                     priced[-1], feasible=False,
                     notes=(f"MEM701 certain OOM: {verdict.detail}",))
-            else:
-                bound = self._lower_bound(shape, ctx, option)
-                pending.append((bound, _rank(option), len(priced) - 1))
+                continue
+            pending.append((self._source_bound(shape, ctx, option),
+                            _rank(option), len(priced) - 1))
+            if option.kind == "single":
+                unrefined.add(len(priced) - 1)
+        heapq.heapify(pending)
 
         # branch and bound: confirm the cheapest bounds first; an option
         # whose (bound, rank, index) already loses to the best confirmed
         # (price, rank, index) cannot win, since price >= bound -- and
-        # neither can any option after it in this order
+        # neither can any option after it in this order.  A device
+        # option's command floor is computed only when its cheap bound
+        # reaches the head, and it goes back in at the larger of the two;
+        # when a refined key reaches the head, every other option's bound
+        # is at least as large, so options are confirmed in the order of
+        # their refined bounds and the choice is the same as bounding
+        # every option up front
         best: tuple[float, int, int] | None = None
         best_run = None
-        for key in sorted(pending):
+        while pending:
+            key = heapq.heappop(pending)
             bound, rank, i = key
             if best is not None and key > best:
-                priced[i] = dataclasses.replace(
-                    priced[i], bound_s=bound, notes=(PRUNED_NOTE,))
+                for bound, _, j in [key, *pending]:
+                    priced[j] = dataclasses.replace(
+                        priced[j], bound_s=bound, notes=(PRUNED_NOTE,))
+                break
+            if i in unrefined:
+                unrefined.discard(i)
+                heapq.heappush(pending, (
+                    max(bound, self._command_floor(shape, ctx,
+                                                   priced[i].option)),
+                    rank, i))
                 continue
             sim, feasible, notes, run = self._simulate(
                 shape, stats, priced[i].option)
@@ -296,7 +321,20 @@ class Optimizer:
     # ------------------------------------------------------------------
     def _lower_bound(self, shape: PlanShape, ctx: EnumContext,
                      option: StrategyOption) -> float:
-        """Seconds no simulated run of `option` can beat.
+        """Seconds no simulated run of `option` can beat: the larger of
+        its source bound (:meth:`_source_bound`) and, for a single-device
+        option, its command floor (:meth:`_command_floor`).
+        :meth:`choose` reaches the same value lazily, computing the
+        command floor only for an option whose source bound is at the
+        head of the branch-and-bound order."""
+        bound = self._source_bound(shape, ctx, option)
+        if option.kind == "single":
+            bound = max(bound, self._command_floor(shape, ctx, option))
+        return bound
+
+    def _source_bound(self, shape: PlanShape, ctx: EnumContext,
+                      option: StrategyOption) -> float:
+        """The cheap bound, from the plan's sizes alone.
 
         Every transfer takes at least ``bytes / peak_bandwidth``
         (:meth:`~repro.simgpu.pcie.PcieModel.peak_bandwidth`), a device
@@ -346,6 +384,43 @@ class Optimizer:
         return busiest / pcie.peak_bandwidth(Direction.H2D,
                                               STAGING_MEMORY)
 
+    def _command_floor(self, shape: PlanShape, ctx: EnumContext,
+                       option: StrategyOption) -> float:
+        """The floor of the stream program the Executor queues for a
+        single-device option (:meth:`Executor.program`: the same lowering,
+        chunk count and launch specs as the confirming run).
+
+        A transfer takes at least its bytes over the peak bandwidth of
+        its direction and host memory; a kernel at least ``launch +
+        max(traffic / mem_bw, instructions / inst_rate)``
+        (:func:`~repro.simgpu.compute.kernel_floor`, spills counted).
+        Serial, fused and round-trip runs are one in-order stream, whose
+        makespan is the sum of its commands' durations, so the sum of
+        their floors bounds it (:func:`~repro.simgpu.engine.stream_floor`).
+        A fission run's phases A, B and C run one after another: phase
+        A's and phase C's streams are floored the same way, and phase B
+        uploads every driver and co-driver row through the one H2D engine,
+        so its bytes over the fission memory's H2D peak bound it.  A
+        fission with no prefix runs, and is floored, as serial.  A program
+        the Executor refuses to build (the chunk planner's
+        ``DeviceOOMError``) fails its simulation too; its floor is 0.
+        """
+        try:
+            program = self._executor().program(
+                shape, ctx.stats.source_rows(),
+                ExecutionConfig(strategy=option.strategy))
+        except _RUN_ERRORS:
+            return 0.0
+        pcie = self.cost_model.pcie
+        first, *rest = program.streams
+        floor = stream_floor(first, self.device, pcie)
+        if program.pipelined_bytes > 0:
+            floor += program.pipelined_bytes / pcie.peak_bandwidth(
+                Direction.H2D, program.pipelined_memory)
+        for stream in rest:
+            floor += stream_floor(stream, self.device, pcie)
+        return floor
+
     # ------------------------------------------------------------------
     def _memory_verdict(self, shape: PlanShape, plan_fp: str, stats_dg: str,
                         calib_fp: str, option: StrategyOption,
@@ -376,8 +451,7 @@ class Optimizer:
         Returns (makespan | None, feasible, notes, run | None)."""
         try:
             res = self._execute(plan, stats.source_rows(), option)
-        except (DeviceOOMError, PlanError, FaultError, KeyError,
-                ValueError) as err:
+        except _RUN_ERRORS as err:
             return None, False, [f"{type(err).__name__}: {err}"], None
         notes = ([f"{res.num_chunks} chunks"]
                  if option.kind == "single" and res.num_chunks > 1 else [])

@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import RelationError
 from .expr import Expr
 from .relation import Relation
-from .rows import int64_offsets, pack_rows, stable_order
+from .rows import mixed_radix, pack_rows, stable_order
 
 #: Supported aggregate functions.
 AGG_FUNCS = ("sum", "mean", "count", "count_distinct", "min", "max")
@@ -149,9 +149,10 @@ def _group_order(rel: Relation, group_by: list[str]
     group starts in it; groups come in packed-key ``np.unique`` order.
 
     The rows are coded by one order-preserving integer per row (the
-    column itself, or :func:`_mixed_radix` over several) and put in
-    :func:`~repro.ra.rows.stable_order`, so an integer key costs one
-    SIMD sort of unique composites rather than a stable argsort."""
+    column itself, or :func:`~repro.ra.rows.mixed_radix` over several)
+    and put in :func:`~repro.ra.rows.stable_order`, so an integer key
+    costs one SIMD sort of unique composites rather than a stable
+    argsort."""
     cols = [rel.column(n) for n in group_by]
     if any(c.dtype.kind == "f" and np.isnan(c).any() for c in cols):
         # a NaN never equals itself, so np.unique makes every NaN row its
@@ -160,40 +161,12 @@ def _group_order(rel: Relation, group_by: list[str]
     elif len(cols) == 1:
         codes = cols[0]
     else:
-        codes = _mixed_radix(cols)
+        codes = mixed_radix(cols)
     order = stable_order(codes)
     ordered = codes[order]
     starts = np.flatnonzero(np.concatenate(([True],
                                             ordered[1:] != ordered[:-1])))
     return order, starts
-
-
-def _mixed_radix(cols: list[np.ndarray]) -> np.ndarray:
-    """One int64 per row whose order is the rows' lexicographic order."""
-    limit = np.iinfo(np.int64).max
-    codes, card = np.zeros(len(cols[0]), dtype=np.int64), 1
-    for col in cols:
-        digit, base = _column_codes(col)
-        if card * base > limit:
-            # re-compress the prefix to dense codes, at most one per row
-            prefix, codes = np.unique(codes, return_inverse=True)
-            card = len(prefix)
-        codes = codes * base + digit
-        card *= base
-    return codes
-
-
-def _column_codes(col: np.ndarray) -> tuple[np.ndarray, int]:
-    """Order-preserving int64 codes of one column, and their count: an
-    integer column whose range is at most its row count is coded as
-    ``col - min`` (no sort), any other by its ``np.unique`` inverse."""
-    if col.dtype.kind in "biu":
-        lo = int(col.min())
-        base = int(col.max()) - lo + 1
-        if base <= len(col):
-            return int64_offsets(col, lo), base
-    uniq, inverse = np.unique(col, return_inverse=True)
-    return inverse, len(uniq)
 
 
 def _count_distinct(values: np.ndarray, counts: np.ndarray) -> np.ndarray:

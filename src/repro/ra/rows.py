@@ -55,6 +55,36 @@ def int64_offsets(keys: np.ndarray, lo: int) -> np.ndarray:
     return out
 
 
+def mixed_radix(cols: list[np.ndarray]) -> np.ndarray:
+    """One int64 per row whose order is the rows' lexicographic order
+    over ``cols`` (the first column most significant); equal rows get
+    equal codes."""
+    limit = np.iinfo(np.int64).max
+    codes, card = np.zeros(len(cols[0]), dtype=np.int64), 1
+    for col in cols:
+        digit, base = _column_codes(col)
+        if card * base > limit:
+            # re-compress the prefix to dense codes, at most one per row
+            prefix, codes = np.unique(codes, return_inverse=True)
+            card = len(prefix)
+        codes = codes * base + digit
+        card *= base
+    return codes
+
+
+def _column_codes(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Order-preserving int64 codes of one column, and their count: an
+    integer column whose range is at most its row count is coded as
+    ``col - min`` (no sort), any other by its ``np.unique`` inverse."""
+    if col.dtype.kind in "biu":
+        lo = int(col.min())
+        base = int(col.max()) - lo + 1
+        if base <= len(col):
+            return int64_offsets(col, lo), base
+    uniq, inverse = np.unique(col, return_inverse=True)
+    return inverse, len(uniq)
+
+
 def pack_rows(rel: Relation, fields: list[str] | None = None) -> np.ndarray:
     """Pack the given fields (default: all) into a structured array."""
     names = fields if fields is not None else rel.fields

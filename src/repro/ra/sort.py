@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import RelationError
 from .relation import Relation
-from .rows import pack_rows, unique_rows_mask
+from .rows import mixed_radix, pack_rows, stable_order, unique_rows_mask
 
 
 def sort_order(columns, by: list[str],
@@ -22,32 +22,35 @@ def sort_order(columns, by: list[str],
     ``descending`` may be a single bool (legacy semantics: a fully
     reversed order, ties reversed too) or a per-field list, in which
     case descending fields sort by *inverted ranks* -- a stable
-    multi-direction lexsort where ties keep their original order.  Both
-    the SORT/TOP_N operators and the frontend's reference interpreter
-    order rows through this one helper, so ORDER BY tie-breaks are
-    identical on both paths by construction.
+    multi-direction sort where ties keep their original order.  When
+    every key is bool or integer (a descending field's ranks always
+    are), the keys are coded into one int64 (:func:`mixed_radix`) and
+    put in :func:`stable_order`; any other key takes ``np.lexsort``.
+    Both give the one stable permutation, byte for byte.
     """
     if not by:
         raise RelationError("sort needs at least one field")
     for n in by:
         if n not in columns:
             raise RelationError(f"sort field {n!r} not in relation")
-    if isinstance(descending, list):
-        if len(descending) != len(by):
-            raise RelationError(
-                f"{len(by)} sort field(s) but {len(descending)} direction(s)")
-        keys = []
-        for name, desc in zip(by, descending):
-            col = np.asarray(columns[name])
-            if desc:
-                values, inverse = np.unique(col, return_inverse=True)
-                col = (len(values) - 1) - inverse
-            keys.append(col)
+    directions = (descending if isinstance(descending, list)
+                  else [False] * len(by))
+    if len(directions) != len(by):
+        raise RelationError(
+            f"{len(by)} sort field(s) but {len(directions)} direction(s)")
+    keys = []
+    for name, desc in zip(by, directions):
+        col = np.asarray(columns[name])
+        if desc:
+            values, inverse = np.unique(col, return_inverse=True)
+            col = (len(values) - 1) - inverse
+        keys.append(col)
+    if len(keys[0]) and all(k.dtype.kind in "biu" for k in keys):
+        order = stable_order(keys[0] if len(keys) == 1 else mixed_radix(keys))
+    else:
         # np.lexsort sorts by the *last* key first
-        return np.lexsort(tuple(reversed(keys)))
-    keys = tuple(np.asarray(columns[n]) for n in reversed(by))
-    order = np.lexsort(keys)
-    if descending:
+        order = np.lexsort(tuple(reversed(keys)))
+    if not isinstance(descending, list) and descending:
         order = order[::-1]
     return order
 

@@ -17,7 +17,7 @@ the same program on observed rows and bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from ..core.fission import Segment, run_fissioned, split_for_fission
@@ -34,6 +34,7 @@ from ..ra.relation import Relation
 from ..simgpu.compute import KernelLaunchSpec
 from ..simgpu.device import DeviceSpec
 from ..simgpu.engine import SimEngine, SimStream
+from ..simgpu.pcie import HostMemory
 from ..simgpu.timeline import EventKind, Timeline
 from .sizes import PlanShape, chunk_count, footprint
 from .strategies import (CPU_BASELINE, ROUNDTRIP_MEMORY, STAGING_MEMORY,
@@ -110,7 +111,11 @@ class RunResult:
 @dataclass
 class LoweredRegion:
     """A fusion region lowered to its kernel chain, with the plan-level
-    buffers its kernels read."""
+    buffers its kernels read.
+
+    Its launch specs are built once per (device, rows) and kept: every
+    stream program that queues this region -- a lower bound's and each
+    run's -- reads the same frozen specs."""
 
     region: Region
     chain: KernelChain
@@ -122,6 +127,8 @@ class LoweredRegion:
     writes: tuple[str, ...]
     #: bytes of the region's output (what a sink downloads)
     out_bytes: float = 0.0
+    _specs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def of(cls, region: Region, sizes: dict[str, int],
@@ -138,6 +145,25 @@ class LoweredRegion:
                     side.append(inp.name)
         return cls(region, lower_region(region, costs, n_in), n_in, primary,
                    tuple(side), (region.output_node.name,), out_bytes)
+
+    def side_specs(self, device: DeviceSpec, sizes: dict[str, int]
+                   ) -> tuple[KernelLaunchSpec, ...]:
+        """The build kernels' launch specs, sized by ``sizes``."""
+        key = (device, tuple(sizes.get(feed.name, 0)
+                             for _, feed in self.chain.side_kernels))
+        if key not in self._specs:
+            self._specs[key] = tuple(
+                self.chain.side_launch_specs(device, sizes))
+        return self._specs[key]
+
+    def main_specs(self, n_rows: int, device: DeviceSpec
+                   ) -> tuple[KernelLaunchSpec, ...]:
+        """The main kernels' launch specs over ``n_rows`` input rows."""
+        key = (n_rows, device)
+        if key not in self._specs:
+            self._specs[key] = tuple(
+                self.chain.main_launch_specs(n_rows, device))
+        return self._specs[key]
 
 
 #: one queued kernel: (launch spec, buffers it reads, buffers it writes)
@@ -158,14 +184,14 @@ def region_commands(lr: LoweredRegion, device: DeviceSpec,
     commands: list[KernelCommandSpec] = []
     build_buf = f"{lr.region.name}.build"
     if build:
-        for spec in lr.chain.side_launch_specs(device, sizes):
+        for spec in lr.side_specs(device, sizes):
             commands.append((spec, lr.side_inputs, (build_buf,)))
     if frac is None:
         return commands
     reads = (lr.primary_input.name,) + (
         (build_buf,) if lr.chain.side_kernels else lr.side_inputs)
     n_rows = max(1, int(round(lr.n_in * frac)))
-    for spec in lr.chain.main_launch_specs(n_rows, device):
+    for spec in lr.main_specs(n_rows, device):
         commands.append((spec, reads, lr.writes))
     return commands
 
@@ -290,9 +316,8 @@ class Executor:
         if self.analyze:
             self._analysis_reports.append(
                 self._analyzer().run(fusion, strict=True))
-        lowered = [LoweredRegion.of(r, sizes, self.costs,
-                                    nbytes[r.output_node.name])
-                   for r in fusion.regions]
+        lowered = shape.lowered(config.strategy.uses_fusion, source_rows,
+                                self.costs)
         driver = self._driver_source(plan, sizes)
 
         n_in = sizes[driver.name]
@@ -303,18 +328,58 @@ class Executor:
                         + sum(nbytes[n.name] for n in _source_sinks(plan)))
         n_out = sum(sizes[n.name] for n in plan.sinks())
 
-        run = (self._run_fission
-               if config.strategy.uses_fission and config.include_transfers
-               else self._run_serial)
-        timeline, num_chunks, (expected_h2d, expected_d2h) = run(
-            shape, lowered, sizes, nbytes, driver, config, injector,
-            functional)
+        # a fault run's engine prunes the streams it runs, and a
+        # placement re-queues their commands: both get a program of
+        # their own instead of the shape's
+        program = (self._build_program(shape, source_rows, config)
+                   if injector is not None or functional is not None
+                   else self.program(shape, source_rows, config))
+        if program.phases is not None:
+            timeline, num_chunks, (expected_h2d, expected_d2h) = (
+                self._run_fission(shape, program, sizes, nbytes,
+                                  driver, config, injector, functional))
+        else:
+            timeline, num_chunks, (expected_h2d, expected_d2h) = (
+                self._run_serial(shape, program, lowered, nbytes, driver,
+                                 config, injector, functional))
         return RunResult(
             strategy=config.strategy, timeline=timeline, sizes=sizes,
             n_in=n_in, n_out=n_out, input_bytes=input_bytes,
             output_bytes=output_bytes, fusion=fusion, num_chunks=num_chunks,
             expected_h2d_bytes=expected_h2d, expected_d2h_bytes=expected_d2h,
         )
+
+    def program(self, shape: PlanShape, source_rows: dict[str, int] | None,
+                config: ExecutionConfig) -> "DeviceProgram":
+        """The stream program :meth:`run` queues for ``config.strategy``
+        on ``shape`` when no fault is injected, without running it.  It
+        is built once per (config, row map, device, costs) and kept on
+        the shape, so the optimizer's lower bound and every run read the
+        same commands and none may mutate them.  Raises
+        :class:`~repro.errors.DeviceOOMError` where the run would."""
+        return shape.derived(
+            ("program", config, self.device, self.costs), source_rows,
+            lambda: self._build_program(shape, source_rows, config))
+
+    def _build_program(self, shape: PlanShape,
+                       source_rows: dict[str, int] | None,
+                       config: ExecutionConfig) -> "DeviceProgram":
+        plan = shape.plan
+        sizes = shape.sizes(source_rows)
+        nbytes = shape.nbytes(source_rows)
+        lowered = shape.lowered(config.strategy.uses_fusion, source_rows,
+                                self.costs)
+        driver = self._driver_source(plan, sizes)
+        if _pipelines(config):
+            program = self._fission_program(shape, lowered, sizes, nbytes,
+                                            driver, config)
+            if program is not None:
+                return program
+            # nothing to pipeline: the run degenerates to serial
+        stream, num_chunks, scales = self._serial_stream(
+            shape, lowered, sizes, nbytes, driver, config)
+        return DeviceProgram((stream,), num_chunks=num_chunks,
+                             scales=tuple(scales))
 
     def run_cpubase(self, plan: "Plan | PlanShape",
                     source_rows: dict[str, int] | None = None) -> RunResult:
@@ -356,15 +421,46 @@ class Executor:
         return max(sources, key=lambda s: sizes[s.name])
 
     # -- serial / round-trip execution ------------------------------------------
-    def _run_serial(self, shape: PlanShape, lowered: list[LoweredRegion],
-                    sizes: dict[str, int], nbytes: dict[str, float],
+    def _run_serial(self, shape: PlanShape, program: "DeviceProgram",
+                    lowered: list[LoweredRegion], nbytes: dict[str, float],
                     driver: PlanNode, config: ExecutionConfig,
                     injector: FaultInjector | None, functional=None
                     ) -> tuple[Timeline, int, tuple[float, float]]:
         """(timeline, chunks, expected (H2D, D2H) bytes) of one serial or
-        round-trip run."""
+        round-trip run of ``program``."""
         plan = shape.plan
         engine = SimEngine(self.device, check=self.check, faults=injector)
+        (stream,) = program.streams
+        num_chunks, scales = program.num_chunks, program.scales
+        sink_names = {n.name for n in plan.sinks()}
+        expected = self._expected_serial_bytes(
+            plan, lowered, nbytes, sink_names, config)
+        if self.analyze and config.include_transfers:
+            # transfers off means sources are never "written", which would
+            # false-positive the use-before-upload check -- skip then
+            self._analysis_reports.append(
+                self._analyzer().run([stream], unit=f"serial.{plan.name}",
+                                     strict=True))
+        if functional is not None:
+            placed = nbytes
+            if num_chunks > 1:
+                # the sizes the chunk planner admitted: the driver and
+                # every buffer a driver-scaled region writes hold a chunk
+                chunked = [driver.name] + [
+                    name for lr, scaled in zip(lowered, scales) if scaled
+                    for name in lr.writes]
+                placed = {**nbytes, **{n: nbytes[n] / num_chunks
+                                       for n in chunked}}
+            stream = functional.place(stream, placed)
+        return engine.run([stream]), num_chunks, expected
+
+    def _serial_stream(self, shape: PlanShape, lowered: list[LoweredRegion],
+                       sizes: dict[str, int], nbytes: dict[str, float],
+                       driver: PlanNode, config: ExecutionConfig
+                       ) -> tuple[SimStream, int, list[bool]]:
+        """(the one stream, chunks, which regions scale with the driver)
+        of a serial or round-trip run."""
+        plan = shape.plan
         num_chunks = 1
         if config.include_transfers:
             num_chunks = self._plan_chunks(plan, lowered, nbytes, driver,
@@ -373,8 +469,6 @@ class Executor:
         stream = SimStream(stream_id=0)
         upload = config.compression.upload
         sink_names = {n.name for n in plan.sinks()}
-        expected = self._expected_serial_bytes(
-            plan, lowered, nbytes, sink_names, config)
 
         # side (non-driver) sources are loaded once, up front
         if config.include_transfers:
@@ -422,24 +516,7 @@ class Executor:
 
         if config.include_transfers:
             _download_source_sinks(stream, plan, nbytes)
-        if self.analyze and config.include_transfers:
-            # transfers off means sources are never "written", which would
-            # false-positive the use-before-upload check -- skip then
-            self._analysis_reports.append(
-                self._analyzer().run([stream], unit=f"serial.{plan.name}",
-                                     strict=True))
-        if functional is not None:
-            placed = nbytes
-            if num_chunks > 1:
-                # the sizes the chunk planner admitted: the driver and
-                # every buffer a driver-scaled region writes hold a chunk
-                chunked = [driver.name] + [
-                    name for lr, scaled in zip(lowered, scales) if scaled
-                    for name in lr.writes]
-                placed = {**nbytes, **{n: nbytes[n] / num_chunks
-                                       for n in chunked}}
-            stream = functional.place(stream, placed)
-        return engine.run([stream]), num_chunks, expected
+        return stream, num_chunks, scales
 
     def _expected_serial_bytes(self, plan: Plan, lowered: list[LoweredRegion],
                                nbytes: dict[str, float], sink_names: set[str],
@@ -519,7 +596,7 @@ class Executor:
                              self.device.global_mem_bytes)
 
     # -- fission execution --------------------------------------------------------
-    def _run_fission(self, shape: PlanShape, lowered: list[LoweredRegion],
+    def _run_fission(self, shape: PlanShape, program: "DeviceProgram",
                      sizes: dict[str, int], nbytes: dict[str, float],
                      driver: PlanNode, config: ExecutionConfig,
                      injector: FaultInjector | None, functional=None
@@ -527,43 +604,20 @@ class Executor:
         """Like :meth:`_run_serial`, pipelining the driver's prefix."""
         plan = shape.plan
         place = functional.place if functional is not None else (lambda s: s)
-        by_region = {id(lr.region): lr for lr in lowered}
-        prefix, phase_a, rest = (
-            [by_region[id(r)] for r in part]
-            for part in split_for_fission([lr.region for lr in lowered],
-                                          driver))
-        if not prefix:
-            # nothing to pipeline -- degenerate to serial, same config otherwise
-            return self._run_serial(shape, lowered, sizes, nbytes, driver,
-                                    replace(config, strategy=Strategy.SERIAL),
-                                    injector, functional)
+        phases = program.phases
+        prefix, rest = phases.prefix, phases.rest
+        pre, post = program.streams
 
         timeline = Timeline()
         engine = SimEngine(self.device, check=self.check, faults=injector)
 
-        # column arrays consumed positionally by gather joins in the prefix
-        # stream with the driver, segment by segment (Q1's six columns)
-        co_drivers = self._co_driver_sources(prefix, driver, sizes)
-
         # phase A: load side sources, run driver-independent regions, and
         # run the prefix's build kernels once
-        sink_names = {n.name for n in plan.sinks()}
-        pre = SimStream(stream_id=0)
-        for src in plan.sources():
-            if src is driver or src in co_drivers:
-                continue
-            if nbytes[src.name] > 0:
-                pre.h2d(nbytes[src.name], STAGING_MEMORY,
-                        tag=f"input.{src.name}", writes=(src.name,))
-        for lr in phase_a:
-            emit_region(pre, lr, self.device, sizes)
-            _download_sink(pre, lr, sink_names)
-        for lr in prefix:
-            emit_region(pre, lr, self.device, sizes, frac=None)
         if pre.commands:
             timeline = engine.run([place(pre)])
 
         # phase B: pipelined segments over the driver input
+        sink_names = {n.name for n in plan.sinks()}
         whole_plan_is_prefix = not rest and len(plan.sinks()) == 1
         prefix_sel = 1.0
         for lr in prefix:
@@ -582,8 +636,7 @@ class Executor:
                 seg_frac = seg.n_rows / max(n_driver, 1)
                 for lr in prefix:
                     n_seg_in = max(1, int(round(lr.n_in * seg_frac)))
-                    specs.extend(lr.chain.main_launch_specs(n_seg_in,
-                                                            self.device))
+                    specs.extend(lr.main_specs(n_seg_in, self.device))
             return specs
 
         fis_cfg = config.fission
@@ -592,12 +645,10 @@ class Executor:
             # upload and no host gather
             fis_cfg = replace(fis_cfg, host_gather=False)
 
-        pipeline_in_row = (shape.row_nbytes(driver)
-                           + sum(shape.row_nbytes(s) for s in co_drivers))
         pipe_tl = run_fissioned(
             self.device,
             n_rows=n_driver,
-            in_row_nbytes=pipeline_in_row,
+            in_row_nbytes=phases.in_row,
             out_row_nbytes=out_row if whole_plan_is_prefix else 0,
             output_selectivity=prefix_sel if whole_plan_is_prefix else 0.0,
             kernel_builder=kernel_builder,
@@ -612,11 +663,6 @@ class Executor:
 
         # phase C: the remaining (driver-dependent / barrier-bound) regions,
         # then the sources that are also sinks
-        post = SimStream(stream_id=0)
-        for lr in rest:
-            emit_region(post, lr, self.device, sizes)
-            _download_sink(post, lr, sink_names)
-        _download_source_sinks(post, plan, nbytes)
         if post.commands:
             post_tl = SimEngine(self.device, check=self.check,
                                 faults=injector).run([place(post)])
@@ -624,12 +670,97 @@ class Executor:
 
         expected_h2d = sum(nbytes[s.name] for s in plan.sources())
         expected_d2h = sum(
-            lr.out_bytes for lr in [*phase_a, *rest]
+            lr.out_bytes for lr in [*phases.phase_a, *rest]
             if lr.region.output_node.name in sink_names)
         expected_d2h += sum(nbytes[s.name] for s in _source_sinks(plan))
         if whole_plan_is_prefix:
             expected_d2h += float(n_driver) * prefix_sel * out_row
         return timeline, 1, (expected_h2d, expected_d2h)
+
+    def _fission_program(self, shape: PlanShape,
+                         lowered: list[LoweredRegion], sizes: dict[str, int],
+                         nbytes: dict[str, float], driver: PlanNode,
+                         config: ExecutionConfig) -> "DeviceProgram | None":
+        """A fission run's program: phase A's and phase C's streams and
+        what phase B pipelines; None when the driver has no prefix to
+        pipeline (the run degenerates to serial)."""
+        plan = shape.plan
+        by_region = {id(lr.region): lr for lr in lowered}
+        prefix, phase_a, rest = (
+            [by_region[id(r)] for r in part]
+            for part in split_for_fission([lr.region for lr in lowered],
+                                          driver))
+        if not prefix:
+            return None
+
+        # column arrays consumed positionally by gather joins in the prefix
+        # stream with the driver, segment by segment (Q1's six columns)
+        co_drivers = self._co_driver_sources(prefix, driver, sizes)
+
+        sink_names = {n.name for n in plan.sinks()}
+        pre = SimStream(stream_id=0)
+        for src in plan.sources():
+            if src is driver or src in co_drivers:
+                continue
+            if nbytes[src.name] > 0:
+                pre.h2d(nbytes[src.name], STAGING_MEMORY,
+                        tag=f"input.{src.name}", writes=(src.name,))
+        for lr in phase_a:
+            emit_region(pre, lr, self.device, sizes)
+            _download_sink(pre, lr, sink_names)
+        for lr in prefix:
+            emit_region(pre, lr, self.device, sizes, frac=None)
+
+        post = SimStream(stream_id=0)
+        for lr in rest:
+            emit_region(post, lr, self.device, sizes)
+            _download_sink(post, lr, sink_names)
+        _download_source_sinks(post, plan, nbytes)
+
+        in_row = (shape.row_nbytes(driver)
+                  + sum(shape.row_nbytes(s) for s in co_drivers))
+        return DeviceProgram(
+            (pre, post), pipelined_bytes=float(sizes[driver.name]) * in_row,
+            pipelined_memory=config.fission.memory,
+            phases=_FissionPhases(prefix, phase_a, rest, in_row))
+
+
+@dataclass(frozen=True)
+class _FissionPhases:
+    """How a fission run splits its regions: ``phase_a`` (driver-free)
+    and the ``prefix``'s builds run in phase A, phase B pipelines the
+    driver and its co-drivers, ``in_row`` bytes a row, through the
+    ``prefix``, and ``rest`` runs in phase C."""
+
+    prefix: list[LoweredRegion]
+    phase_a: list[LoweredRegion]
+    rest: list[LoweredRegion]
+    in_row: int
+
+
+@dataclass(frozen=True)
+class DeviceProgram:
+    """The commands one single-device run queues (:meth:`Executor.program`).
+
+    ``streams`` run one after another, each one in order.  A fission run
+    has two (phases A and C) and, between them, pipelines
+    ``pipelined_bytes`` of driver input over the H2D engine from
+    ``pipelined_memory``; every other run is one stream, of
+    ``num_chunks`` chunks."""
+
+    streams: tuple[SimStream, ...]
+    pipelined_bytes: float = 0.0
+    pipelined_memory: HostMemory = STAGING_MEMORY
+    num_chunks: int = 1
+    #: a serial run's regions: which scale with the driver when chunked
+    scales: tuple[bool, ...] = ()
+    #: a fission run's phases, None for a serial one
+    phases: _FissionPhases | None = None
+
+
+def _pipelines(config: ExecutionConfig) -> bool:
+    """Does ``config`` run the fission pipeline (phases A, B, C)?"""
+    return config.strategy.uses_fission and config.include_transfers
 
 
 def _source_sinks(plan: Plan) -> list[PlanNode]:

@@ -16,14 +16,20 @@ interval, and every rule accepts ``inf`` for an unknown row count.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
 
 from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import out_row_nbytes
+from ..core.stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
 from ..errors import PlanError
 from ..plans.interp import evaluate
 from ..plans.plan import OpType, Plan, PlanNode
 from ..ra.relation import Relation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from .executor import LoweredRegion
+
+T = TypeVar("T")
 
 
 def estimate_sizes(plan: Plan, source_rows: dict[str, int]) -> dict[str, int]:
@@ -43,15 +49,17 @@ def estimate_node_sizes(nodes: Iterable[PlanNode],
 
 
 class PlanShape:
-    """One plan's sizes and fusion regions, each computed once.
+    """One plan's sizes, fusion regions and lowered regions, each
+    computed once.
 
     The sizes come from the plan's annotations (:func:`estimate_sizes` at
     the caller's source rows) or, for a shape built by :meth:`observe`,
     from one real evaluation; the executor builds the same stream program
-    from either.  The cost model, the memory verdict and every executor
-    run of one planning call share a shape instead of re-deriving the
-    same sizes and regions.  Every caller gets the same size map and
-    FusionResult objects, so none may mutate them.
+    from either.  The cost model, the memory verdict, the optimizer's
+    lower bounds and every executor run of one planning call share a
+    shape instead of re-deriving the same sizes, regions and kernels.
+    Every caller gets the same size map, FusionResult and LoweredRegion
+    objects, so none may mutate them.
     """
 
     def __init__(self, plan: Plan):
@@ -61,6 +69,7 @@ class PlanShape:
         self._sizes: dict[tuple | None, dict[str, int]] = {}
         self._nbytes: dict[tuple | None, dict[str, float]] = {}
         self._fusion: dict[bool, FusionResult] = {}
+        self._derived: dict[tuple, object] = {}
 
     @classmethod
     def of(cls, plan: "Plan | PlanShape") -> "PlanShape":
@@ -112,6 +121,29 @@ class PlanShape:
         if fused not in self._fusion:
             self._fusion[fused] = fuse_plan(self.plan, enable=fused)
         return self._fusion[fused]
+
+    def lowered(self, fused: bool, source_rows: dict[str, int] | None,
+                costs: StageCostParams = DEFAULT_STAGE_COSTS
+                ) -> tuple["LoweredRegion", ...]:
+        """:meth:`fusion`'s regions lowered at :meth:`sizes`, in region
+        order: one lowering per (fusion flag, row map, costs)."""
+        from .executor import LoweredRegion
+
+        def lower() -> tuple[LoweredRegion, ...]:
+            sizes = self.sizes(source_rows)
+            nbytes = self.nbytes(source_rows)
+            return tuple(
+                LoweredRegion.of(r, sizes, costs, nbytes[r.output_node.name])
+                for r in self.fusion(fused).regions)
+        return self.derived(("lowered", fused, costs), source_rows, lower)
+
+    def derived(self, kind: tuple, source_rows: dict[str, int] | None,
+                build: Callable[[], T]) -> T:
+        """``build()``, computed once per (``kind``, row map) and kept."""
+        key = (kind, self._key(source_rows))
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 def source_node_rows(node: PlanNode, source_rows: dict[str, int]) -> int:

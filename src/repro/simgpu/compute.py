@@ -98,24 +98,43 @@ def kernel_duration(
         spec.threads_per_cta, spec.regs_per_thread, spec.shared_bytes_per_cta
     )
 
-    traffic = spec.total_traffic
-    g = device.calib.gpu
-    if spec.regs_per_thread > g.max_regs_per_thread:
-        excess = spec.regs_per_thread - g.max_regs_per_thread
-        traffic += excess * SPILL_BYTES_PER_REG * spec.num_elements
-
     sms = device.num_sms if granted_sms is None else max(1, min(granted_sms, device.num_sms))
     resident_ctas = min(spec.num_ctas, sms * max(occ.ctas_per_sm, 1))
     resident_threads = resident_ctas * spec.threads_per_cta
     util_inst = max(device.utilization(resident_threads, sms, kind="inst"), 1e-6)
     util_mem = max(device.utilization(resident_threads, sms, kind="mem"), 1e-6)
 
-    t_mem = traffic / device.mem_bw
+    t_mem = _traffic(device, spec) / device.mem_bw
     t_inst = spec.instructions / device.inst_rate
     t = device.kernel_launch_s + max(t_mem / util_mem, t_inst / util_inst)
     if concurrent:
         t /= CONCURRENT_PENALTY
     return t
+
+
+def kernel_floor(device: DeviceSpec, spec: KernelLaunchSpec) -> float:
+    """Seconds no launch of ``spec`` can beat: :func:`kernel_duration` at
+    full utilization, ``launch + max(traffic / mem_bw, instructions /
+    inst_rate)`` with the spill traffic counted.  The DES divides both
+    terms by a utilization of at most 1 and a concurrent kernel by
+    :data:`CONCURRENT_PENALTY` < 1, so every launch takes at least this
+    long, compared exactly."""
+    if spec.num_elements <= 0:
+        return device.kernel_launch_s
+    return device.kernel_launch_s + max(
+        _traffic(device, spec) / device.mem_bw,
+        spec.instructions / device.inst_rate)
+
+
+def _traffic(device: DeviceSpec, spec: KernelLaunchSpec) -> float:
+    """Global-memory bytes of one launch, with the register spills a
+    thread past the per-thread limit pays."""
+    traffic = spec.total_traffic
+    g = device.calib.gpu
+    if spec.regs_per_thread > g.max_regs_per_thread:
+        excess = spec.regs_per_thread - g.max_regs_per_thread
+        traffic += excess * SPILL_BYTES_PER_REG * spec.num_elements
+    return traffic
 
 
 def sms_requested(device: DeviceSpec, spec: KernelLaunchSpec) -> int:

@@ -41,7 +41,8 @@ from ..errors import (
     StreamStallError,
     TransferFaultError,
 )
-from .compute import CONCURRENT_PENALTY, KernelLaunchSpec, kernel_duration, sms_requested
+from .compute import (CONCURRENT_PENALTY, KernelLaunchSpec, kernel_duration,
+                      kernel_floor, sms_requested)
 from .device import DeviceSpec
 from .pcie import Direction, HostMemory, PcieModel
 from .timeline import EventKind, Timeline
@@ -169,6 +170,30 @@ class SimStream:
         return self.enqueue(WaitEventCommand(
             tag=tag if tag is not None else f"wait:{event_id}",
             event_id=event_id))
+
+
+def stream_floor(stream: SimStream, device: DeviceSpec,
+                 pcie: PcieModel) -> float:
+    """Seconds no run of ``stream`` alone can beat: the sum of its
+    commands' floors, in queue order.  One stream runs one command at a
+    time, each starting when the one before it ends, so the DES's
+    makespan is the same sum of durations; each floor is at most its
+    command's duration (a transfer's bytes over
+    :meth:`PcieModel.peak_bandwidth`, a kernel's
+    :func:`~repro.simgpu.compute.kernel_floor`, a host command's own
+    duration) and rounding is monotone, so the sum never exceeds the
+    makespan.  Injected faults only add time."""
+    total = 0.0
+    for cmd in stream.commands:
+        if isinstance(cmd, KernelCommand):
+            total += kernel_floor(device, cmd.spec)
+        elif isinstance(cmd, TransferCommand):
+            if cmd.nbytes > 0:
+                total += cmd.nbytes / pcie.peak_bandwidth(cmd.direction,
+                                                          cmd.memory)
+        elif isinstance(cmd, HostCommand):
+            total += cmd.duration
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -487,5 +512,5 @@ class SimEngine:
 __all__ = [
     "Command", "TransferCommand", "KernelCommand", "HostCommand",
     "SignalEventCommand", "WaitEventCommand", "SimStream", "SimEngine",
-    "CONCURRENT_PENALTY",
+    "CONCURRENT_PENALTY", "stream_floor",
 ]
