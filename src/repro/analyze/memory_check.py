@@ -282,12 +282,16 @@ def check_strategy(plan: Plan, strategy: "Strategy | str",
                    device: DeviceSpec,
                    memory_safety: float = ExecutionConfig.memory_safety,
                    stats: object = None,
-                   fusion=None) -> MemoryVerdict:
+                   fusion=None, envs=None) -> MemoryVerdict:
     """One strategy's memory verdict -- the entry point
     ``Optimizer.choose`` and the executor pre-flights use (verdicts are
     content-addressed under ``absint:*`` keys in the
-    :class:`~repro.optimizer.plancache.PlanCache` by their callers)."""
-    envs = plan_envelopes(plan, source_rows, stats)
+    :class:`~repro.optimizer.plancache.PlanCache` by their callers).
+    The plan's envelopes do not depend on the strategy: a caller vetting
+    several strategies passes ``plan_envelopes(plan, source_rows,
+    stats)`` as `envs` once."""
+    if envs is None:
+        envs = plan_envelopes(plan, source_rows, stats)
     fp = strategy_footprint(plan, strategy, envs, device, memory_safety,
                             fusion=fusion)
     detail = (f"peak {fp.peak_bytes.render(' B')} vs budget "

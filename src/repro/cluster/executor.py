@@ -74,6 +74,7 @@ unsharded inputs -- asserted by the cluster test suite for TPC-H Q1/Q21.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -87,6 +88,7 @@ from ..ra.relation import Relation
 from ..runtime.executor import Executor, RunResult
 from ..runtime.sizes import PlanShape, node_bytes
 from ..runtime.strategies import ExecutionConfig, Strategy
+from ..simgpu.calibration import CpuCalibration
 from ..simgpu.device import DeviceSpec
 from ..simgpu.timeline import EventKind, Timeline
 from . import exchange as xchg
@@ -242,6 +244,22 @@ def _phase_bytes(timeline: Timeline) -> tuple[float, float, float]:
     return h2d, d2h, out
 
 
+def host_suffix_time(dist: DistributedPlan, states: bool,
+                     sizes: Mapping[str, int], cpu: CpuCalibration) -> float:
+    """Seconds the host interpreter spends past the cut in host mode:
+    :func:`~repro.cpubase.select.host_plan_time` over every node not in
+    ``dist.local_names``.  When partial-aggregate `states` cross the cut,
+    the lowered suffix chain and the split aggregate ran on the shards,
+    so they are skipped.  The sizes alone fix this term, so the run's
+    ``cluster.merge`` event and the optimizer's bound
+    (``Optimizer._source_bound``) price it by this one function."""
+    skip = dist.local_names
+    if states:
+        skip = skip | set(dist.preagg.lowered) | {dist.preagg.agg}
+    return host_plan_time(
+        (n for n in dist.plan.nodes if n.name not in skip), sizes, cpu)
+
+
 class ClusterExecutor:
     """Runs distributed plans over N simulated devices (see module doc)."""
 
@@ -263,9 +281,20 @@ class ClusterExecutor:
         self.plan_cache = plan_cache
 
     # ------------------------------------------------------------------
-    def distribute(self, plan: Plan,
+    def distribute(self, plan: "Plan | PlanShape",
                    source_rows: dict[str, int]) -> DistributedPlan:
+        """The distribution rewrite this executor's runs use.  A
+        :class:`PlanShape` keeps it, so the optimizer's bound on a cluster
+        option and the run that confirms it read one rewrite."""
         cfg = self.config
+        if isinstance(plan, PlanShape):
+            shape = plan
+            kind = ("distributed", cfg.num_devices, cfg.scheme, cfg.seed,
+                    cfg.preagg, cfg.merge,
+                    tuple(source_rows.get(s.name)
+                          for s in shape.plan.sources()))
+            return shape.derived(kind, source_rows, lambda: self.distribute(
+                shape.plan, source_rows))
         key = None
         if self.plan_cache is not None:
             from ..optimizer.fingerprint import (calibration_fingerprint,
@@ -293,8 +322,6 @@ class ClusterExecutor:
     def _as_dist(self, plan, source_rows) -> DistributedPlan:
         if isinstance(plan, DistributedPlan):
             return plan
-        if isinstance(plan, PlanShape):
-            plan = plan.plan
         return self.distribute(plan, source_rows)
 
     # ------------------------------------------------------------------
@@ -521,11 +548,7 @@ class ClusterExecutor:
                 suffix_s = root_bytes / self.costs.host_gather_bw
                 suffix_s += cpu_select_time(root_bytes / state_row,
                                             int(state_row), calib=cpu)
-                skip = set(dist.preagg.lowered) | {dist.preagg.agg}
-                suffix_s += host_plan_time(
-                    (n for n in dist.plan.nodes
-                     if n.name not in dist.local_names and n.name not in skip),
-                    sizes, cpu)
+                suffix_s += host_suffix_time(dist, True, sizes, cpu)
                 host_tl.add(t_m, t_m + suffix_s, EventKind.HOST,
                             "cluster.merge", nbytes=root_bytes)
             else:
@@ -534,9 +557,7 @@ class ClusterExecutor:
                 # node)
                 gather_bytes = local_out_total
                 suffix_s = gather_bytes / self.costs.host_gather_bw
-                suffix_s += host_plan_time(
-                    (n for n in dist.plan.nodes
-                     if n.name not in dist.local_names), sizes, cpu)
+                suffix_s += host_suffix_time(dist, False, sizes, cpu)
                 merge_bytes = sum(
                     node_bytes(s, sizes) for s in dist.plan.sinks()
                     if s.name not in dist.local_names)

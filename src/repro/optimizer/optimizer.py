@@ -25,6 +25,7 @@ buy nothing, the optimizer should say so by picking the plain plan.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 from dataclasses import dataclass, field
 
@@ -246,8 +247,17 @@ class Optimizer:
             if hit is not None:
                 return dataclasses.replace(hit, cache_hit=True)
 
-        ctx = EnumContext(plan=plan, stats=stats, max_devices=max_devices,
-                          schemes=schemes, include_cpubase=include_cpubase)
+        ctx = EnumContext(
+            plan=plan, stats=stats, max_devices=max_devices, schemes=schemes,
+            include_cpubase=include_cpubase,
+            distribute=lambda devices: self._cluster_executor(
+                StrategyOption(kind="cluster", devices=devices)).distribute(
+                shape, stats.source_rows()))
+        # the memory verdicts of every device strategy read one set of
+        # envelopes, built when the first verdict misses the cache
+        from ..analyze.absint import plan_envelopes
+        envelopes = functools.cache(
+            lambda: plan_envelopes(plan, stats.source_rows(), stats))
         priced: list[PricedOption] = []
         #: (bound, rank, index) of every option left to confirm, a heap
         pending: list[tuple[float, int, int]] = []
@@ -256,7 +266,7 @@ class Optimizer:
         for option in enumerate_from(ctx):
             priced.append(PricedOption(option=option))
             verdict = self._memory_verdict(shape, plan_fp, stats_dg,
-                                           calib_fp, option, stats)
+                                           calib_fp, option, stats, envelopes)
             if verdict is not None and verdict.certain_oom:
                 # hard-prune without simulating: the abstract interpreter
                 # proved the dispatch would raise DeviceOOMError
@@ -345,15 +355,27 @@ class Optimizer:
         re-uploads (H2D) of every non-sink result, both through pageable
         memory, add on top.  The host baseline's bound is its exact
         price, ``host_plan_time``, read through
-        :meth:`CostModel.estimate`.  A
-        cluster option is bounded by its busiest shard's upload of the
-        shard-local plan's sources on a contended device.
+        :meth:`CostModel.estimate`.
+
+        A cluster option runs two phases in sequence, so its bound is
+        their floors' sum, both read on the :class:`DistributedPlan` its
+        confirming run uses (:meth:`ClusterExecutor.distribute`).  The
+        host phase starts at the barrier, no earlier than every shard's
+        local makespan, which is at least the busiest shard's upload of
+        the shard-local plan's sources on a contended device.  In host
+        mode the barrier is followed by the ``cluster.merge`` event,
+        whose interpreter part the sizes alone fix
+        (:func:`~repro.cluster.executor.host_suffix_time`, the run's own
+        term).  The bytes the host gathers stay out of the floor: only
+        the shard programs' output downloads know them, and fission's
+        download rule can differ from the size map.
         """
         if option.kind == "cpubase":
             return self.cost_model.estimate(shape, ctx.stats, option).host_s
+        rows = ctx.stats.source_rows()
         if option.kind == "single":
             plan = shape.plan
-            sizes = shape.sizes(ctx.stats.source_rows())
+            sizes = shape.sizes(rows)
             pcie = self.cost_model.pcie
             bound = (sum(node_bytes(s, sizes) for s in plan.sources())
                      / pcie.peak_bandwidth(Direction.H2D, STAGING_MEMORY))
@@ -368,21 +390,22 @@ class Optimizer:
                     + spilled / pcie.peak_bandwidth(Direction.D2H,
                                                     ROUNDTRIP_MEMORY))
             return bound
-        from ..cluster.host import ClusterSpec, contended_device
-        dist = ctx.distributable(option.devices)
-        local = dist.phases(
-            states=option.preagg and dist.preagg is not None).local
-        if all(n.op is OpType.SOURCE for n in local.nodes):
-            return 0.0  # no shard-local phase runs at all
-        sharers = ClusterSpec(num_devices=option.devices,
-                              pcie_sharers=self.pcie_sharers).sharers
-        pcie = PcieModel(contended_device(self.device, sharers).calib.pcie)
-        busiest = max(
-            sum(node_bytes(s, dist.shard_rows(local, shard))
-                for s in local.sources())
-            for shard in range(option.devices))
-        return busiest / pcie.peak_bandwidth(Direction.H2D,
-                                              STAGING_MEMORY)
+        from ..cluster.executor import host_suffix_time
+        cx = self._cluster_executor(option)
+        dist = cx.distribute(shape, rows)
+        phases = dist.phases(states=dist.preagg is not None)
+        bound = 0.0
+        if any(n.op is not OpType.SOURCE for n in phases.local.nodes):
+            busiest = max(
+                sum(node_bytes(s, dist.shard_rows(phases.local, shard))
+                    for s in phases.local.sources())
+                for shard in range(option.devices))
+            bound = busiest / PcieModel(cx.device.calib.pcie).peak_bandwidth(
+                Direction.H2D, STAGING_MEMORY)
+        if dist.suffix_mode == "host":
+            bound += host_suffix_time(dist, phases.states, shape.sizes(rows),
+                                      cx.base_device.calib.cpu)
+        return bound
 
     def _command_floor(self, shape: PlanShape, ctx: EnumContext,
                        option: StrategyOption) -> float:
@@ -424,22 +447,24 @@ class Optimizer:
     # ------------------------------------------------------------------
     def _memory_verdict(self, shape: PlanShape, plan_fp: str, stats_dg: str,
                         calib_fp: str, option: StrategyOption,
-                        stats: DataStats):
+                        stats: DataStats, envelopes):
         """Static memory verdict for a single-device option, cached under
         ``absint:*`` keys (None for cluster/host options: hosts cannot
-        OOM and cluster shards are priced by simulation)."""
+        OOM and cluster shards are priced by simulation).  `envelopes`
+        returns the plan's absint envelopes at `stats`."""
         if option.kind != "single":
             return None
         from ..analyze.memory_check import check_strategy
-        key = PlanCache.key("absint", plan_fp, stats_dg, calib_fp,
-                            option.strategy.value)
         if self.cache is not None:
+            key = PlanCache.key("absint", plan_fp, stats_dg, calib_fp,
+                                option.strategy.value)
             hit = self.cache.get(key)
             if hit is not None:
                 return hit
         verdict = check_strategy(
             shape.plan, option.strategy, stats.source_rows(), self.device,
-            stats=stats, fusion=shape.fusion(option.strategy.uses_fusion))
+            stats=stats, fusion=shape.fusion(option.strategy.uses_fusion),
+            envs=envelopes())
         if self.cache is not None:
             self.cache.put(key, verdict)
         return verdict
@@ -469,8 +494,14 @@ class Optimizer:
             return self._executor(faults=faults, check=check,
                                   analyze=analyze).run(
                 plan, rows, ExecutionConfig(strategy=option.strategy))
+        return self._cluster_executor(
+            option, faults=faults, check=check, analyze=analyze).run(
+            plan, rows)
+
+    def _cluster_executor(self, option: StrategyOption, faults=None,
+                          check: bool = False, analyze: bool = False):
         from ..cluster.executor import ClusterConfig, ClusterExecutor
-        cx = ClusterExecutor(
+        return ClusterExecutor(
             self.device, costs=self.costs, plan_cache=self.cache,
             config=ClusterConfig(
                 num_devices=option.devices, scheme=option.scheme,
@@ -478,7 +509,6 @@ class Optimizer:
                 check=check, faults=faults, analyze=analyze,
                 pcie_sharers=self.pcie_sharers, preagg=option.preagg,
                 merge=option.merge))
-        return cx.run(plan, rows)
 
     def _executor(self, faults=None, check: bool = False,
                   analyze: bool = False) -> Executor:

@@ -72,6 +72,11 @@ class EnumContext:
     max_devices: int = 1
     schemes: tuple[str, ...] = ("hash",)
     include_cpubase: bool = True
+    #: how the caller distributes the plan over a device count (the
+    #: optimizer: its cluster executors' rewrite, kept on its PlanShape,
+    #: so a cluster option's bound and run reuse the one enumerated
+    #: here); None: :func:`distribute_plan` with its defaults
+    distribute: Callable[[int], DistributedPlan] | None = None
     #: memoized distribution attempts: devices -> DistributedPlan or None
     _dists: dict[int, DistributedPlan | None] = field(default_factory=dict)
 
@@ -80,8 +85,10 @@ class EnumContext:
         rewrite rejects the shape (unsupported plan for this space)."""
         if devices not in self._dists:
             try:
-                self._dists[devices] = distribute_plan(
-                    self.plan, self.stats.source_rows(), devices)
+                self._dists[devices] = (
+                    self.distribute(devices) if self.distribute is not None
+                    else distribute_plan(self.plan, self.stats.source_rows(),
+                                         devices))
             except (PlanError, KeyError, ValueError):
                 self._dists[devices] = None
         return self._dists[devices]

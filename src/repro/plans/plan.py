@@ -298,6 +298,9 @@ class Plan:
         return [n for n in self.nodes if n not in consumed]
 
     def sources(self) -> list[PlanNode]:
+        """SOURCE nodes, in node order."""
+        if self._frozen:
+            return list(self._index.sources)
         return [n for n in self.nodes if n.op is OpType.SOURCE]
 
     def topological(self) -> Iterator[PlanNode]:
@@ -411,15 +414,15 @@ class Plan:
 
 
 class _Index:
-    """A plan's dependency order, consumer lists and sinks, derived from
-    its nodes in one pass, and the memo of values derived from the frozen
-    plan (:meth:`Plan.memo`).
+    """A plan's dependency order, consumer lists, sources and sinks,
+    derived from its nodes in one pass, and the memo of values derived
+    from the frozen plan (:meth:`Plan.memo`).
 
     Slotted and rendered by name only, so a checksum of a plan
     (:func:`repro.optimizer.fingerprint.canonical`) covers the nodes and
     not this derived copy of them again."""
 
-    __slots__ = ("order", "consumers", "sinks", "memos")
+    __slots__ = ("order", "consumers", "sources", "sinks", "memos")
 
     def __init__(self, nodes: Sequence[PlanNode], order: list[PlanNode]):
         self.order = tuple(order)
@@ -428,15 +431,16 @@ class _Index:
             self.consumers.setdefault(node, [])
             for inp in dict.fromkeys(node.inputs):
                 self.consumers.setdefault(inp, []).append(node)
+        self.sources = tuple(n for n in nodes if n.op is OpType.SOURCE)
         self.sinks = [n for n in nodes if not self.consumers[n]]
         self.memos: OrderedDict[tuple, Any] = OrderedDict()
 
     def __getstate__(self) -> tuple:
         # memos stay in their process: an unpickled plan derives afresh
-        return self.order, self.consumers, self.sinks
+        return self.order, self.consumers, self.sources, self.sinks
 
     def __setstate__(self, state: tuple) -> None:
-        self.order, self.consumers, self.sinks = state
+        self.order, self.consumers, self.sources, self.sinks = state
         self.memos = OrderedDict()
 
     def __repr__(self) -> str:

@@ -13,6 +13,8 @@ of a device option's command floor has its own case below.
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterExecutor
+from repro.cluster.executor import host_suffix_time
+from repro.cpubase.select import cpu_select_time
 from repro.core.fission import split_for_fission
 from repro.faults import FaultPlan
 from repro.frontend import compile_sql
@@ -37,14 +39,17 @@ from repro.tpch.catalog import CATALOG, QUERIES, tpch_source_rows
 pytestmark = pytest.mark.no_chaos
 
 
-def _check_case(plan, rows, max_devices):
+def _check_case(plan, rows, max_devices, schemes=("hash",), **cluster):
     """Every option's bound vs its direct simulation, and the choice vs
-    the direct argmin; returns the number of (bound, sim) pairs."""
-    opt = Optimizer()
-    decision = opt.choose(plan, rows, max_devices=max_devices)
+    the direct argmin; returns the number of (bound, sim) pairs.
+    `cluster` sets the optimizer's ``cluster_seed`` and ``pcie_sharers``."""
+    opt = Optimizer(**cluster)
+    decision = opt.choose(plan, rows, max_devices=max_devices,
+                          schemes=schemes)
     stats = DataStats.from_rows(plan, rows)
     shape = PlanShape(plan)
-    ctx = EnumContext(plan=plan, stats=stats, max_devices=max_devices)
+    ctx = EnumContext(plan=plan, stats=stats, max_devices=max_devices,
+                      schemes=schemes)
     direct = []
     for i, cand in enumerate(decision.candidates):
         if cand.bound_s is None:
@@ -80,6 +85,17 @@ def test_tpch_bound_is_sound_and_choice_unchanged(scale_factor, max_devices):
         plan = compile_sql(sql, CATALOG, source_rows=rows, name=name).plan
         pairs += _check_case(plan, rows, max_devices)
     assert pairs >= len(QUERIES) * 3
+
+
+def test_cluster_bound_is_sound_on_every_scheme():
+    """The sf-30, 4-device grid again, over every partition scheme, a
+    cluster seed other than the default and two PCIe sharers: the host
+    term is read on the distribution each option's run uses."""
+    rows = tpch_source_rows(30)
+    for name, sql in QUERIES.items():
+        plan = compile_sql(sql, CATALOG, source_rows=rows, name=name).plan
+        _check_case(plan, rows, 4, schemes=("hash", "range", "rr"),
+                    cluster_seed=3, pcie_sharers=2)
 
 
 @pytest.mark.parametrize("max_devices,seeds", [(1, range(20)),
@@ -299,6 +315,82 @@ def test_one_transfer_floor_under_shared_host():
         assert floors[-1] == _by_hand(stream, dev)
         assert floors[-1] <= SimEngine(dev).run([stream]).makespan
     assert floors[1] > floors[0]
+
+
+# -- the cluster bound's host phase ------------------------------------------------
+
+def _host_mode_runs():
+    """(query, option, dist, shape, run) of every host-mode cluster option
+    of the 22 plans at sf 30 on 4 devices."""
+    rows = tpch_source_rows(30)
+    opt = Optimizer()
+    for name in QUERIES:
+        plan, _ = _tpch(name, 30)
+        shape = PlanShape(plan)
+        ctx = EnumContext(plan=plan, stats=DataStats.from_rows(plan, rows),
+                          max_devices=4)
+        for option in enumerate_from(ctx):
+            if option.kind != "cluster":
+                continue
+            dist = opt._cluster_executor(option).distribute(shape, rows)
+            if dist.suffix_mode == "host":
+                yield name, option, dist, shape, opt._execute(
+                    shape, rows, option)
+
+
+def test_host_term_is_the_merge_events_interpreter_part():
+    """The cluster bound's host term is the interpreter part of the run's
+    ``cluster.merge`` event: the event is the host's gather at
+    ``host_gather_bw``, under pre-aggregated states a scan of the root's
+    state rows, and then the term, summed as the run sums them.  So the
+    term fits inside the event, which starts no earlier than the
+    barrier."""
+    rows = tpch_source_rows(30)
+    device = DeviceSpec()
+    cpu, bw = device.calib.cpu, Optimizer().costs.host_gather_bw
+    seen = []
+    for name, option, dist, shape, run in _host_mode_runs():
+        states = dist.preagg is not None
+        host = host_suffix_time(dist, states, shape.sizes(rows), cpu)
+        assert host > 0.0
+        [merge] = [ev for ev in run.host_timeline.events
+                   if ev.tag == "cluster.merge"]
+        expected = merge.nbytes / bw
+        if states:
+            state_row = float(dist.preagg.state_row_nbytes)
+            expected += cpu_select_time(merge.nbytes / state_row,
+                                        int(state_row), calib=cpu)
+        expected += host
+        assert merge.end == merge.start + expected, (name, option.label)
+        assert merge.start + host <= merge.end
+        barrier = max(r.start + r.makespan for r in run.shard_runs)
+        assert merge.start >= barrier
+        seen.append((name, option.devices, states))
+    assert len(seen) == 44
+    assert ("q1", 4, True) in seen
+
+
+@pytest.mark.parametrize("query", ["q8", "q9", "q17", "q21"])
+def test_host_phase_prunes_every_cluster_option(monkeypatch, query):
+    """At sf 30 on 4 devices these cluster options lose by their host
+    phase alone: none is simulated, and one device wins as it does when
+    no cluster is offered."""
+    plan, rows = _tpch(query, 30)
+    runs = []
+    run = ClusterExecutor.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(args)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClusterExecutor, "run", counted)
+    decision = Optimizer().choose(plan, rows, max_devices=4)
+    assert runs == []
+    single = Optimizer().choose(plan, rows, max_devices=1)
+    assert decision.chosen.label == single.chosen.label
+    assert decision.chosen.price_s == single.chosen.price_s
+    cluster = [c for c in decision.candidates if c.option.kind == "cluster"]
+    assert cluster and all(c.pruned for c in cluster)
 
 
 # -- lazy refinement ---------------------------------------------------------------

@@ -81,6 +81,20 @@ def test_cluster_runs_fuse_only_their_local_plan(monkeypatch):
     assert len(fuses) <= 2 + len(cluster_runs)
 
 
+@pytest.mark.parametrize("query", ["q1", "q8", "q13"])
+def test_one_distribution_per_cluster_shape(monkeypatch, query):
+    """The enumeration, the cluster options' bounds and their confirming
+    runs read one distribution rewrite per (devices, pre-aggregation)."""
+    from repro.plans import distribute
+    rows = tpch_source_rows(30)
+    plan = _plan(query, rows)
+    calls = _count(monkeypatch, distribute, "distribute_plan")
+    decision = Optimizer().choose(plan, rows, max_devices=4)
+    shapes = {(c.option.devices, c.option.preagg)
+              for c in decision.candidates if c.option.kind == "cluster"}
+    assert shapes and len(calls) == len(shapes)
+
+
 def test_one_fusion_result_per_flag_within_choose(monkeypatch):
     """The memory verdict and every confirming run see the same
     FusionResult object for each fused flag."""
@@ -112,6 +126,30 @@ def test_one_fusion_result_per_flag_within_choose(monkeypatch):
     assert runs
     for res in runs:
         assert res.fusion is fusion[res.strategy.uses_fusion]
+
+
+def test_one_envelope_build_per_choose(monkeypatch):
+    """The five device strategies' memory verdicts share one
+    ``plan_envelopes`` build per ``choose``, and each verdict equals the
+    one a standalone ``check_strategy`` gives."""
+    from repro.analyze import absint
+    rows = tpch_source_rows(1)
+    plans = [_plan(query, rows) for query in QUERIES]
+    builds = _count(monkeypatch, absint, "plan_envelopes")
+    check_strategy = memory_check.check_strategy
+    verdicts = []
+    _spy(monkeypatch, memory_check, "check_strategy",
+         lambda a, k, r: verdicts.append((a, k, r)))
+    for plan in plans:
+        del builds[:]
+        Optimizer().choose(plan, rows)
+        assert len(builds) == 1, plan.name
+    assert len(verdicts) == 5 * len(plans)
+    for (plan, strategy, source_rows, device), kwargs, verdict in verdicts:
+        assert kwargs["envs"] is not None
+        alone = {k: v for k, v in kwargs.items() if k != "envs"}
+        assert check_strategy(
+            plan, strategy, source_rows, device, **alone) == verdict
 
 
 def test_executor_runs_of_one_shape_share_one_fusion(monkeypatch):

@@ -258,10 +258,13 @@ class TestFrozenIndex:
                          for n in plan.nodes}
             consumed = {i for n in plan.nodes for i in n.inputs}
             sinks = [n for n in plan.nodes if n not in consumed]
+            sources = [n for n in plan.nodes if n.op is OpType.SOURCE]
             assert list(plan.topological()) == walk  # unfrozen: the walk
+            assert plan.sources() == sources, plan.name
             plan.validate()
             assert list(plan.topological()) == walk, plan.name
             assert plan.sinks() == sinks, plan.name
+            assert plan.sources() == sources, plan.name
             for node in plan.nodes:
                 assert plan.consumers(node) == consumers[node], node.name
 
@@ -287,10 +290,14 @@ class TestFrozenIndex:
         plan.validate()
         plan.consumers(s).clear()
         plan.sinks().append(s)
+        plan.sources().append(a)
+        plan.sources().clear()
         order = plan.topological()
         next(order)
         assert [n.name for n in plan.consumers(s)] == ["a", "b"]
         assert [n.name for n in plan.sinks()] == ["a", "b"]
+        assert plan.sources() == [s]
+        assert plan.sources() is not plan.sources()
         assert [n.name for n in plan.topological()] == ["t", "a", "b"]
         assert plan.consumers(a) == []
         assert plan.consumers(PlanNode(OpType.SOURCE, "elsewhere")) == []
