@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import RelationError
 from .expr import Expr
-from .relation import Relation
+from .relation import Relation, _as_column, _Source
 from .rows import mixed_radix, pack_rows, stable_order
 
 #: Supported aggregate functions.
@@ -33,16 +33,18 @@ def arith(rel: Relation, outputs: Mapping[str, Expr], keep: list[str] | None = N
     for n in base:
         if n not in rel.columns:
             raise RelationError(f"keep field {n!r} not in relation")
-    cols: dict[str, np.ndarray] = {n: rel.column(n) for n in base}
+    cols = {n: rel._sources[n] for n in base}
     for name, expr in outputs.items():
         missing = expr.fields() - set(rel.fields)
         if missing:
             raise RelationError(f"expression for {name!r} uses unknown fields {missing}")
         value = expr.evaluate(rel.columns)
         value = np.broadcast_to(np.asarray(value), (rel.num_rows,)).copy()
-        cols[name] = value
+        cols[name] = _Source(_as_column(value))
+    if not cols:
+        raise RelationError("a relation needs at least one column")
     key = rel.key if rel.key in cols else next(iter(cols))
-    return Relation(cols, key=key)
+    return Relation._of(cols, rel.num_rows, key)
 
 
 @dataclass(frozen=True)
@@ -78,43 +80,44 @@ def aggregate(rel: Relation, group_by: list[str],
             raise RelationError(f"group-by field {n!r} not in relation")
     for spec in aggs.values():
         if spec.func in ("sum", "mean", "min", "max") and \
-                rel.column(spec.field).dtype.kind not in "biuf":
+                rel.dtype(spec.field).kind not in "biuf":
             raise RelationError(f"aggregate {spec.func!r} needs a numeric "
                                 f"field; {spec.field!r} is "
-                                f"{rel.column(spec.field).dtype}")
+                                f"{rel.dtype(spec.field)}")
 
     if rel.num_rows == 0:
         return _aggregate_empty(rel, group_by, aggs)
 
+    # the group-ordered rows: each aggregated field is gathered once, at
+    # its source index composed with the group order
     if group_by:
         order, starts = _group_order(rel, group_by)
-        first = order[starts]
-        out: dict[str, np.ndarray] = {n: rel.column(n)[first]
-                                      for n in group_by}
+        firsts = rel.take(order[starts])
+        out: dict[str, np.ndarray] = {n: firsts[n] for n in group_by}
+        ordered = rel.take(order)
     else:
-        order, starts, out = None, np.zeros(1, dtype=np.intp), {}
+        ordered, starts, out = rel, np.zeros(1, dtype=np.intp), {}
     counts = np.diff(starts, append=rel.num_rows)
     for name, spec in aggs.items():
         if spec.func == "count":
             out[name] = counts.astype(np.int64)
             continue
-        col = rel.column(spec.field)
-        values = col if order is None else col[order]
+        values = ordered[spec.field]
         if spec.func == "count_distinct":
             out[name] = _count_distinct(values, counts)
         elif spec.func == "min":
             out[name] = np.minimum.reduceat(values, starts)
         elif spec.func == "max":
             out[name] = np.maximum.reduceat(values, starts)
-        elif spec.func == "sum" and col.dtype.kind != "f":
+        elif spec.func == "sum" and values.dtype.kind != "f":
             out[name] = np.add.reduceat(values, starts,
-                                        dtype=col[:0].sum().dtype)
+                                        dtype=values[:0].sum().dtype)
         else:  # float sum, or mean
             result = _sums64(values, starts, counts)
             if spec.func == "mean":
                 result = result / counts
-            out[name] = (result.astype(col.dtype, copy=False)
-                         if col.dtype.kind == "f" else result)
+            out[name] = (result.astype(values.dtype, copy=False)
+                         if values.dtype.kind == "f" else result)
 
     key = group_by[0] if group_by else next(iter(out))
     return Relation(out, key=key)
@@ -177,20 +180,31 @@ def _count_distinct(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.bincount(pairs // len(uniq), minlength=len(counts))
 
 
+#: a group of more rows than this is summed alone, over its own slice
+_LONG_GROUP = 256
+
+
 def _sums64(values: np.ndarray, starts: np.ndarray,
             counts: np.ndarray) -> np.ndarray:
     """Float64 sum of each contiguous group, left to right in row order.
 
-    Groups are bucketed by power-of-two length and each bucket is laid out
-    as a ``(width, groups)`` block padded with -0.0, which leaves every
-    sum unchanged; a cumulative sum down the block adds each column
-    strictly in order (``np.add.reduce`` and ``reduceat`` reassociate).
+    A cumulative sum adds strictly in order (``np.add.reduce`` and
+    ``reduceat`` reassociate), so each group's sum is the last entry of
+    one.  A group of more than ``_LONG_GROUP`` rows takes a 1-D
+    ``np.cumsum`` over its slice.  Shorter groups are bucketed by
+    power-of-two length, and each bucket is laid out as a ``(width,
+    groups)`` block padded with -0.0, which leaves every sum unchanged,
+    and summed down the block at once.
     """
     x = values.astype(np.float64, copy=False)
-    width = np.int64(1) << np.frexp((counts - 1).astype(np.float64))[1]
     out = np.empty(len(counts))
+    long = counts > _LONG_GROUP
+    for g in np.flatnonzero(long):
+        out[g] = np.cumsum(x[starts[g]:starts[g] + counts[g]])[-1]
+    short = np.flatnonzero(~long)
+    width = np.int64(1) << np.frexp((counts[short] - 1).astype(np.float64))[1]
     for w in np.unique(width):
-        groups = np.flatnonzero(width == w)
+        groups = short[width == w]
         step = np.arange(w)[:, None]
         rows = np.minimum(starts[groups] + step, len(x) - 1)
         block = np.where(step < counts[groups], x[rows], -0.0)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import RelationError
 from .expr import Predicate
-from .relation import Relation
+from .relation import Relation, _Source
 from .rows import (
     inner_join_indices, pack_rows, rows_isin, stable_order, unique_rows_mask,
 )
@@ -32,8 +32,8 @@ def project(rel: Relation, fields: list[str] | list[int]) -> Relation:
     for n in names:
         if n not in rel.columns:
             raise RelationError(f"projecting unknown field {n!r}")
-    key = names[0]
-    return Relation({n: rel.column(n) for n in names}, key=key)
+    return Relation._of({n: rel._sources[n] for n in names}, rel.num_rows,
+                        names[0])
 
 
 def _check_union_compatible(x: Relation, y: Relation) -> None:
@@ -44,9 +44,8 @@ def _check_union_compatible(x: Relation, y: Relation) -> None:
 
 def _align(y: Relation, x: Relation) -> Relation:
     """View `y` with `x`'s field names (set ops match positionally)."""
-    return Relation(
-        dict(zip(x.fields, y.columns.values())), key=x.key,
-    )
+    return Relation._of(dict(zip(x.fields, y._sources.values())),
+                        y.num_rows, x.key)
 
 
 def union(x: Relation, y: Relation) -> Relation:
@@ -92,11 +91,18 @@ def product(x: Relation, y: Relation) -> Relation:
     nx, ny = x.num_rows, y.num_rows
     xi = np.repeat(np.arange(nx), ny)
     yi = np.tile(np.arange(ny), nx)
-    cols: dict[str, np.ndarray] = {n: x.column(n)[xi] for n in x.fields}
-    for n in y.fields:
-        out = n if n not in cols else f"{n}_r"
-        cols[out] = y.column(n)[yi]
-    return Relation(cols, key=x.key)
+    return Relation._of(_joined(x._taken(xi), y._taken(yi), skip=None),
+                        nx * ny, x.key)
+
+
+def _joined(xs: dict[str, _Source], ys: dict[str, _Source],
+            skip: str | None) -> dict[str, _Source]:
+    """x's fields, then y's but ``skip``, each renamed with a ``_r``
+    suffix when it clashes with an x field."""
+    for n, src in ys.items():
+        if n != skip:
+            xs[n if n not in xs else f"{n}_r"] = src
+    return xs
 
 
 def _join_keys(x: Relation, y: Relation,
@@ -137,13 +143,8 @@ def join(x: Relation, y: Relation, on: str | tuple[str, str] | None = None,
         # right-index order: a stable sort on the left index suffices
         order = stable_order(li)
         li, ri = li[order], ri[order]
-    cols: dict[str, np.ndarray] = {n: x.column(n)[li] for n in x.fields}
-    for n in y.fields:
-        if n == ky:
-            continue
-        out = n if n not in cols else f"{n}_r"
-        cols[out] = y.column(n)[ri]
-    return Relation(cols, key=kx)
+    return Relation._of(_joined(x._taken(li), y._taken(ri), skip=ky),
+                        len(li), kx)
 
 
 def left_join(x: Relation, y: Relation,
@@ -167,21 +168,22 @@ def left_join(x: Relation, y: Relation,
     pad = np.repeat(hits == 0, slots)
     full_ri = np.zeros(len(full_li), dtype=ri.dtype)
     full_ri[~pad] = ri
-    matched = (~pad).astype(np.int32)
-    cols: dict[str, np.ndarray] = {n: x.column(n)[full_li] for n in x.fields}
-    for n in y.fields:
+    # y's fields are gathered now, to be padded: each is a fresh array
+    # that only this relation holds
+    ys = {}
+    for n, src in y._taken(full_ri).items():
         if n == ky:
             continue
-        out = n if n not in cols else f"{n}_r"
-        col = (y.column(n)[full_ri] if y.num_rows
-               else np.zeros(len(full_ri), dtype=y.column(n).dtype))
+        col = (src.read() if y.num_rows
+               else np.zeros(len(full_ri), dtype=src.base.dtype))
         col[pad] = "" if col.dtype.kind in ("U", "S") else 0
-        cols[out] = col
+        ys[n] = _Source(col)
+    cols = _joined(x._taken(full_li), ys, skip=None)
     if match_field in cols:
         raise RelationError(f"match field {match_field!r} clashes with a "
                             "relation field")
-    cols[match_field] = matched
-    return Relation(cols, key=kx)
+    cols[match_field] = _Source((~pad).astype(np.int32))
+    return Relation._of(cols, len(full_li), kx)
 
 
 def semi_join(x: Relation, y: Relation,

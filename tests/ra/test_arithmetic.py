@@ -11,6 +11,7 @@ from repro.frontend.reference import _aggregate as naive_aggregate
 from repro.ra import (
     AGG_FUNCS, AggSpec, Const, Field, Relation, aggregate, arith,
 )
+from repro.ra.arithmetic import _LONG_GROUP, _sums64
 from repro.ra.rows import pack_rows
 
 
@@ -281,6 +282,48 @@ class TestAggregateEdgeCases:
         aggs = {f: AggSpec(f, "v") for f in ("min", "max", "sum", "mean")}
         _assert_same_bytes(aggregate(rel, ["g"], aggs),
                            naive_aggregate(rel, ["g"], aggs))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_sums_around_the_long_group_length(self, dtype):
+        # groups just below, at and above the length summed alone, each
+        # with signed zeros and values that cancel, one all -0.0; every
+        # sum equals a float64 loop's, left to right, byte for byte
+        rng = np.random.default_rng(17)
+        sizes = [_LONG_GROUP - 1, _LONG_GROUP, _LONG_GROUP + 1, 1,
+                 _LONG_GROUP + 1, 2, _LONG_GROUP, 3 * _LONG_GROUP]
+        groups = []
+        for i, size in enumerate(sizes):
+            v = rng.normal(0.0, 1e3, size) * 10.0 ** rng.integers(-6, 7, size)
+            v[rng.random(size) < 0.2] = -0.0
+            if size > 2:
+                v[:2] = [1e16, -1e16]  # cancels, after rounding the rest
+            if i == 4:
+                v[:] = -0.0
+            groups.append(v.astype(dtype))
+        values = np.concatenate(groups)
+        counts = np.array(sizes, dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        want = []
+        for v in groups:
+            acc = -0.0
+            for x in v:
+                acc += float(x)
+            want.append(acc)
+        want = np.array(want)
+        assert np.signbit(want[4])
+        assert _sums64(values, starts, counts).tobytes() == want.tobytes()
+        # the same groups interleaved, through aggregate
+        g = np.repeat(np.arange(len(sizes)), sizes)
+        perm = np.argsort(rng.random(len(g)), kind="stable")
+        out = aggregate(Relation({"g": g[perm], "v": values[perm]}), ["g"],
+                        {"s": AggSpec("sum", "v")})
+        shuffled = []
+        for i in range(len(sizes)):
+            acc = -0.0
+            for x in values[perm][g[perm] == i]:
+                acc += float(x)
+            shuffled.append(acc)
+        assert out["s"].tobytes() == np.array(shuffled).astype(dtype).tobytes()
 
     def test_sum_is_left_to_right_not_pairwise(self):
         # numpy's pairwise sum keeps the ones in 8 partial sums that each
