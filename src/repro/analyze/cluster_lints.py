@@ -213,7 +213,7 @@ class ClusterLintPass:
                        diags: list[Diagnostic]) -> None:
         if dist.preagg is not None or dist.num_shards == 1:
             return
-        spec = find_preagg(dist)
+        spec = find_preagg(dist.plan, dist)
         if spec is None:
             return
         moved = (dist.exchange.est_bytes if dist.exchange is not None

@@ -265,8 +265,7 @@ class ClusterExecutor:
 
     def __init__(self, base_device: DeviceSpec | None = None,
                  costs: StageCostParams = DEFAULT_STAGE_COSTS,
-                 config: ClusterConfig = ClusterConfig(),
-                 plan_cache=None):
+                 config: ClusterConfig = ClusterConfig()):
         self.base_device = base_device or DeviceSpec()
         self.costs = costs
         self.config = config
@@ -274,54 +273,25 @@ class ClusterExecutor:
             num_devices=config.num_devices, base=self.base_device,
             pcie_sharers=config.pcie_sharers)
         self.device = contended_device(self.base_device, self.spec.sharers)
-        #: content-addressed plan cache
-        #: (:class:`repro.optimizer.plancache.PlanCache`): the distribution
-        #: rewrite is reused across runs of the same (plan, stats) on the
-        #: same cluster shape
-        self.plan_cache = plan_cache
 
     # ------------------------------------------------------------------
-    def distribute(self, plan: "Plan | PlanShape",
+    def distribute(self, plan: Plan,
                    source_rows: dict[str, int]) -> DistributedPlan:
-        """The distribution rewrite this executor's runs use.  A
-        :class:`PlanShape` keeps it, so the optimizer's bound on a cluster
-        option and the run that confirms it read one rewrite."""
+        """The distribution rewrite this executor's runs use.  The plan
+        keeps the split no device count changes, so the optimizer's
+        enumeration, its bound on a cluster option and the run that
+        confirms it share one split per pre-aggregation flag."""
         cfg = self.config
-        if isinstance(plan, PlanShape):
-            shape = plan
-            kind = ("distributed", cfg.num_devices, cfg.scheme, cfg.seed,
-                    cfg.preagg, cfg.merge,
-                    tuple(source_rows.get(s.name)
-                          for s in shape.plan.sources()))
-            return shape.derived(kind, source_rows, lambda: self.distribute(
-                shape.plan, source_rows))
-        key = None
-        if self.plan_cache is not None:
-            from ..optimizer.fingerprint import (calibration_fingerprint,
-                                                 cluster_fingerprint,
-                                                 plan_fingerprint)
-            key = self.plan_cache.key(
-                "distributed", plan_fingerprint(plan), source_rows,
-                calibration_fingerprint(self.base_device),
-                cluster_fingerprint(cfg.num_devices, cfg.scheme, cfg.seed,
-                                    self.spec.sharers),
-                cfg.preagg, cfg.merge)
-            hit = self.plan_cache.get(key)
-            # the dist rewrite holds node references into the plan object:
-            # only reusable when it is literally the same plan
-            if hit is not None and hit.plan is plan:
-                return hit
-        dist = distribute_plan(
+        return distribute_plan(
             plan, source_rows, cfg.num_devices,
             scheme=cfg.scheme, seed=cfg.seed,
             preagg=cfg.preagg, merge=cfg.merge)
-        if self.plan_cache is not None:
-            self.plan_cache.put(key, dist)
-        return dist
 
     def _as_dist(self, plan, source_rows) -> DistributedPlan:
         if isinstance(plan, DistributedPlan):
             return plan
+        if isinstance(plan, PlanShape):
+            plan = plan.plan
         return self.distribute(plan, source_rows)
 
     # ------------------------------------------------------------------

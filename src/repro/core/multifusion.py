@@ -22,7 +22,7 @@ from ..errors import FusionError
 from ..plans.plan import OpType, Plan, PlanNode
 from ..ra.expr import Predicate
 from ..ra.relation import Relation
-from ..ra.stages import buffer_stage, filter_stage, gather_stage, partition
+from ..ra.stages import buffer_stage, chunk_columns, gather_stage, partition
 from .kernel import Kernel, KernelChain, StageKind, StageSpec
 from .opmodels import compute_stage, in_row_nbytes, out_row_nbytes
 from .stagecosts import DEFAULT_STAGE_COSTS, StageCostParams
@@ -138,7 +138,7 @@ def multi_select(rel: Relation, predicates: list[Predicate],
     chunks = partition(rel.num_rows, num_ctas)
     per_output_buffers: list[list] = [[] for _ in predicates]
     for cta, chunk in enumerate(chunks):
-        cols = {name: col[chunk] for name, col in rel.columns.items()}
+        cols = chunk_columns(rel, chunk, *predicates)
         for k, pred in enumerate(predicates):
             mask = np.asarray(pred.evaluate(cols), dtype=bool)
             buf = buffer_stage(chunk, mask)

@@ -209,9 +209,7 @@ class Optimizer:
                  pcie_sharers: int | None = None):
         self.device = device or DeviceSpec()
         self.costs = costs
-        #: shared plan cache: decisions and memory verdicts land here, and
-        #: the cluster executors this optimizer spawns reuse it for their
-        #: distribution rewrites
+        #: shared plan cache: decisions and memory verdicts land here
         self.cache = cache
         self.cluster_seed = cluster_seed
         self.pcie_sharers = pcie_sharers
@@ -249,10 +247,7 @@ class Optimizer:
 
         ctx = EnumContext(
             plan=plan, stats=stats, max_devices=max_devices, schemes=schemes,
-            include_cpubase=include_cpubase,
-            distribute=lambda devices: self._cluster_executor(
-                StrategyOption(kind="cluster", devices=devices)).distribute(
-                shape, stats.source_rows()))
+            include_cpubase=include_cpubase)
         # the memory verdicts of every device strategy read one set of
         # envelopes, built when the first verdict misses the cache
         from ..analyze.absint import plan_envelopes
@@ -392,7 +387,7 @@ class Optimizer:
             return bound
         from ..cluster.executor import host_suffix_time
         cx = self._cluster_executor(option)
-        dist = cx.distribute(shape, rows)
+        dist = cx.distribute(shape.plan, rows)
         phases = dist.phases(states=dist.preagg is not None)
         bound = 0.0
         if any(n.op is not OpType.SOURCE for n in phases.local.nodes):
@@ -502,7 +497,7 @@ class Optimizer:
                           check: bool = False, analyze: bool = False):
         from ..cluster.executor import ClusterConfig, ClusterExecutor
         return ClusterExecutor(
-            self.device, costs=self.costs, plan_cache=self.cache,
+            self.device, costs=self.costs,
             config=ClusterConfig(
                 num_devices=option.devices, scheme=option.scheme,
                 seed=self.cluster_seed, strategy=option.strategy,

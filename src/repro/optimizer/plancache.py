@@ -2,20 +2,19 @@
 
 A bounded LRU keyed by sha256 digests (:func:`repro.optimizer.fingerprint
 .digest`) of plan hash + stats digest + calibration / cluster
-fingerprints.  Four artifact families share one cache:
+fingerprints.  Three artifact families share one cache:
 
-* ``decision:*``    -- whole optimizer decisions (strategy choice +
+* ``decision:*`` -- whole optimizer decisions (strategy choice +
   prices),
-* ``absint:*``      -- the optimizer's per-strategy static memory
-  verdicts (:func:`repro.analyze.memory_check.check_strategy`),
-* ``distributed:*`` -- the cluster executor's distribution rewrite of a
-  plan at one cluster shape,
-* ``serve:*``       -- fully-priced serve dispatches (makespan +
-  timeline), so a repeat batch skips planning, analysis, and simulation
-  entirely.
+* ``absint:*``   -- the optimizer's per-strategy static memory verdicts
+  (:func:`repro.analyze.memory_check.check_strategy`),
+* ``serve:*``    -- fully-priced serve dispatches (makespan + timeline),
+  so a repeat batch skips planning, analysis, and simulation entirely.
 
 Sizes and fusion regions are not cached here: they are shared within
 one planning call through a :class:`~repro.runtime.sizes.PlanShape`.
+Nor is a cluster distribution: the frozen plan keeps the split no
+device count changes (:func:`repro.plans.distribute.distribute_plan`).
 
 Every entry stores a checksum of its value at ``put`` time; every ``get``
 re-renders the value and re-verifies it, so a corrupted entry (bit-flip,

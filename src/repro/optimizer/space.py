@@ -11,7 +11,7 @@ enumerates :func:`enumerate_options` and prices each
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from ..errors import PlanError
@@ -72,26 +72,15 @@ class EnumContext:
     max_devices: int = 1
     schemes: tuple[str, ...] = ("hash",)
     include_cpubase: bool = True
-    #: how the caller distributes the plan over a device count (the
-    #: optimizer: its cluster executors' rewrite, kept on its PlanShape,
-    #: so a cluster option's bound and run reuse the one enumerated
-    #: here); None: :func:`distribute_plan` with its defaults
-    distribute: Callable[[int], DistributedPlan] | None = None
-    #: memoized distribution attempts: devices -> DistributedPlan or None
-    _dists: dict[int, DistributedPlan | None] = field(default_factory=dict)
 
     def distributable(self, devices: int) -> DistributedPlan | None:
         """The plan's distribution at ``devices`` shards, or None when the
         rewrite rejects the shape (unsupported plan for this space)."""
-        if devices not in self._dists:
-            try:
-                self._dists[devices] = (
-                    self.distribute(devices) if self.distribute is not None
-                    else distribute_plan(self.plan, self.stats.source_rows(),
-                                         devices))
-            except (PlanError, KeyError, ValueError):
-                self._dists[devices] = None
-        return self._dists[devices]
+        try:
+            return distribute_plan(self.plan, self.stats.source_rows(),
+                                   devices)
+        except (PlanError, KeyError, ValueError):
+            return None
 
 
 Enumerator = Callable[[EnumContext], Iterable[StrategyOption]]

@@ -37,6 +37,7 @@ and the functional paths.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,13 +149,12 @@ class PreAggSpec:
 
 
 @dataclass(frozen=True)
-class DistributedPlan:
-    """A plan plus its cluster distribution decisions (see module doc)."""
+class PlanSplit:
+    """The distribution decisions no shard count, scheme or seed changes:
+    the driver, the local/global split and how the suffix runs.  Every
+    field is a name or a frozen spec, so a plan can keep its split
+    (:meth:`Plan.memo`) without a reference back to itself."""
 
-    plan: Plan
-    num_shards: int
-    scheme: str                      # "hash" | "range" | "rr"
-    seed: int
     driver: str
     partition_key: tuple[str, ...] | None
     sources: tuple[SourceDist, ...]
@@ -163,7 +163,6 @@ class DistributedPlan:
     suffix_sources: tuple[str, ...]  # sources read directly by the suffix
     suffix_mode: str                 # "none" | "exchange" | "host"
     exchange: ExchangeSpec | None
-    driver_shard_rows: tuple[int, ...]
     notes: tuple[str, ...] = ()
     #: partial aggregation below the cut (None = raw frontier crosses)
     preagg: PreAggSpec | None = None
@@ -172,16 +171,25 @@ class DistributedPlan:
     #: touches only the root)
     merge: str = "flat"
 
+
+@dataclass(frozen=True, kw_only=True)
+class DistributedPlan(PlanSplit):
+    """A plan plus its cluster distribution decisions (see module doc):
+    its :class:`PlanSplit`, resharded over `num_shards`."""
+
+    plan: Plan
+    num_shards: int
+    scheme: str                      # "hash" | "range" | "rr"
+    seed: int
+    driver_shard_rows: tuple[int, ...]
+
     # ------------------------------------------------------------------
     @property
     def name(self) -> str:
         return f"{self.plan.name}@x{self.num_shards}"
 
     def node(self, name: str) -> PlanNode:
-        for n in self.plan.nodes:
-            if n.name == name:
-                return n
-        raise PlanError(f"no node {name!r} in plan {self.plan.name!r}")
+        return _node(self.plan, name)
 
     def source_dist(self, name: str) -> SourceDist:
         for s in self.sources:
@@ -338,6 +346,13 @@ class Phases:
         """Exchange mode: bytes per row of the sent buffer."""
         return (self.dist.preagg.state_row_nbytes if self.states
                 else self.dist.exchange.row_nbytes)
+
+
+def _node(plan: Plan, name: str) -> PlanNode:
+    for n in plan.nodes:
+        if n.name == name:
+            return n
+    raise PlanError(f"no node {name!r} in plan {plan.name!r}")
 
 
 def combine_agg_specs(agg_node: PlanNode) -> dict:
@@ -510,8 +525,9 @@ def _candidate_keys(plan: Plan) -> list[tuple[str, ...] | None]:
 # pre-aggregation detection
 # ---------------------------------------------------------------------------
 
-def find_preagg(dist: "DistributedPlan") -> PreAggSpec | None:
-    """A :class:`PreAggSpec` for `dist`'s suffix, or None.
+def find_preagg(plan: Plan, split: PlanSplit) -> PreAggSpec | None:
+    """A :class:`PreAggSpec` for the suffix of `plan` cut as `split`
+    says (a :class:`DistributedPlan` of `plan` is one), or None.
 
     Pre-aggregation applies when the global suffix reads exactly one
     frontier buffer (no whole-source reads), and the frontier feeds a
@@ -526,17 +542,16 @@ def find_preagg(dist: "DistributedPlan") -> PreAggSpec | None:
     hand-built distributions that skip a detectable opportunity).
     """
     from ..core.opmodels import out_row_nbytes
-    if dist.suffix_mode not in ("exchange", "host"):
+    if split.suffix_mode not in ("exchange", "host"):
         return None
-    if len(dist.frontier) != 1 or dist.suffix_sources:
+    if len(split.frontier) != 1 or split.suffix_sources:
         return None
-    plan = dist.plan
-    cur = dist.node(dist.frontier[0])
+    cur = _node(plan, split.frontier[0])
     lowered: list[str] = []
     agg: PlanNode | None = None
     while agg is None:
         nexts = [c for c in plan.consumers(cur)
-                 if c.name not in dist.local_names]
+                 if c.name not in split.local_names]
         if len(nexts) != 1 or len(nexts[0].inputs) != 1:
             return None
         cur = nexts[0]
@@ -557,7 +572,7 @@ def find_preagg(dist: "DistributedPlan") -> PreAggSpec | None:
     n_groups = agg.params.get("n_groups")
     if n_groups is None:
         from ..runtime.sizes import estimate_sizes
-        rows = {s.name: s.rows for s in dist.sources}
+        rows = {s.name: s.rows for s in split.sources}
         n_groups = int(estimate_sizes(plan, rows).get(agg.name, 1))
     state_row = (out_row_nbytes(agg)
                  + sum(_EXTRA_STATE_BYTES.get(f, 0) for f in funcs))
@@ -583,6 +598,11 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
     and the arguments.  ``preagg=False`` disables the partial-aggregation
     lowering (:func:`find_preagg`); ``merge`` overrides the host-merge
     strategy ("flat"/"tree", default: tree whenever pre-agg applies).
+
+    None of those decisions reads `num_shards`, `scheme` or `seed`: the
+    plan keeps its :class:`PlanSplit` per (rows of its own sources,
+    `preagg`, `merge`) in :meth:`Plan.memo`, and each call only reshards
+    it.
     """
     plan.validate()
     if num_shards < 1:
@@ -590,13 +610,27 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
     if scheme not in ("hash", "range", "rr"):
         raise PlanError(f"unknown partition scheme {scheme!r}")
     from ..cluster.partition import even_counts
-    from ..core.opmodels import out_row_nbytes
-    from ..runtime.sizes import estimate_sizes, source_node_rows
+    from ..runtime.sizes import source_node_rows
 
     sources = plan.sources()
     if not sources:
         raise PlanError(f"plan {plan.name!r} has no sources")
-    src_rows = {s.name: source_node_rows(s, source_rows) for s in sources}
+    rows = tuple(source_node_rows(s, source_rows) for s in sources)
+    split = plan.memo(_split, rows, preagg, merge)
+    driver_rows = next(s.rows for s in split.sources if s.name == split.driver)
+    return DistributedPlan(
+        plan=plan, num_shards=num_shards, scheme=scheme, seed=seed,
+        driver_shard_rows=tuple(even_counts(driver_rows, num_shards)),
+        **vars(split))
+
+
+def _split(plan: Plan, rows: tuple[int, ...], preagg: bool,
+           merge: str | None) -> PlanSplit:
+    """The :class:`PlanSplit` of `plan` when its sources hold `rows` (in
+    ``plan.sources()`` order)."""
+    from ..core.opmodels import out_row_nbytes
+    sources = plan.sources()
+    src_rows = dict(zip((s.name for s in sources), rows))
     driver = max(sources, key=lambda s: src_rows[s.name] * out_row_nbytes(s))
 
     best_key: tuple[str, ...] | None = None
@@ -650,9 +684,8 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
         suffix_mode = "host"
         if len(frontier) == 1 and not suffix_sources:
             fname = frontier[0]
-            fnode = next(n for n in plan.nodes if n.name == fname)
-            exchange = _try_exchange(plan, dist, fnode, source_rows,
-                                     out_row_nbytes, estimate_sizes)
+            fnode = _node(plan, fname)
+            exchange = _try_exchange(plan, dist, fnode, src_rows)
             if exchange is not None:
                 suffix_mode = "exchange"
                 notes.append(
@@ -661,33 +694,28 @@ def distribute_plan(plan: Plan, source_rows: dict[str, int], num_shards: int,
 
     if merge is not None and merge not in ("flat", "tree"):
         raise PlanError(f"unknown merge strategy {merge!r}")
-    dist = DistributedPlan(
-        plan=plan, num_shards=num_shards, scheme=scheme, seed=seed,
+    split = PlanSplit(
         driver=driver.name, partition_key=best_key,
         sources=tuple(source_dists), local_names=local_names,
         frontier=tuple(frontier), suffix_sources=tuple(suffix_sources),
         suffix_mode=suffix_mode, exchange=exchange,
-        driver_shard_rows=tuple(even_counts(src_rows[driver.name],
-                                            num_shards)),
         notes=tuple(notes), merge=merge or "flat")
     if preagg:
-        spec = find_preagg(dist)
+        spec = find_preagg(plan, split)
         if spec is not None:
-            import dataclasses
-            dist = dataclasses.replace(
-                dist, preagg=spec, merge=merge or "tree",
-                notes=dist.notes + (
+            split = dataclasses.replace(
+                split, preagg=spec, merge=merge or "tree",
+                notes=split.notes + (
                     f"pre-aggregate {spec.agg} below the cut "
                     f"({'exact' if spec.exact else 'timing-only'}; "
                     f"~{spec.est_groups} groups x "
                     f"{spec.state_row_nbytes} B states); "
                     f"{merge or 'tree'} merge",))
-    return dist
+    return split
 
 
 def _try_exchange(plan: Plan, dist: dict, fnode: PlanNode,
-                  source_rows: dict[str, int], out_row_nbytes, estimate_sizes
-                  ) -> ExchangeSpec | None:
+                  source_rows: dict[str, int]) -> ExchangeSpec | None:
     """Can the suffix past `fnode` run shard-local after repartitioning
     `fnode`'s buffer on the suffix's group-by key?
 
@@ -703,6 +731,8 @@ def _try_exchange(plan: Plan, dist: dict, fnode: PlanNode,
       so the host merge is a disjoint-group sorted concat (exact);
     * the buffer is big enough to pay for the staging round trip.
     """
+    from ..core.opmodels import out_row_nbytes
+    from ..runtime.sizes import estimate_sizes
     suffix_nodes = [n for n in plan.topological()
                     if dist[n.name] is None and n.op is not OpType.SOURCE]
     key: tuple[str, ...] | None = None

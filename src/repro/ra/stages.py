@@ -37,10 +37,21 @@ class CtaBuffer:
     indices: np.ndarray  # global row indices that matched
 
 
+def chunk_columns(rel: Relation, chunk: slice,
+                  *predicates: Predicate) -> dict[str, np.ndarray]:
+    """One CTA's chunk of the fields `predicates` read (of the first
+    field when they read none: a constant predicate still needs the row
+    count), so a lazily gathered input gathers only those fields."""
+    names = set().union(*(p.fields() for p in predicates))
+    if not names:
+        names = set(rel.fields[:1])
+    return {name: rel[name][chunk] for name in rel.fields if name in names}
+
+
 def filter_stage(rel: Relation, chunk: slice, predicate: Predicate) -> np.ndarray:
     """Stage 2: evaluate the predicate over one CTA's chunk -> local mask."""
-    cols = {name: col[chunk] for name, col in rel.columns.items()}
-    return np.asarray(predicate.evaluate(cols), dtype=bool)
+    return np.asarray(predicate.evaluate(chunk_columns(rel, chunk, predicate)),
+                      dtype=bool)
 
 
 def buffer_stage(chunk: slice, mask: np.ndarray) -> CtaBuffer:
@@ -79,8 +90,7 @@ def staged_select(rel: Relation, predicates: list[Predicate], num_ctas: int = 11
         for pred in predicates[1:]:
             # fused filter stage: only re-tests elements still alive,
             # reading from the chunk (register-resident intermediates)
-            cols = {name: col[chunk] for name, col in rel.columns.items()}
-            mask &= np.asarray(pred.evaluate(cols), dtype=bool)
+            mask &= filter_stage(rel, chunk, pred)
         buf = buffer_stage(chunk, mask)
         buf.cta = cta
         buffers.append(buf)

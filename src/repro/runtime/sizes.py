@@ -16,7 +16,8 @@ interval, and every rule accepts ``inf`` for an unknown row count.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
+from typing import (TYPE_CHECKING, Callable, Hashable, Iterable, Mapping,
+                    TypeVar)
 
 from ..core.fusion import FusionResult, Region, fuse_plan
 from ..core.opmodels import out_row_nbytes
@@ -66,9 +67,6 @@ class PlanShape:
         self.plan = plan
         #: every node's evaluated relation when observed, else None
         self.relations: dict[str, Relation] | None = None
-        self._sizes: dict[tuple | None, dict[str, int]] = {}
-        self._nbytes: dict[tuple | None, dict[str, float]] = {}
-        self._fusion: dict[bool, FusionResult] = {}
         self._derived: dict[tuple, object] = {}
 
     @classmethod
@@ -82,8 +80,10 @@ class PlanShape:
         source rows."""
         shape = cls(plan)
         shape.relations = rels = evaluate(plan, sources)
-        shape._sizes[None] = {n: r.num_rows for n, r in rels.items()}
-        shape._nbytes[None] = {n: float(r.nbytes) for n, r in rels.items()}
+        shape.derived("sizes", None,
+                      lambda: {n: r.num_rows for n, r in rels.items()})
+        shape.derived("nbytes", None,
+                      lambda: {n: float(r.nbytes) for n, r in rels.items()})
         return shape
 
     def _key(self, source_rows: dict[str, int] | None) -> tuple | None:
@@ -96,19 +96,15 @@ class PlanShape:
 
     def sizes(self, source_rows: dict[str, int] | None) -> dict[str, int]:
         """Output rows of every node, keyed by node name."""
-        key = self._key(source_rows)
-        if key not in self._sizes:
-            self._sizes[key] = estimate_sizes(self.plan, source_rows or {})
-        return self._sizes[key]
+        return self.derived("sizes", source_rows, lambda: estimate_sizes(
+            self.plan, source_rows or {}))
 
     def nbytes(self, source_rows: dict[str, int] | None) -> dict[str, float]:
         """Output bytes of every node, keyed by node name."""
-        key = self._key(source_rows)
-        if key not in self._nbytes:
+        def build() -> dict[str, float]:
             sizes = self.sizes(source_rows)
-            self._nbytes[key] = {n.name: node_bytes(n, sizes)
-                                 for n in self.plan.nodes}
-        return self._nbytes[key]
+            return {n.name: node_bytes(n, sizes) for n in self.plan.nodes}
+        return self.derived("nbytes", source_rows, build)
 
     def row_nbytes(self, node: PlanNode) -> int:
         """Bytes per row of ``node``'s output."""
@@ -117,10 +113,10 @@ class PlanShape:
 
     def fusion(self, fused: bool) -> FusionResult:
         """The fusion pass's regions (``fused=False``: one region per
-        operator, the unfused baseline)."""
-        if fused not in self._fusion:
-            self._fusion[fused] = fuse_plan(self.plan, enable=fused)
-        return self._fusion[fused]
+        operator, the unfused baseline).  They read no row count, so a
+        shape keeps one per flag whatever the row maps it is asked at."""
+        return self.derived(("fusion", fused), None,
+                            lambda: fuse_plan(self.plan, enable=fused))
 
     def lowered(self, fused: bool, source_rows: dict[str, int] | None,
                 costs: StageCostParams = DEFAULT_STAGE_COSTS
@@ -137,9 +133,11 @@ class PlanShape:
                 for r in self.fusion(fused).regions)
         return self.derived(("lowered", fused, costs), source_rows, lower)
 
-    def derived(self, kind: tuple, source_rows: dict[str, int] | None,
+    def derived(self, kind: Hashable, source_rows: dict[str, int] | None,
                 build: Callable[[], T]) -> T:
-        """``build()``, computed once per (``kind``, row map) and kept."""
+        """``build()``, computed once per (``kind``, row map) and kept
+        (``source_rows=None``: the empty row map, for a value that reads
+        no row count)."""
         key = (kind, self._key(source_rows))
         if key not in self._derived:
             self._derived[key] = build()

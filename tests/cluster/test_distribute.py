@@ -2,11 +2,16 @@
 local/global frontier lands, which sources replicate, which suffix mode
 each query takes, and that the rewrite is deterministic."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import PlanError
 from repro.plans import Plan
-from repro.plans.distribute import distribute_plan
+from repro.plans import distribute
+from repro.plans.distribute import DistributedPlan, distribute_plan
 from repro.plans.plan import OpType
 from repro.ra import Field
 from repro.tpch import (
@@ -15,6 +20,7 @@ from repro.tpch import (
     q1_source_rows,
     q21_source_rows,
 )
+from repro.tpch.catalog import QUERIES, compile_tpch, tpch_source_rows
 
 N = 2_000_000
 
@@ -167,3 +173,64 @@ class TestDeterminismAndErrors:
         dist = distribute_plan(plan, {"t": 1_000_000}, 4)
         assert dist.suffix_mode == "none"
         assert dist.global_names == frozenset()
+
+
+def _grid_plans(sf):
+    """(name, plan, source rows) of the 22 SQL plans and hand-built Q1
+    and Q21 at scale factor `sf`."""
+    rows = tpch_source_rows(sf)
+    for name in QUERIES:
+        yield name, compile_tpch(name, scale_factor=sf).plan, rows
+    yield "Q1", build_q1_plan(), q1_source_rows(rows["lineitem"])
+    yield "Q21", build_q21_plan(), q21_source_rows(
+        rows["lineitem"], rows["orders"], rows["supplier"])
+
+
+class TestSplitOnce:
+    """A plan keeps the part of its distribution no shard count, scheme
+    or seed changes (its split), and each call reshards it."""
+
+    @pytest.mark.parametrize("sf", [0.002, 30])
+    def test_equals_an_uncached_build(self, monkeypatch, sf):
+        keys = [(preagg, merge) for preagg in (True, False)
+                for merge in (None, "flat", "tree")]
+        cases = [(shards, scheme, 5, preagg, merge)
+                 for shards in (2, 3, 4, 8)
+                 for scheme in ("hash", "range", "rr")
+                 for preagg, merge in keys]
+        splits = []
+        split = distribute._split
+
+        def counted(plan, *key):
+            splits.append(key)
+            return split(plan, *key)
+
+        for name, plan, rows in _grid_plans(sf):
+            with monkeypatch.context() as uncached:
+                uncached.setattr(Plan, "memo", lambda self, derive, *key:
+                                 derive(self, *key))
+                want = [distribute_plan(plan, rows, *case) for case in cases]
+            with monkeypatch.context() as spy:
+                spy.setattr(distribute, "_split", counted)
+                del splits[:]
+                got = [distribute_plan(plan, rows, *case) for case in cases]
+            for case, a, b in zip(cases, got, want):
+                for field in dataclasses.fields(DistributedPlan):
+                    assert getattr(a, field.name) == getattr(b, field.name), (
+                        name, case, field.name)
+            # one split per (preagg, merge), whatever the shards and scheme
+            assert len(splits) == len(set(splits)) == len(keys), name
+
+    def test_a_plan_keeping_its_split_is_freed_without_gc(self):
+        plan = build_q21_plan()
+        for shards in (2, 4):
+            distribute_plan(plan, q21_source_rows(N, N // 4, N // 600),
+                            shards)
+        assert plan._index.memos
+        ref = weakref.ref(plan)
+        gc.disable()
+        try:
+            del plan
+            assert ref() is None
+        finally:
+            gc.enable()

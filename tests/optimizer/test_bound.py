@@ -332,7 +332,7 @@ def _host_mode_runs():
         for option in enumerate_from(ctx):
             if option.kind != "cluster":
                 continue
-            dist = opt._cluster_executor(option).distribute(shape, rows)
+            dist = opt._cluster_executor(option).distribute(plan, rows)
             if dist.suffix_mode == "host":
                 yield name, option, dist, shape, opt._execute(
                     shape, rows, option)

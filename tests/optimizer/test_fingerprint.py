@@ -113,7 +113,8 @@ def test_calibration():
 
 @pytest.mark.parametrize("devices", [1, 4])
 def test_cached_optimizer_values(devices):
-    """Decisions, absint verdicts and DistributedPlans, as cached."""
+    """Decisions and absint verdicts, as cached.  A distribution is not
+    cached: its plan keeps the split, so it is rebuilt, not looked up."""
     cache = _RecordingCache()
     opt = Optimizer(cache=cache)
     rows = tpch_source_rows(0.01)
@@ -121,8 +122,7 @@ def test_cached_optimizer_values(devices):
         opt.choose(compile_tpch(name).plan, rows, max_devices=devices)
     kinds = {type(v).__name__ for v in cache.stored}
     assert "Decision" in kinds
-    if devices > 1:
-        assert "DistributedPlan" in kinds
+    assert "DistributedPlan" not in kinds
     for value in cache.stored:
         assert_same(value)
 

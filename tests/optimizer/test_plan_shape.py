@@ -6,7 +6,9 @@ the original function is rebound in every loaded ``repro`` module that
 imported it by name.
 """
 
+import gc
 import sys
+import weakref
 from collections import defaultdict
 
 import pytest
@@ -84,15 +86,41 @@ def test_cluster_runs_fuse_only_their_local_plan(monkeypatch):
 @pytest.mark.parametrize("query", ["q1", "q8", "q13"])
 def test_one_distribution_per_cluster_shape(monkeypatch, query):
     """The enumeration, the cluster options' bounds and their confirming
-    runs read one distribution rewrite per (devices, pre-aggregation)."""
+    runs read one split per (plan, pre-aggregation), whatever the device
+    count, and the split classifies each candidate key once."""
     from repro.plans import distribute
     rows = tpch_source_rows(30)
     plan = _plan(query, rows)
-    calls = _count(monkeypatch, distribute, "distribute_plan")
+    splits = _count(monkeypatch, distribute, "_split")
+    classified = _count(monkeypatch, distribute, "_classify")
     decision = Optimizer().choose(plan, rows, max_devices=4)
-    shapes = {(c.option.devices, c.option.preagg)
-              for c in decision.candidates if c.option.kind == "cluster"}
-    assert shapes and len(calls) == len(shapes)
+    preaggs = {c.option.preagg for c in decision.candidates
+               if c.option.kind == "cluster"}
+    assert preaggs and len(splits) == len(preaggs)
+    assert len(classified) == len(splits) * len(
+        distribute._candidate_keys(plan))
+
+
+@pytest.mark.parametrize("sf, devices", [(1, 1), (30, 4)])
+def test_no_plan_outlives_its_run_by_a_cycle(sf, devices):
+    """What a plan keeps (its memo) and what a run returns hold no
+    cycle through the plan: with the cycle collector off, dropping the
+    plan, the result and the decision frees the plan."""
+    rows = tpch_source_rows(sf)
+    alive = []
+    gc.disable()
+    try:
+        for query in QUERIES:
+            plan = _plan(query, rows)
+            result, decision = Optimizer().run(plan, rows,
+                                               max_devices=devices)
+            ref = weakref.ref(plan)
+            del plan, result, decision
+            if ref() is not None:
+                alive.append(query)
+    finally:
+        gc.enable()
+    assert alive == []
 
 
 def test_one_fusion_result_per_flag_within_choose(monkeypatch):

@@ -12,6 +12,7 @@ from repro.errors import RelationError
 from repro.ra import (
     Field,
     Relation,
+    TruePredicate,
     buffer_stage,
     conjoin,
     filter_stage,
@@ -126,3 +127,58 @@ class TestStagedSelect:
         fused = staged_select(rel, preds, num_ctas=ctas)
         chained = unfused_select_chain(rel, preds, num_ctas=ctas)
         assert fused.to_tuples() == chained.to_tuples()
+
+
+class TestChunksReadOnlyPredicateFields:
+    """A CTA chunk slices only the fields its predicates read, so a lazily
+    gathered input (a take) gathers only those."""
+
+    @staticmethod
+    def _taken():
+        rng = np.random.default_rng(3)
+        base = Relation({f"f{i}": rng.integers(0, 1000, 2000)
+                         for i in range(6)})
+        return base.take(rng.permutation(2000)[:500])
+
+    @staticmethod
+    def _count_gathers(monkeypatch):
+        from repro.ra import relation
+        calls = []
+        gather = relation.gather
+
+        def counted(base, index):
+            calls.append(len(index))
+            return gather(base, index)
+
+        monkeypatch.setattr(relation, "gather", counted)
+        return calls
+
+    @staticmethod
+    def _assert_bytes_equal(got, want):
+        assert got.fields == want.fields and got.num_rows == want.num_rows
+        for name in want.fields:
+            assert got[name].dtype == want[name].dtype
+            assert got[name].tobytes() == want[name].tobytes()
+
+    @pytest.mark.parametrize("predicates", [
+        [Field("f2") < 400],
+        [Field("f2") < 400, Field("f2") > 100],
+        [TruePredicate()],
+    ], ids=["one", "fused", "true"])
+    def test_staged_select(self, monkeypatch, predicates):
+        rel = self._taken()
+        calls = self._count_gathers(monkeypatch)
+        out = staged_select(rel, predicates, num_ctas=7)
+        assert len(calls) == 1
+        self._assert_bytes_equal(out, select(self._taken(),
+                                             conjoin(predicates)))
+
+    def test_multi_select(self, monkeypatch):
+        from repro.core.multifusion import multi_select
+        predicates = [Field("f2") < 400, Field("f2") > 700]
+        rel = self._taken()
+        calls = self._count_gathers(monkeypatch)
+        outs = multi_select(rel, predicates, num_ctas=7)
+        assert len(calls) == 1
+        for out, pred in zip(outs, predicates):
+            self._assert_bytes_equal(out, select(self._taken(), pred))
