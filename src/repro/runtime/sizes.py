@@ -189,15 +189,6 @@ def node_bytes(node: PlanNode, sizes: Mapping[str, float]) -> float:
     return float(sizes[node.name]) * row if row else 0.0
 
 
-def region_bytes(region: Region, sizes: Mapping[str, float]
-                 ) -> tuple[PlanNode, float, float]:
-    """(primary input, input bytes, output bytes) of one region."""
-    first = region.nodes[0]
-    primary = first.inputs[0] if first.inputs else first
-    return (primary, node_bytes(primary, sizes),
-            node_bytes(region.output_node, sizes))
-
-
 def footprint(plan: Plan, regions: list[Region], driver: PlanNode,
               nbytes: Callable[[PlanNode], float]
               ) -> tuple[float, float, bool]:

@@ -76,17 +76,6 @@ class DispatchEngine:
             for _ in range(config.devices)]
         self._pools: list[StreamPool | None] = [None] * config.devices
 
-    def warm(self) -> None:
-        """Pre-calibrate the simulator so the first real dispatch pays no
-        cold-start cost: resolve the occupancy/utilization shapes the
-        catalog kernels use (they are memoized on the device)."""
-        dev = self.lane_device
-        from ..simgpu.compute import default_grid
-        for n in (1 << 12, 1 << 16, 1 << 20):
-            _, tpc = default_grid(n, dev)
-            occ = dev.occupancy(tpc, 16)
-            dev.utilization(occ.resident_threads, dev.num_sms)
-
     # ------------------------------------------------------------------
     def dispatch(self, batch: list[QueryRequest], batch_idx: int,
                  lane: int = 0) -> DispatchOutcome:

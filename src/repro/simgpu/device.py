@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .calibration import Calibration, DEFAULT_CALIBRATION
 
@@ -44,8 +43,9 @@ class DeviceSpec:
 
     def __hash__(self) -> int:
         # cache the (recursive, calibration-deep) frozen-dataclass hash:
-        # the memoized occupancy/utilization lookups below hash the device
-        # on every kernel dispatch in the DES hot loop
+        # the engine's (device, launch spec) timing caches hash the device
+        # on every kernel dispatch in the DES hot loop, and so do
+        # ``contended_device`` and every memo key that holds a device
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.calib, self.num_copy_engines))
@@ -88,21 +88,12 @@ class DeviceSpec:
 
         Mirrors the Fermi occupancy calculation: the binding constraint is
         whichever of registers, threads, CTA-slots, or shared memory runs
-        out first.  Memoized: the DES hot loop resolves the same handful
-        of launch shapes for every kernel dispatch.
+        out first.
         """
-        return _occupancy(self, int(threads_per_cta), int(regs_per_thread),
-                          int(shared_bytes_per_cta))
-
-    def _occupancy_uncached(
-        self,
-        threads_per_cta: int,
-        regs_per_thread: int,
-        shared_bytes_per_cta: int = 0,
-    ) -> Occupancy:
         g = self.calib.gpu
         threads_per_cta = max(1, int(threads_per_cta))
         regs_per_thread = max(1, min(int(regs_per_thread), g.max_regs_per_thread))
+        shared_bytes_per_cta = int(shared_bytes_per_cta)
 
         by_threads = g.max_threads_per_sm // threads_per_cta
         by_regs = g.regs_per_sm // (regs_per_thread * threads_per_cta)
@@ -137,13 +128,8 @@ class DeviceSpec:
         (``kind="inst"``) needs ~2/3 residency to hide pipeline latency;
         memory bandwidth (``kind="mem"``) saturates much earlier.  When
         only a subset of SMs is granted (concurrent kernels), peak scales
-        with the granted fraction.  Memoized like :meth:`occupancy`.
+        with the granted fraction.
         """
-        return _utilization(self, total_threads, granted_sms, kind)
-
-    def _utilization_uncached(self, total_threads: int,
-                              granted_sms: int | None = None,
-                              kind: str = "inst") -> float:
         g = self.calib.gpu
         sms = self.num_sms if granted_sms is None else max(1, min(granted_sms, self.num_sms))
         sm_frac = sms / self.num_sms
@@ -160,19 +146,6 @@ class DeviceSpec:
         if occ.ctas_per_sm <= 0:
             return self.num_sms
         return min(self.num_sms, max(1, math.ceil(num_ctas / occ.ctas_per_sm)))
-
-
-@lru_cache(maxsize=4096)
-def _occupancy(device: DeviceSpec, threads_per_cta: int, regs_per_thread: int,
-               shared_bytes_per_cta: int) -> Occupancy:
-    return device._occupancy_uncached(
-        threads_per_cta, regs_per_thread, shared_bytes_per_cta)
-
-
-@lru_cache(maxsize=8192)
-def _utilization(device: DeviceSpec, total_threads: int,
-                 granted_sms: int | None, kind: str) -> float:
-    return device._utilization_uncached(total_threads, granted_sms, kind)
 
 
 def describe_environment(device: DeviceSpec) -> str:

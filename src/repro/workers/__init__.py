@@ -2,10 +2,10 @@
 
 ``ServeConfig(workers=N)`` (CLI: ``repro serve --workers N``) moves
 dispatch simulation into N long-lived worker processes, each owning its
-simulated device lanes, warmed calibration, and a process-private plan
-cache.  Tenants shard across workers deterministically; every dispatch is
-idempotent (keyed on ``(seed, tenant, query_fingerprint, sequence)``)
-with a result outbox, so retries and crash replays never re-execute; and
+simulated device lanes and a process-private plan cache.  Tenants
+shard across workers deterministically; every dispatch is idempotent
+(keyed on ``(seed, tenant, query_fingerprint, sequence)``) with a
+result outbox, so retries and crash replays never re-execute; and
 the merged cross-worker metrics are byte-identical to the single-process
 path at the same seed.  See docs/SERVING.md, "Worker pools".
 """

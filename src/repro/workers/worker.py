@@ -2,9 +2,8 @@
 
 Spawned once per pool slot by :class:`repro.workers.pool.WorkerPool`.
 At startup it builds a :class:`repro.serve.dispatch.DispatchEngine` from
-the (pickled) device spec and serve config, **warms** it -- the runtime
-is already imported and the simulator's occupancy/utilization shapes are
-pre-resolved -- and then sends a ``ready`` handshake so the parent can
+the (pickled) device spec and serve config -- the runtime is already
+imported -- and then sends a ``ready`` handshake so the parent can
 measure warm-spawn latency.  After that it sits in a message loop on its
 pipe end until told to stop.
 
@@ -63,7 +62,6 @@ def worker_main(conn, worker_id: int, device, config) -> None:
     from ..serve.dispatch import DispatchEngine, simulate_dispatch
 
     engine = DispatchEngine(device, config)
-    engine.warm()
 
     outbox: dict[Any, Any] = {}   # key -> outcome (worker-local idempotency)
     outbox_hits = 0

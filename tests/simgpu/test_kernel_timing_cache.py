@@ -1,5 +1,8 @@
 """The DES's kernel-timing cache returns exactly what the timing model
-computes, and injected faults still act on the looked-up base."""
+computes, is the one layer that serves a repeated launch, and injected
+faults still act on the looked-up base."""
+
+import itertools
 
 import pytest
 
@@ -31,6 +34,51 @@ def test_cached_values_equal_the_timing_model():
                     DEVICE, SPEC, grant, concurrent) == want
             durations.add(want)
     assert len(durations) == 4
+
+
+@pytest.mark.parametrize("threads,regs,shared", itertools.product(
+    (64, 256, 1024), (8, 20, 63, 200), (0, 24 * 1024, 50_000)))
+def test_float_shapes_resolve_like_int_shapes(threads, regs, shared):
+    want = DEVICE.occupancy(threads, regs, shared)
+    got = DEVICE.occupancy(float(threads), float(regs), float(shared))
+    assert got == want
+    for value in (got.ctas_per_sm, got.resident_threads,
+                  got.max_threads_per_sm):
+        assert type(value) is int
+
+
+def _program():
+    # a small shared-memory kernel takes a few SMs first, so SPEC runs
+    # once beside it on the rest and once alone on the whole device
+    n = N // 100
+    small = KernelLaunchSpec("timing-cache-small", n, 8, 128, 32,
+                             2.0 * n, 1.0 * n, 20.0 * n,
+                             shared_bytes_per_cta=12 * 1024)
+    return [SimStream(0).kernel(small), SimStream(1).kernel(SPEC).kernel(SPEC)]
+
+
+def test_a_repeated_program_reads_only_the_engine_caches(monkeypatch):
+    first = SimEngine(DEVICE).run(_program())
+    calls = {"occupancy": 0, "utilization": 0}
+
+    def counted(name):
+        original = getattr(DeviceSpec, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(DeviceSpec, name, counted(name))
+    misses = (kernel_base_duration.cache_info().misses,
+              kernel_sms_wanted.cache_info().misses)
+    second = SimEngine(DEVICE).run(_program())
+    assert calls == {"occupancy": 0, "utilization": 0}
+    assert (kernel_base_duration.cache_info().misses,
+            kernel_sms_wanted.cache_info().misses) == misses
+    assert ([(ev.tag, ev.start, ev.end) for ev in second.events]
+            == [(ev.tag, ev.start, ev.end) for ev in first.events])
 
 
 def _run_one(plan: FaultPlan):
